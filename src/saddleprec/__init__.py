@@ -23,7 +23,7 @@ from .mesh import (
 from .assembly import (
     AssemblyError,
     assemble_stiffness, assemble_sigma_matrix, assemble_load,
-    RankOneBlock, InclusionBlocks, assemble_inclusion_blocks,
+    InclusionBlocks, assemble_inclusion_blocks,
     SaddleOperator, build_saddle_operator, build_problem,
     recover_p_from_u, write_matrix_market,
 )

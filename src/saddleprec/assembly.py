@@ -121,26 +121,6 @@ def _assemble_local(k: int, h: float):
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
-class RankOneBlock:
-    """Rank-one averaging block q = (1/d^2) m m^T for one inclusion.
-
-    weights is the mass-matrix row-sum vector m_s (integrals of the nodal
-    basis functions over the inclusion) and d^2 = sum(weights) its area.
-    The block is applied through its factors and never formed densely.
-    """
-
-    weights: np.ndarray
-    d: float
-
-    def apply(self, p: np.ndarray) -> np.ndarray:
-        return self.weights * (self.weights @ p / (self.d * self.d))
-
-    def apply_projector(self, p: np.ndarray) -> np.ndarray:
-        """Oblique projector onto the constant vector along weights."""
-        return np.full_like(p, self.weights @ p / (self.d * self.d))
-
-
-@dataclasses.dataclass(frozen=True, eq=False)
 class InclusionBlocks:
     """Shared per-inclusion matrices in system ordering.
 
@@ -170,21 +150,18 @@ class InclusionBlocks:
     def eps_node(self) -> np.ndarray:
         return np.repeat(self.eps, self.ns)
 
-    @property
-    def rank_one(self) -> RankOneBlock:
-        return RankOneBlock(weights=self.weights, d=self.d)
+    def block_means(self, w: np.ndarray) -> np.ndarray:
+        """Mass-weighted mean of w over each inclusion, shape (m,)."""
+        return w.reshape(self.m, self.ns) @ self.weights / (self.d * self.d)
 
     def apply_q(self, w: np.ndarray) -> np.ndarray:
         """Global averaging term Q w (block rank-one, applied via factors)."""
-        W = w.reshape(self.m, self.ns)
-        dots = W @ self.weights / (self.d * self.d)
+        dots = self.block_means(w)
         return (dots[:, None] * self.weights[None, :]).ravel()
 
     def apply_projector(self, w: np.ndarray) -> np.ndarray:
         """Blockwise projector onto constants along the mass weights."""
-        W = w.reshape(self.m, self.ns)
-        dots = W @ self.weights / (self.d * self.d)
-        return np.repeat(dots, self.ns)
+        return np.repeat(self.block_means(w), self.ns)
 
     def q_sparse(self) -> sp.csr_matrix:
         q = np.outer(self.weights, self.weights) / (self.d * self.d)
@@ -243,23 +220,12 @@ class SaddleOperator:
             counter.a += 1
         return np.concatenate((top, bottom))
 
-    def schur_preimages(self, z: np.ndarray):
-        """Factor tags of the lower block of apply(z).
-
-        Returns (bd_pre, q_pre) with  lower = B_D bd_pre + Q q_pre, which is
-        what the O(n) inverse of (B_D + Q) consumes.
-        """
-        w = z[self.N:]
-        bd_pre = z[:self.n] - self.blocks.eps_node * w
-        return bd_pre, -w
-
     def to_sparse(self) -> sp.csr_matrix:
         """Explicit sparse form, mainly for export and dense oracles."""
         n, N = self.n, self.N
         B = sp.hstack([self.blocks.B_D,
                        sp.csr_matrix((n, N - n))], format="csr")
-        C = (self.blocks.B_D.multiply(
-                np.repeat(self.blocks.eps, self.blocks.ns)[:, None])
+        C = (self.blocks.B_D.multiply(self.blocks.eps_node[:, None])
              + self.blocks.q_sparse())
         return sp.bmat([[self.A, B.T], [B, -C]], format="csr")
 
@@ -317,8 +283,7 @@ def recover_p_from_u(u: np.ndarray, blocks: InclusionBlocks) -> np.ndarray:
     inclusion, so each block of p has zero weighted mean.
     """
     U = u[:blocks.n].reshape(blocks.m, blocks.ns)
-    c = U @ blocks.weights / (blocks.d * blocks.d)
-    P = (U - c[:, None]) / blocks.eps[:, None]
+    P = (U - blocks.block_means(U)[:, None]) / blocks.eps[:, None]
     return P.ravel()
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import contextlib
 import dataclasses
 import hashlib
 import itertools
@@ -33,9 +34,9 @@ import numpy as np
 from . import __version__
 from .mesh import (MeshError, LayoutError, ParameterError, build_mesh,
                    place_periodic, place_random, assign_epsilon)
-from .assembly import (build_problem, assemble_load, assemble_stiffness,
-                       assemble_sigma_matrix, write_matrix_market)
-from .precond import (OpCounter, ContractViolationError, SolverBreakdownError,
+from .assembly import (build_problem, assemble_load, assemble_sigma_matrix,
+                       write_matrix_market)
+from .precond import (ContractViolationError, SolverBreakdownError,
                       build_block_preconditioner)
 from .solvers import (pu_solve, pl_solve, pcg_k_solve, random_guess,
                       OperatorContractError, MaxIterationsError)
@@ -50,6 +51,8 @@ SPECTRUM_SCHEMA = "saddleprec.spectrum.v1"
 EIGS_SCHEMA = "saddleprec.spectrum-eigs.v1"
 
 _METHODS = {"pu": pu_solve, "pl": pl_solve, "pcgk": pcg_k_solve}
+_SOLVER_ERRORS = (SolverBreakdownError, MaxIterationsError,
+                  OperatorContractError, ContractViolationError)
 
 # derivation offsets for per-instance sub-seeds (documented, arbitrary primes)
 _LAYOUT_SEED_OFFSET = 1000003
@@ -110,6 +113,14 @@ def _typed_scalar(raw, key, conv, default):
         raise ConfigError(f"config key {key!r}: {exc}") from exc
 
 
+def _choices(key, values, allowed):
+    for value in values:
+        if value not in allowed:
+            raise ConfigError(
+                f"unknown {key} {value!r}; use {'|'.join(allowed)}")
+    return values
+
+
 def _bool(tok: str) -> bool:
     low = tok.strip().lower()
     if low in ("true", "yes", "1", "on"):
@@ -121,7 +132,11 @@ def _bool(tok: str) -> bool:
 
 _COMMON_KEYS = {"M", "k", "layout", "removal", "eps_mode", "eps_min",
                 "eps_max", "seed"}
-_HA_KEYS = {"ha", "ha_steps", "ha_base", "ha_drop_tol", "ha_fill_factor"}
+# inner H_A options: config key -> (keyword of make_a_preconditioner, type)
+_HA_OPTS = {"ha_steps": ("steps", int), "ha_base": ("base", str),
+            "ha_drop_tol": ("drop_tol", float),
+            "ha_fill_factor": ("fill_factor", float)}
+_HA_KEYS = {"ha"} | set(_HA_OPTS)
 _ALLOWED_KEYS = {
     "solve": _COMMON_KEYS | _HA_KEYS | {"method", "delta", "rhs", "max_iter"},
     "spectrum": _COMMON_KEYS | {"ha", "pencil", "tol", "corrupt_q"},
@@ -157,23 +172,14 @@ class ExperimentConfig:
     name: str | None
     cost_ha: dict
     config_sha: str
-    raw: dict
 
 
 def _ha_opts_from(raw, prefix=""):
     opts = {}
-    steps = _typed_scalar(raw, prefix + "ha_steps", int, None)
-    base = _typed_scalar(raw, prefix + "ha_base", str, None)
-    drop_tol = _typed_scalar(raw, prefix + "ha_drop_tol", float, None)
-    fill = _typed_scalar(raw, prefix + "ha_fill_factor", float, None)
-    if steps is not None:
-        opts["steps"] = steps
-    if base is not None:
-        opts["base"] = base
-    if drop_tol is not None:
-        opts["drop_tol"] = drop_tol
-    if fill is not None:
-        opts["fill_factor"] = fill
+    for key, (name, conv) in _HA_OPTS.items():
+        value = _typed_scalar(raw, prefix + key, conv, None)
+        if value is not None:
+            opts[name] = value
     return opts
 
 
@@ -193,15 +199,12 @@ def build_config(command: str, raw: dict, path: str,
                               f"{', '.join(sorted(_METHODS))}")
     Ms = _typed_list(raw, "M", int, [16])
     ks = _typed_list(raw, "k", int, [2])
-    layouts = _typed_list(raw, "layout", str, ["periodic"])
-    for lay in layouts:
-        if lay not in ("periodic", "random"):
-            raise ConfigError(f"unknown layout {lay!r}; use periodic|random")
+    layouts = _choices("layout", _typed_list(raw, "layout", str, ["periodic"]),
+                       ("periodic", "random"))
     removal = _typed_scalar(raw, "removal", int, None)
-    eps_modes = _typed_list(raw, "eps_mode", str, ["uniform"])
-    for em in eps_modes:
-        if em not in ("uniform", "random"):
-            raise ConfigError(f"unknown eps_mode {em!r}; use uniform|random")
+    eps_modes = _choices("eps_mode",
+                         _typed_list(raw, "eps_mode", str, ["uniform"]),
+                         ("uniform", "random"))
     eps_mins = _typed_list(raw, "eps_min", float, [1e-4])
     eps_max = _typed_scalar(raw, "eps_max", float, 1e-2)
     deltas = _typed_list(raw, "delta", float, [1e-6])
@@ -209,20 +212,16 @@ def build_config(command: str, raw: dict, path: str,
     if seed_override is not None:
         seeds = [seed_override]
     rhs = _typed_scalar(raw, "rhs", str, "zero")
-    if rhs not in ("zero", "one"):
-        raise ConfigError(f"unknown rhs {rhs!r}; use zero|one")
+    _choices("rhs", [rhs], ("zero", "one"))
     max_iter = _typed_scalar(raw, "max_iter", int, 2000)
     ha_kind = _typed_scalar(raw, "ha", str, "exact")
-    pencils = _typed_list(raw, "pencil", str, ["preconditioner"])
-    for p in pencils:
-        if p not in ("preconditioner", "ideal"):
-            raise ConfigError(f"unknown pencil {p!r}; use preconditioner|ideal")
+    pencils = _choices("pencil",
+                       _typed_list(raw, "pencil", str, ["preconditioner"]),
+                       ("preconditioner", "ideal"))
     tol = _typed_scalar(raw, "tol", float, 1e-8)
     corrupt_q = _typed_scalar(raw, "corrupt_q", _bool, False)
     matrix = _typed_scalar(raw, "matrix", str, "saddle")
-    if matrix not in ("saddle", "stiffness", "sigma"):
-        raise ConfigError(f"unknown matrix {matrix!r}; use "
-                          "saddle|stiffness|sigma")
+    _choices("matrix", [matrix], ("saddle", "stiffness", "sigma"))
     name = _typed_scalar(raw, "name", str, None)
 
     # per-method H_A configuration for the cost table; defaults mirror the
@@ -252,98 +251,118 @@ def build_config(command: str, raw: dict, path: str,
         max_iter=max_iter, ha_kind=ha_kind,
         ha_opts=_ha_opts_from(raw), pencils=pencils, tol=tol,
         corrupt_q=corrupt_q, matrix=matrix, name=name, cost_ha=cost_ha,
-        config_sha=sha, raw=raw)
+        config_sha=sha)
 
 
 # ---------------------------------------------------------------------------
 # instance construction
 
-def _build_layout(M, k, layout, removal, eps_mode, eps_min, eps_max, seed):
+def _build_layout(cfg, M, k, layout, eps_mode, eps_min, seed):
     mesh = build_mesh(M)
     if layout == "periodic":
         lay = place_periodic(mesh, k)
     else:
         base = place_periodic(mesh, k)
-        count = removal if removal is not None else base.m // 2
+        count = cfg.removal if cfg.removal is not None else base.m // 2
         lay = place_random(mesh, k, count, seed=seed + _LAYOUT_SEED_OFFSET)
     if eps_mode == "uniform":
         lay = assign_epsilon(lay, "uniform", epsilon=eps_min)
     else:
-        lay = assign_epsilon(lay, "random", eps_min=eps_min, eps_max=eps_max,
-                             seed=seed + _EPS_SEED_OFFSET)
+        lay = assign_epsilon(lay, "random", eps_min=eps_min,
+                             eps_max=cfg.eps_max, seed=seed + _EPS_SEED_OFFSET)
     return mesh, lay
 
 
-def _solve_axes(cfg):
-    return sorted(itertools.product(
-        cfg.methods, cfg.Ms, cfg.ks, cfg.layouts, cfg.eps_modes,
-        cfg.eps_mins, cfg.deltas, cfg.seeds))
+def _axes(cfg, *extra):
+    """Sorted tuples (M, k, layout, eps_mode, eps_min, *extra, seed)."""
+    return sorted(itertools.product(cfg.Ms, cfg.ks, cfg.layouts,
+                                    cfg.eps_modes, cfg.eps_mins, *extra,
+                                    cfg.seeds))
 
 
-def _spectrum_axes(cfg):
-    return sorted(itertools.product(
-        cfg.Ms, cfg.ks, cfg.layouts, cfg.eps_modes, cfg.eps_mins,
-        cfg.pencils, cfg.seeds))
+def _instances(cfg):
+    """Sorted run tuples of the subcommand; solve runs lead with the method."""
+    if cfg.command == "solve":
+        return sorted((method, *ax) for method in cfg.methods
+                      for ax in _axes(cfg, cfg.deltas))
+    if cfg.command == "spectrum":
+        return _axes(cfg, cfg.pencils)
+    if cfg.command == "cost":
+        return _axes(cfg, cfg.deltas)
+    return _axes(cfg)
+
+
+def _export_stem(cfg, ax):
+    M, k, layout, _, eps_min, _ = ax
+    return cfg.name or f"{cfg.matrix}_M{M}_k{k}_{layout}_{eps_min:g}"
 
 
 def validate_instances(cfg: ExperimentConfig) -> None:
-    """Fail fast: construct every layout in the sweep before any run."""
-    if cfg.command == "spectrum":
-        for (M, k, layout, eps_mode, eps_min, pencil, seed) in _spectrum_axes(cfg):
-            mesh, lay = _build_layout(M, k, layout, cfg.removal, eps_mode,
-                                      eps_min, cfg.eps_max, seed)
-            dim = mesh.n_interior + lay.n
-            if dim > DENSE_LIMIT:
+    """Fail fast: refuse sweeps whose exports would overwrite each other and
+    construct every distinct layout of the sweep before any run."""
+    instances = _instances(cfg)
+    if not instances:       # an empty axis (say `method =`) runs nothing
+        return
+    if cfg.command == "export-matrix":
+        owners = {}
+        for ax in instances:
+            label = "M={} k={} {} eps_mode={} eps_min={:g} seed={}".format(*ax)
+            stem = _export_stem(cfg, ax)
+            if stem in owners:
+                hint = ("drop 'name'" if cfg.name else
+                        "file names omit eps_mode and seed")
                 raise ConfigError(
-                    f"spectrum instance M={M} k={k} has dimension {dim} > "
-                    f"{DENSE_LIMIT}; dense verification is desk-scale only, "
-                    "use smaller M (or the lanczos_extremes API for extreme "
-                    "eigenvalue estimates)")
-    elif cfg.command == "solve":
-        for (method, M, k, layout, eps_mode, eps_min, delta, seed) in _solve_axes(cfg):
-            _build_layout(M, k, layout, cfg.removal, eps_mode, eps_min,
-                          cfg.eps_max, seed)
-    elif cfg.command == "cost":
-        for (M, k, layout, eps_mode, eps_min, delta, seed) in sorted(
-                itertools.product(cfg.Ms, cfg.ks, cfg.layouts, cfg.eps_modes,
-                                  cfg.eps_mins, cfg.deltas, cfg.seeds)):
-            _build_layout(M, k, layout, cfg.removal, eps_mode, eps_min,
-                          cfg.eps_max, seed)
-    else:
-        for (M, k, layout, eps_mode, eps_min, seed) in sorted(
-                itertools.product(cfg.Ms, cfg.ks, cfg.layouts, cfg.eps_modes,
-                                  cfg.eps_mins, cfg.seeds)):
-            _build_layout(M, k, layout, cfg.removal, eps_mode, eps_min,
-                          cfg.eps_max, seed)
+                    f"export-matrix instances [{owners[stem]}] and [{label}] "
+                    f"would both write {stem}.mtx; narrow the sweep "
+                    f"({hint})")
+            owners[stem] = label
+    for (M, k, *rest) in sorted(set(_axes(cfg))):
+        mesh, lay = _build_layout(cfg, M, k, *rest)
+        dim = mesh.n_interior + lay.n
+        if cfg.command == "spectrum" and dim > DENSE_LIMIT:
+            raise ConfigError(
+                f"spectrum instance M={M} k={k} has dimension {dim} > "
+                f"{DENSE_LIMIT}; dense verification is desk-scale only, "
+                "use smaller M (or the lanczos_extremes API for extreme "
+                "eigenvalue estimates)")
 
 
 # ---------------------------------------------------------------------------
 # workers
 
-def _run_solve(cfg, axes):
-    method, M, k, layout, eps_mode, eps_min, delta, seed = axes
-    mesh, lay = _build_layout(M, k, layout, cfg.removal, eps_mode, eps_min,
-                              cfg.eps_max, seed)
-    ordering, A, blocks, op = build_problem(mesh, lay)
-    precond = build_block_preconditioner(A, blocks, cfg.ha_kind, **cfg.ha_opts)
-    counter = OpCounter()
-    solver = _METHODS[method]
+@contextlib.contextmanager
+def _naming_instance(method, M, k, layout, eps_mode, eps_min, delta, seed):
+    """Append the instance to any solver error raised inside the block."""
     try:
-        if cfg.rhs == "zero":
-            guess = random_guess(blocks.n if method == "pu" else op.size, seed)
-            kwargs = {"p0": guess} if method == "pu" else {"z0": guess}
-            report = solver(op, precond, delta=delta, max_iter=cfg.max_iter,
-                            counter=counter, **kwargs)
-        else:
-            F = np.zeros(op.size)
-            F[:op.N] = assemble_load(mesh, 1.0, ordering=ordering)
-            report = solver(op, precond, F=F, delta=delta,
-                            max_iter=cfg.max_iter, counter=counter)
-    except (SolverBreakdownError, MaxIterationsError,
-            OperatorContractError) as exc:
+        yield
+    except _SOLVER_ERRORS as exc:
         raise type(exc)(
             f"{exc} [method={method} M={M} k={k} {layout} eps_min={eps_min:g} "
             f"delta={delta:g} seed={seed}]") from exc
+
+
+def _guess(method, op, seed):
+    """Random initial guess keyword: p0 on the inclusions for PU, else z0."""
+    if method == "pu":
+        return {"p0": random_guess(op.n, seed)}
+    return {"z0": random_guess(op.size, seed)}
+
+
+def _run_solve(cfg, axes):
+    method, M, k, layout, eps_mode, eps_min, delta, seed = axes
+    mesh, lay = _build_layout(cfg, M, k, layout, eps_mode, eps_min, seed)
+    ordering, A, blocks, op = build_problem(mesh, lay)
+    with _naming_instance(*axes):
+        precond = build_block_preconditioner(A, blocks, cfg.ha_kind,
+                                             **cfg.ha_opts)
+        if cfg.rhs == "zero":
+            kwargs = _guess(method, op, seed)
+        else:
+            F = np.zeros(op.size)
+            F[:op.N] = assemble_load(mesh, 1.0, ordering=ordering)
+            kwargs = {"F": F}
+        report = _METHODS[method](op, precond, delta=delta,
+                                  max_iter=cfg.max_iter, **kwargs)
     return {
         "method": method, "M": M, "k": k, "layout": layout,
         "removal": cfg.removal if layout == "random" else 0,
@@ -362,8 +381,7 @@ def _run_solve(cfg, axes):
 
 def _run_spectrum(cfg, axes):
     M, k, layout, eps_mode, eps_min, pencil, seed = axes
-    mesh, lay = _build_layout(M, k, layout, cfg.removal, eps_mode, eps_min,
-                              cfg.eps_max, seed)
+    mesh, lay = _build_layout(cfg, M, k, layout, eps_mode, eps_min, seed)
     rep = verify_intervals(lay, ha_kind=cfg.ha_kind, pencil=pencil,
                            tol=cfg.tol, corrupt_q=cfg.corrupt_q)
     row = {
@@ -394,20 +412,17 @@ def _run_spectrum(cfg, axes):
 
 def _run_cost(cfg, axes):
     M, k, layout, eps_mode, eps_min, delta, seed = axes
-    mesh, lay = _build_layout(M, k, layout, cfg.removal, eps_mode, eps_min,
-                              cfg.eps_max, seed)
+    mesh, lay = _build_layout(cfg, M, k, layout, eps_mode, eps_min, seed)
     _, A, blocks, op = build_problem(mesh, lay)
     entry = {"M": M, "k": k, "layout": layout, "eps_mode": eps_mode,
              "eps_min": eps_min, "delta": delta, "seed": seed}
     for method in cfg.methods:
         kind, opts = cfg.cost_ha[method]
-        precond = build_block_preconditioner(A, blocks, kind, **opts)
-        counter = OpCounter()
-        guess = random_guess(blocks.n if method == "pu" else op.size, seed)
-        kwargs = {"p0": guess} if method == "pu" else {"z0": guess}
-        report = _METHODS[method](op, precond, delta=delta,
-                                  max_iter=cfg.max_iter, counter=counter,
-                                  **kwargs)
+        with _naming_instance(method, *axes):
+            precond = build_block_preconditioner(A, blocks, kind, **opts)
+            report = _METHODS[method](op, precond, delta=delta,
+                                      max_iter=cfg.max_iter,
+                                      **_guess(method, op, seed))
         entry[method] = {"iters": report.iterations, "a": report.a_applies,
                          "ha": report.ha_applies,
                          "total": report.total_applies, "ha_kind": kind}
@@ -455,7 +470,7 @@ def _pool_map(worker, items, threads):
 
 def cmd_solve(cfg: ExperimentConfig, out_dir: str, threads: int,
               args_seed) -> int:
-    axes = _solve_axes(cfg)
+    axes = _instances(cfg)
     rows = _pool_map(lambda ax: _run_solve(cfg, ax), axes, threads)
     fields = ["method", "M", "k", "layout", "removal", "eps_mode", "eps_min",
               "eps_max", "delta", "ha", "seed", "iterations", "converged",
@@ -470,7 +485,7 @@ def cmd_solve(cfg: ExperimentConfig, out_dir: str, threads: int,
 
 def cmd_spectrum(cfg: ExperimentConfig, out_dir: str, threads: int,
                  args_seed) -> int:
-    axes = _spectrum_axes(cfg)
+    axes = _instances(cfg)
     results = _pool_map(lambda ax: _run_spectrum(cfg, ax), axes, threads)
     rows = [r for r, _ in results]
     eig_rows = [er for _, ers in results for er in ers]
@@ -506,9 +521,7 @@ def cmd_spectrum(cfg: ExperimentConfig, out_dir: str, threads: int,
 
 def cmd_cost(cfg: ExperimentConfig, out_dir: str, threads: int,
              args_seed) -> int:
-    axes = sorted(itertools.product(cfg.Ms, cfg.ks, cfg.layouts,
-                                    cfg.eps_modes, cfg.eps_mins, cfg.deltas,
-                                    cfg.seeds))
+    axes = _instances(cfg)
     entries = _pool_map(lambda ax: _run_cost(cfg, ax), axes, threads)
 
     header = ["eps_min"]
@@ -539,26 +552,19 @@ def cmd_cost(cfg: ExperimentConfig, out_dir: str, threads: int,
 
 def cmd_export_matrix(cfg: ExperimentConfig, out_dir: str, threads: int,
                       args_seed) -> int:
-    axes = sorted(itertools.product(cfg.Ms, cfg.ks, cfg.layouts,
-                                    cfg.eps_modes, cfg.eps_mins, cfg.seeds))
-    written = []
-    for (M, k, layout, eps_mode, eps_min, seed) in axes:
-        mesh, lay = _build_layout(M, k, layout, cfg.removal, eps_mode,
-                                  eps_min, cfg.eps_max, seed)
-        if cfg.matrix == "saddle":
-            _, _, _, op = build_problem(mesh, lay)
-            mat = op.to_sparse()
-        elif cfg.matrix == "stiffness":
-            ordering, A, _, _ = build_problem(mesh, lay)
-            mat = A
-        else:
+    axes = _instances(cfg)
+    for ax in axes:
+        M, k, layout, eps_mode, eps_min, seed = ax
+        mesh, lay = _build_layout(cfg, *ax)
+        if cfg.matrix == "sigma":
             mat = assemble_sigma_matrix(mesh, lay)
-        stem = cfg.name or f"{cfg.matrix}_M{M}_k{k}_{layout}_{eps_min:g}"
-        path = os.path.join(out_dir, stem + ".mtx")
+        else:
+            _, A, _, op = build_problem(mesh, lay)
+            mat = op.to_sparse() if cfg.matrix == "saddle" else A
+        path = os.path.join(out_dir, _export_stem(cfg, ax) + ".mtx")
         write_matrix_market(path, mat,
                             comment=f"{cfg.matrix} M={M} k={k} {layout} "
                                     f"eps_min={eps_min:g} seed={seed}")
-        written.append(path)
         print(f"export: {mat.shape[0]}x{mat.shape[1]}, "
               f"{mat.nnz} stored entries -> {path}")
     write_manifest(out_dir, "export-matrix", cfg, args_seed, len(axes))
@@ -615,8 +621,7 @@ def main(argv=None) -> int:
     except (ConfigError, MeshError, LayoutError, ParameterError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    except (SolverBreakdownError, MaxIterationsError, OperatorContractError,
-            ContractViolationError) as exc:
+    except _SOLVER_ERRORS as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -11,8 +11,8 @@ Every vector the solvers feed to H_S arrives as B_D a + Q b with known tags
 ever solved in the iteration.  A Cholesky-based reference solver backs the
 identity tests and handles untagged right-hand sides during setup.
 
-H_A is pluggable: exact sparse LU, a fixed number of inner CG steps with a
-simple base preconditioner, or plain diagonal scaling.
+H_A is pluggable: exact sparse LU, a fixed number of inner CG steps
+preconditioned by a symmetrized incomplete LU, or plain diagonal scaling.
 """
 
 from __future__ import annotations
@@ -137,57 +137,16 @@ class DiagonalAInverse:
         return self._inv * r
 
 
-def _base_identity(r):
-    return r
-
-
-class _JacobiBase:
-    def __init__(self, A):
-        self._inv = 1.0 / A.diagonal()
-
-    def __call__(self, r):
-        return self._inv * r
-
-
-class _SymGaussSeidelBase:
-    """M^{-1} r for M = (D+L) D^{-1} (D+L)^T of a symmetric CSR matrix."""
-
-    def __init__(self, A: sp.csr_matrix):
-        A = A.tocsr()
-        self._lower = sp.tril(A, format="csr")
-        self._upper = sp.triu(A, format="csr")
-        self._diag = A.diagonal()
-
-    def __call__(self, r):
-        y = spla.spsolve_triangular(self._lower, r, lower=True)
-        return spla.spsolve_triangular(self._upper, self._diag * y, lower=False)
-
-
-class _IluBase:
-    """Symmetrized incomplete LU: 0.5 (M^{-1} + M^{-T}) r.
-
-    SuperLU's symmetric mode keeps the factors close to an incomplete
-    Cholesky; the explicit symmetrization removes the leftover asymmetry so
-    the inner CG sees a symmetric operator.
-    """
-
-    def __init__(self, A: sp.csr_matrix, drop_tol: float, fill_factor: float):
-        self._ilu = spla.spilu(A.tocsc(), drop_tol=drop_tol,
-                               fill_factor=fill_factor,
-                               diag_pivot_thresh=0.0,
-                               permc_spec="MMD_AT_PLUS_A",
-                               options=dict(SymmetricMode=True))
-
-    def __call__(self, r):
-        return 0.5 * (self._ilu.solve(r) + self._ilu.solve(r, trans="T"))
-
-
 class InnerCgAInverse:
-    """H_A = fixed number of CG steps on A from a zero start.
+    """H_A = fixed number of ILU-preconditioned CG steps on A from zero.
 
     A fixed step count keeps the operator close to a fixed polynomial in A
     (exactly so only for stationary methods; CG's coefficients depend mildly
     on the input, which in practice does not disturb the outer iterations).
+    The base preconditioner is the symmetrized incomplete LU
+    0.5 (M^{-1} + M^{-T}): SuperLU's symmetric mode keeps the factors close
+    to an incomplete Cholesky, and the explicit symmetrization removes the
+    leftover asymmetry so the inner CG sees a symmetric operator.
     """
 
     kind = "cg"
@@ -196,19 +155,19 @@ class InnerCgAInverse:
                  drop_tol: float = 5e-4, fill_factor: float = 12.0):
         if steps < 1:
             raise ParameterError(f"inner CG needs at least 1 step, got {steps}")
+        if base != "ilu":
+            raise ParameterError(
+                f"unknown inner CG base {base!r}; only 'ilu' is supported")
         self.A = A.tocsr()
         self.steps = steps
-        self.base_kind = base
-        if base == "none":
-            self._base = _base_identity
-        elif base == "jacobi":
-            self._base = _JacobiBase(A)
-        elif base == "sgs":
-            self._base = _SymGaussSeidelBase(A)
-        elif base == "ilu":
-            self._base = _IluBase(A, drop_tol, fill_factor)
-        else:
-            raise ParameterError(f"unknown inner CG base {base!r}")
+        self._ilu = spla.spilu(A.tocsc(), drop_tol=drop_tol,
+                               fill_factor=fill_factor,
+                               diag_pivot_thresh=0.0,
+                               permc_spec="MMD_AT_PLUS_A",
+                               options=dict(SymmetricMode=True))
+
+    def _base(self, r):
+        return 0.5 * (self._ilu.solve(r) + self._ilu.solve(r, trans="T"))
 
     def apply(self, r: np.ndarray, counter: OpCounter | None = None) -> np.ndarray:
         if counter is not None:

@@ -24,7 +24,7 @@ import time
 
 import numpy as np
 
-from .assembly import InclusionBlocks, SaddleOperator
+from .assembly import SaddleOperator
 from .mesh import ParameterError
 from .precond import (BlockPreconditioner, OpCounter, ReferenceSchurSolver,
                       SolverBreakdownError)
@@ -101,19 +101,38 @@ def _split_rhs(op, F, g_tags):
     return F[:op.N], F[op.N:], g_tags
 
 
-def _rhs_tags(op, z_tags, gbar, g_tags):
-    """Tags of rho = A_eps z - F: subtract the gbar tags from the z tags.
+def _gbar_tags(blocks, gbar, g_tags):
+    """Tags (a, b) with B_D a + Q b = gbar, or None when gbar vanishes.
 
     With (B_D + Q) x = gbar, the pair (x, x) tags gbar exactly, so untagged
     constraint data costs one reference solve at setup.
     """
-    bd0, q0 = z_tags
     if not np.any(gbar):
-        return bd0, q0
+        return None
     if g_tags is None:
-        x = ReferenceSchurSolver(op.blocks).solve(gbar)
-        g_tags = (x, x)
-    return bd0 - g_tags[0], q0 - g_tags[1]
+        x = ReferenceSchurSolver(blocks).solve(gbar)
+        return x, x
+    return g_tags
+
+
+def _schur_pre(op, a_inv, x, counter, fbar=None):
+    """B_D tag of S_eps x (its Q tag is x itself), through one H_A call.
+
+    Returns eps x + (H_A ([B_D x; 0] - fbar))|_n; the optional fbar folds
+    the B H_A fbar part of the Uzawa right-hand side into the same call.
+    """
+    top = np.zeros(op.N)
+    top[:op.n] = op.blocks.B_D @ x
+    if fbar is not None:
+        top -= fbar
+    w = a_inv.apply(top, counter)
+    return op.blocks.eps_node * x + w[:op.n]
+
+
+def _max_iter_error(name, delta, max_iter, norms):
+    return MaxIterationsError(
+        f"{name} did not reach {delta:g} within {max_iter} iterations "
+        f"(ratio {norms[-1] / norms[0]:.3e})")
 
 
 def pu_solve(op: SaddleOperator, precond: BlockPreconditioner, F=None,
@@ -129,29 +148,19 @@ def pu_solve(op: SaddleOperator, precond: BlockPreconditioner, F=None,
     t0 = time.perf_counter()
     counter = counter if counter is not None else OpCounter()
     blocks = op.blocks
-    N, n = op.N, op.n
+    n = op.n
     fbar, gbar, g_tags = _split_rhs(op, F, g_tags)
     homogeneous = not (np.any(fbar) or np.any(gbar))
     p = np.zeros(n) if p0 is None else np.asarray(p0, dtype=float).copy()
 
-    # r0 = S_eps p0 - (B H_A fbar - gbar), assembled from one H_A call with
-    # tags r = B_D u_pre + Q q_pre carried along the whole iteration
-    top = np.zeros(N)
-    top[:n] = blocks.B_D @ p
-    top -= fbar
-    w = precond.a_inv.apply(top, counter)
-    u_pre = blocks.eps_node * p + w[:n]
+    # r0 = S_eps p0 - (B H_A fbar - gbar) with tags r = B_D u_pre + Q q_pre
+    # carried along the whole iteration
+    u_pre = _schur_pre(op, precond.a_inv, p, counter, fbar)
     q_pre = p.copy()
-    if np.any(gbar):
-        if g_tags is not None:
-            u_pre = u_pre + g_tags[0]
-            q_pre = q_pre + g_tags[1]
-        else:
-            # untagged constraint data: one reference solve at setup only;
-            # (B_D + Q) x = gbar makes (x, x) an exact tag pair for gbar
-            x = ReferenceSchurSolver(blocks).solve(gbar)
-            u_pre = u_pre + x
-            q_pre = q_pre + x
+    g = _gbar_tags(blocks, gbar, g_tags)
+    if g is not None:
+        u_pre = u_pre + g[0]
+        q_pre = q_pre + g[1]
     r = blocks.B_D @ u_pre + blocks.apply_q(q_pre)
 
     if homogeneous:
@@ -189,11 +198,8 @@ def pu_solve(op: SaddleOperator, precond: BlockPreconditioner, F=None,
         else:
             alpha = (hs_r @ s) / s_denom
             xi = hs_r - alpha * xi
-        # S_eps xi via one H_A call; tags (s_u_pre, xi)
-        top = np.zeros(N)
-        top[:n] = blocks.B_D @ xi
-        w = precond.a_inv.apply(top, counter)
-        s_u_pre = blocks.eps_node * xi + w[:n]
+        # S_eps xi with tags (s_u_pre, xi)
+        s_u_pre = _schur_pre(op, precond.a_inv, xi, counter)
         s = blocks.B_D @ s_u_pre + blocks.apply_q(xi)
         s_denom = s @ xi
         if s_denom <= 0.0:
@@ -208,9 +214,27 @@ def pu_solve(op: SaddleOperator, precond: BlockPreconditioner, F=None,
         if norms[-1] <= delta * norm0:
             return _finish("pu", norms, True, k, counter, t0, recover_u(), p,
                            stop_rule)
-    raise MaxIterationsError(
-        f"PU did not reach {delta:g} within {max_iter} iterations "
-        f"(ratio {norms[-1] / norm0:.3e})")
+    raise _max_iter_error("PU", delta, max_iter, norms)
+
+
+def _saddle_start(op, precond, F, g_tags, z0, counter):
+    """Shared PL/PCG-K start: z0, rho = A_eps z0 - F, v = H rho, K-norm.
+
+    The lower block of rho is tagged by the source tags of z0 minus the
+    tags of the constraint data gbar.
+    """
+    z = (np.zeros(op.size) if z0 is None
+         else np.asarray(z0, dtype=float).copy())
+    fbar, gbar, g_tags = _split_rhs(op, F, g_tags)
+    rho = op.apply(z, counter)
+    rho[:op.N] -= fbar
+    rho[op.N:] -= gbar
+    bd0, q0 = precond.source_tags(z)
+    g = _gbar_tags(op.blocks, gbar, g_tags)
+    if g is not None:
+        bd0, q0 = bd0 - g[0], q0 - g[1]
+    v = precond.apply_to_image(rho, bd0, q0, counter)
+    return z, rho, v, _guarded_sqrt(rho @ v, 1.0, "initial K-norm")
 
 
 def pl_solve(op: SaddleOperator, precond: BlockPreconditioner, F=None,
@@ -225,17 +249,7 @@ def pl_solve(op: SaddleOperator, precond: BlockPreconditioner, F=None,
     """
     t0 = time.perf_counter()
     counter = counter if counter is not None else OpCounter()
-    z = (np.zeros(op.size) if z0 is None
-         else np.asarray(z0, dtype=float).copy())
-    fbar, gbar, g_tags = _split_rhs(op, F, g_tags)
-
-    rho = op.apply(z, counter)
-    rho[:op.N] -= fbar
-    rho[op.N:] -= gbar
-    bd0, q0 = _rhs_tags(op, precond.source_tags(z), gbar, g_tags)
-    v = precond.apply_to_image(rho, bd0, q0, counter)
-
-    norm0 = _guarded_sqrt(rho @ v, 1.0, "initial K-norm")
+    z, rho, v, norm0 = _saddle_start(op, precond, F, g_tags, z0, counter)
     norms = [norm0]
     scale = norm0 * norm0
     if norm0 == 0.0:
@@ -280,9 +294,7 @@ def pl_solve(op: SaddleOperator, precond: BlockPreconditioner, F=None,
         tu_prev = tu
         bd, q = precond.source_tags(xi)
         u = precond.apply_to_image(t, bd, q, counter)
-    raise MaxIterationsError(
-        f"PL did not reach {delta:g} within {max_iter} iterations "
-        f"(ratio {norms[-1] / norm0:.3e})")
+    raise _max_iter_error("PL", delta, max_iter, norms)
 
 
 def pcg_k_solve(op: SaddleOperator, precond: BlockPreconditioner, F=None,
@@ -298,17 +310,7 @@ def pcg_k_solve(op: SaddleOperator, precond: BlockPreconditioner, F=None,
     """
     t0 = time.perf_counter()
     counter = counter if counter is not None else OpCounter()
-    z = (np.zeros(op.size) if z0 is None
-         else np.asarray(z0, dtype=float).copy())
-    fbar, gbar, g_tags = _split_rhs(op, F, g_tags)
-
-    rho = op.apply(z, counter)
-    rho[:op.N] -= fbar
-    rho[op.N:] -= gbar
-    bd0, q0 = _rhs_tags(op, precond.source_tags(z), gbar, g_tags)
-    v = precond.apply_to_image(rho, bd0, q0, counter)
-
-    norm0 = _guarded_sqrt(rho @ v, 1.0, "initial K-norm")
+    z, rho, v, norm0 = _saddle_start(op, precond, F, g_tags, z0, counter)
     norms = [norm0]
     scale = norm0 * norm0
     if norm0 == 0.0:
@@ -345,9 +347,7 @@ def pcg_k_solve(op: SaddleOperator, precond: BlockPreconditioner, F=None,
             return _finish("pcg_k", norms, True, k, counter, t0,
                            z[:op.N], z[op.N:], "K-norm")
         eta = precond.apply_to_image(rK, *precond.source_tags(v), counter)
-    raise MaxIterationsError(
-        f"PCG-K did not reach {delta:g} within {max_iter} iterations "
-        f"(ratio {norms[-1] / norm0:.3e})")
+    raise _max_iter_error("PCG-K", delta, max_iter, norms)
 
 
 def cg_solve(A, b, precond=None, x0=None, delta: float = 1e-6,
@@ -403,9 +403,7 @@ def cg_solve(A, b, precond=None, x0=None, delta: float = 1e-6,
         rz_new = r @ z
         pdir = z + (rz_new / rz) * pdir
         rz = rz_new
-    raise MaxIterationsError(
-        f"CG did not reach {delta:g} within {max_iter} iterations "
-        f"(ratio {norms[-1] / norm0:.3e})")
+    raise _max_iter_error("CG", delta, max_iter, norms)
 
 
 def evaluate_norm(kind: str, vec: np.ndarray, A=None,
@@ -425,20 +423,14 @@ def evaluate_norm(kind: str, vec: np.ndarray, A=None,
         if A is None:
             raise ParameterError("kind 'A' needs the stiffness matrix")
         return _guarded_sqrt(v @ (A @ v), v @ v, "A-norm")
+    if kind in ("S", "K") and (op is None or precond is None):
+        raise ParameterError(f"kind {kind!r} needs the saddle operator and "
+                             "preconditioner")
     if kind == "S":
-        if op is None or precond is None:
-            raise ParameterError("kind 'S' needs the saddle operator and "
-                                 "preconditioner")
-        blocks = op.blocks
-        top = np.zeros(op.N)
-        top[:op.n] = blocks.B_D @ v
-        w = precond.a_inv.apply(top, counter)
-        s = blocks.B_D @ (blocks.eps_node * v + w[:op.n]) + blocks.apply_q(v)
+        s = (op.blocks.B_D @ _schur_pre(op, precond.a_inv, v, counter)
+             + op.blocks.apply_q(v))
         return _guarded_sqrt(v @ s, v @ v, "S-norm")
     if kind == "K":
-        if op is None or precond is None:
-            raise ParameterError("kind 'K' needs the saddle operator and "
-                                 "preconditioner")
         img = op.apply(v, counter)
         hv = precond.apply_to_image(img, *precond.source_tags(v), counter)
         return _guarded_sqrt(img @ hv, v @ v, "K-norm")

@@ -76,26 +76,21 @@ def dense_spectrum(op_mat, gram_mat=None, limit: int = DENSE_LIMIT,
             "use lanczos_extremes for large instances")
     if not np.allclose(op, op.T, rtol=0.0, atol=1e-10 * _scale(op)):
         raise ContractViolationError("operator block is not symmetric")
-    if gram_mat is None:
-        if return_vectors:
-            lam, vecs = sla.eigh(op)
-            return lam, vecs
-        return sla.eigh(op, eigvals_only=True)
-    gram = gram_mat.toarray() if sp.issparse(gram_mat) else np.asarray(gram_mat, float)
-    if gram.shape != op.shape:
-        raise ParameterError(
-            f"operator and Gram shapes differ: {op.shape} vs {gram.shape}")
-    if not np.allclose(gram, gram.T, rtol=0.0, atol=1e-10 * _scale(gram)):
-        raise ContractViolationError("Gram block is not symmetric")
-    try:
-        sla.cholesky(gram)
-    except sla.LinAlgError as exc:
-        raise ContractViolationError(
-            "Gram block is not positive definite") from exc
-    if return_vectors:
-        lam, vecs = sla.eigh(op, gram)
-        return lam, vecs
-    return sla.eigh(op, gram, eigvals_only=True)
+    gram = None
+    if gram_mat is not None:
+        gram = (gram_mat.toarray() if sp.issparse(gram_mat)
+                else np.asarray(gram_mat, float))
+        if gram.shape != op.shape:
+            raise ParameterError(
+                f"operator and Gram shapes differ: {op.shape} vs {gram.shape}")
+        if not np.allclose(gram, gram.T, rtol=0.0, atol=1e-10 * _scale(gram)):
+            raise ContractViolationError("Gram block is not symmetric")
+        try:
+            sla.cholesky(gram)
+        except sla.LinAlgError as exc:
+            raise ContractViolationError(
+                "Gram block is not positive definite") from exc
+    return sla.eigh(op, gram, eigvals_only=not return_vectors)
 
 
 def _scale(mat):
@@ -396,9 +391,7 @@ def make_h_aeps_operator(op, precond):
     N, n = op.N, op.n
 
     def apply(z):
-        image = op.apply(z)
-        bd_pre, q_pre = op.schur_preimages(z)
-        return precond.apply_to_image(image, bd_pre, q_pre)
+        return precond.apply_to_image(op.apply(z), *precond.source_tags(z))
 
     def gram(z):
         out = np.empty_like(z)

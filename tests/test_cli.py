@@ -270,6 +270,19 @@ eps_min = 1e-4
     capsys.readouterr()
 
 
+def test_cost_solver_error_names_instance(tmp_path, capsys):
+    cfg = _write(tmp_path / "cost_fail.cfg", """
+method = pl
+M = 8
+max_iter = 1
+""")
+    out = tmp_path / "out"
+    assert main(["cost", "--config", cfg, "--out", str(out)]) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert "solver error: PL did not reach" in err
+    assert "[method=pl M=8 k=2 periodic eps_min=0.0001" in err
+
+
 # ---------------------------------------------------------------------------
 # export-matrix subcommand
 
@@ -316,3 +329,18 @@ def test_manifest_sha_stable_across_runs(tmp_path, capsys):
                     ["config_sha256"])
     assert shas[0] == shas[1]
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("text", [
+    "M = 16\nmatrix = sigma\neps_mode = random\nseed = 0, 1\n",
+    "M = 8, 16\nname = mine\n",
+], ids=["seed-axis", "fixed-name"])
+def test_export_matrix_refuses_colliding_files(tmp_path, capsys, text):
+    cfg = _write(tmp_path / "clash.cfg", text)
+    out = tmp_path / "out"
+    assert main(["export-matrix", "--config", cfg,
+                 "--out", str(out)]) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert "error: export-matrix instances [M=" in err
+    assert "would both write" in err
+    assert not out.exists()             # refused before anything is written

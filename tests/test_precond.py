@@ -168,6 +168,10 @@ def test_make_a_preconditioner_dispatch(prob8):
     assert hcg.kind == "cg" and hcg.steps == 5
     with pytest.raises(ParameterError):
         make_a_preconditioner(prob8.A, "amg")
+    # the inner CG is ILU-preconditioned only
+    for base in ("none", "jacobi", "sgs"):
+        with pytest.raises(ParameterError, match="only 'ilu'"):
+            make_a_preconditioner(prob8.A, "cg", base=base)
 
 
 def test_op_counter_totals():
@@ -209,7 +213,7 @@ def test_apply_to_image_counts_operations(prob8):
     rng = np.random.default_rng(2)
     z = rng.standard_normal(op.size)
     image = op.apply(z)
-    a, b = op.schur_preimages(z)
+    a, b = pre.source_tags(z)
     counter = OpCounter()
     out = pre.apply_to_image(image, a, b, counter=counter)
     assert out.shape == (op.size,)

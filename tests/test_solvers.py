@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse.linalg as spla
 
 from saddleprec import (
     pu_solve, pl_solve, pcg_k_solve, cg_solve, evaluate_norm, random_guess,
-    assemble_load, build_block_preconditioner,
+    assemble_load, build_block_preconditioner, ReferenceSchurSolver,
     MaxIterationsError, OperatorContractError, ParameterError, OpCounter,
 )
 
@@ -287,3 +288,27 @@ def test_rhs_length_validation(prob8):
     pre = make_exact_precond(prob8)
     with pytest.raises(ParameterError):
         pl_solve(prob8.op, pre, F=np.ones(3))
+
+
+# ---------------------------------------------------------------------------
+# inhomogeneous constraint data (nonzero lower block of F)
+
+
+@pytest.mark.parametrize("tagged", [False, True], ids=["untagged", "tagged"])
+@pytest.mark.parametrize("solver", [pu_solve, pl_solve, pcg_k_solve],
+                         ids=["pu", "pl", "pcgk"])
+def test_full_rhs_with_constraint_data_matches_sparse_solve(prob16, solver,
+                                                            tagged):
+    op = prob16.op
+    pre = make_exact_precond(prob16)
+    F = np.random.default_rng(29).standard_normal(op.size)
+    g_tags = None
+    if tagged:
+        # (B_D + Q) x = gbar makes (x, x) an exact tag pair for gbar
+        x = ReferenceSchurSolver(prob16.blocks).solve(F[op.N:])
+        g_tags = (x, x)
+    rep = solver(op, pre, F=F, g_tags=g_tags, delta=1e-12)
+    assert rep.converged
+    z = np.concatenate([rep.u, rep.p])
+    z_star = spla.spsolve(op.to_sparse().tocsc(), F)
+    assert np.linalg.norm(z - z_star) <= 1e-11 * np.linalg.norm(z_star)
