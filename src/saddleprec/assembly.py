@@ -22,7 +22,7 @@ import scipy.io
 import scipy.sparse as sp
 
 from .mesh import (InclusionLayout, OrderingMap, ParameterError,
-                   StructuredMesh, build_ordering)
+                   StructuredMesh, build_ordering, triangulate)
 
 # element stiffness for the two triangle shapes (ll, lr, ur) and (ll, ur, ul);
 # constant P1 gradients make them independent of h
@@ -50,6 +50,18 @@ def _element_batches(n_tri: int):
     return K
 
 
+def _scatter(tri: np.ndarray, K: np.ndarray, size: int) -> sp.csr_matrix:
+    """Sum the element matrices K[t] over the node ids tri[t] into a
+    size x size matrix; entries touching a negative id are dropped."""
+    rows = np.repeat(tri, 3, axis=1).ravel()
+    cols = np.tile(tri, (1, 3)).ravel()
+    vals = K.reshape(-1)
+    keep = (rows >= 0) & (cols >= 0)
+    A = sp.coo_matrix((vals[keep], (rows[keep], cols[keep])),
+                      shape=(size, size))
+    return A.tocsr()
+
+
 def assemble_stiffness(mesh: StructuredMesh, ordering: OrderingMap | None = None,
                        cell_weights: np.ndarray | None = None) -> sp.csr_matrix:
     """Dirichlet P1 stiffness matrix on the interior nodes.
@@ -68,7 +80,6 @@ def assemble_stiffness(mesh: StructuredMesh, ordering: OrderingMap | None = None
     -------
     csr_matrix, shape (N, N) with N = (M-1)**2.
     """
-    N = mesh.n_interior
     tri = mesh.triangles
     K = _element_batches(tri.shape[0])
     if cell_weights is not None:
@@ -80,13 +91,7 @@ def assemble_stiffness(mesh: StructuredMesh, ordering: OrderingMap | None = None
         sysmap = np.where(idx >= 0, ordering.perm[np.clip(idx, 0, None)], -1)
     else:
         sysmap = idx
-
-    rows = np.repeat(sysmap, 3, axis=1).ravel()
-    cols = np.tile(sysmap, (1, 3)).ravel()
-    vals = K.reshape(-1)
-    keep = (rows >= 0) & (cols >= 0)
-    A = sp.coo_matrix((vals[keep], (rows[keep], cols[keep])), shape=(N, N))
-    return A.tocsr()
+    return _scatter(sysmap, K, mesh.n_interior)
 
 
 def assemble_sigma_matrix(mesh: StructuredMesh, layout: InclusionLayout,
@@ -94,30 +99,19 @@ def assemble_sigma_matrix(mesh: StructuredMesh, layout: InclusionLayout,
     """Stiffness matrix of the original problem with sigma = 1 + 1/eps_s
     inside inclusion s and sigma = 1 elsewhere."""
     weights = np.ones(mesh.M * mesh.M)
-    for inc, eps in zip(layout.inclusions, layout.eps):
-        weights[inc.cell_ids] = 1.0 + 1.0 / eps
+    weights[layout.inclusion_cells()] = np.repeat(1.0 + 1.0 / layout.eps,
+                                                  layout.k * layout.k)
     return assemble_stiffness(mesh, ordering, cell_weights=weights)
 
 
 def _assemble_local(k: int, h: float):
     """Neumann stiffness and consistent mass on one k x k cell inclusion,
     nodes in row-major order."""
-    side = k + 1
-    ns = side * side
-    B = np.zeros((ns, ns))
-    Mm = np.zeros((ns, ns))
-    area = 0.5 * h * h
-    for cy in range(k):
-        for cx in range(k):
-            ll = cy * side + cx
-            lower = (ll, ll + 1, ll + side + 1)
-            upper = (ll, ll + side + 1, ll + side)
-            for nodes, Ke in ((lower, _K_LOWER), (upper, _K_UPPER)):
-                for a in range(3):
-                    for b in range(3):
-                        B[nodes[a], nodes[b]] += Ke[a, b]
-                        Mm[nodes[a], nodes[b]] += area * _MASS[a, b]
-    return B, Mm
+    tri, _ = triangulate(k)
+    ns = (k + 1) ** 2
+    mass = np.broadcast_to(0.5 * h * h * _MASS, (tri.shape[0], 3, 3))
+    return (_scatter(tri, _element_batches(tri.shape[0]), ns).toarray(),
+            _scatter(tri, mass, ns).toarray())
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -129,13 +123,11 @@ class InclusionBlocks:
     all of them; only eps varies per inclusion.
     """
 
-    k: int
     ns: int
     m: int
-    h: float
     d: float
     eps: np.ndarray        # (m,)
-    offsets: np.ndarray    # (m+1,)
+    eps_node: np.ndarray   # (n,) eps of the inclusion owning each node
     B_loc: np.ndarray      # (ns, ns) Neumann stiffness, kernel = constants
     M_loc: np.ndarray      # (ns, ns) consistent mass
     weights: np.ndarray    # (ns,) = M_loc @ 1
@@ -145,10 +137,6 @@ class InclusionBlocks:
     @property
     def n(self) -> int:
         return self.m * self.ns
-
-    @property
-    def eps_node(self) -> np.ndarray:
-        return np.repeat(self.eps, self.ns)
 
     def block_means(self, w: np.ndarray) -> np.ndarray:
         """Mass-weighted mean of w over each inclusion, shape (m,)."""
@@ -169,8 +157,8 @@ class InclusionBlocks:
                        format="csr")
 
 
-def assemble_inclusion_blocks(mesh: StructuredMesh, layout: InclusionLayout,
-                              ordering: OrderingMap) -> InclusionBlocks:
+def assemble_inclusion_blocks(mesh: StructuredMesh,
+                              layout: InclusionLayout) -> InclusionBlocks:
     """Neumann stiffness, mass and averaging data for every inclusion."""
     if layout.m == 0:
         raise AssemblyError("layout has no inclusions")
@@ -182,10 +170,10 @@ def assemble_inclusion_blocks(mesh: StructuredMesh, layout: InclusionLayout,
     eye = sp.identity(layout.m, format="csr")
     B_D = sp.kron(eye, sp.csr_matrix(B_loc), format="csr")
     M_D = sp.kron(eye, sp.csr_matrix(M_loc), format="csr")
-    return InclusionBlocks(k=layout.k, ns=layout.nodes_per_inclusion,
-                           m=layout.m, h=mesh.h, d=d,
-                           eps=np.asarray(layout.eps, dtype=float).copy(),
-                           offsets=ordering.offsets.copy(),
+    eps = np.asarray(layout.eps, dtype=float).copy()
+    ns = layout.nodes_per_inclusion
+    return InclusionBlocks(ns=ns, m=layout.m, d=d, eps=eps,
+                           eps_node=np.repeat(eps, ns),
                            B_loc=B_loc, M_loc=M_loc, weights=weights,
                            B_D=B_D, M_D=M_D)
 
@@ -243,7 +231,7 @@ def build_problem(mesh: StructuredMesh, layout: InclusionLayout):
     """Convenience: ordering, stiffness, blocks and operator in one call."""
     ordering = build_ordering(layout)
     A = assemble_stiffness(mesh, ordering)
-    blocks = assemble_inclusion_blocks(mesh, layout, ordering)
+    blocks = assemble_inclusion_blocks(mesh, layout)
     return ordering, A, blocks, build_saddle_operator(A, blocks)
 
 
@@ -269,8 +257,8 @@ def assemble_load(mesh: StructuredMesh, f,
     contrib = np.repeat(vals * area / 3.0, 3)
     idx = mesh.interior_index[tri.ravel()]
     keep = idx >= 0
-    out = np.zeros(mesh.n_interior)
-    np.add.at(out, idx[keep], contrib[keep])
+    out = np.bincount(idx[keep], weights=contrib[keep],
+                      minlength=mesh.n_interior)
     if ordering is not None:
         out = ordering.to_system(out)
     return out

@@ -36,8 +36,8 @@ from .mesh import (MeshError, LayoutError, ParameterError, build_mesh,
                    place_periodic, place_random, assign_epsilon)
 from .assembly import (build_problem, assemble_load, assemble_sigma_matrix,
                        write_matrix_market)
-from .precond import (ContractViolationError, SolverBreakdownError,
-                      build_block_preconditioner)
+from .precond import (A_KINDS, ContractViolationError, SolverBreakdownError,
+                      build_block_preconditioner, check_a_options)
 from .solvers import (pu_solve, pl_solve, pcg_k_solve, random_guess,
                       OperatorContractError, MaxIterationsError)
 from .spectral import DENSE_LIMIT, verify_intervals
@@ -132,11 +132,10 @@ def _bool(tok: str) -> bool:
 
 _COMMON_KEYS = {"M", "k", "layout", "removal", "eps_mode", "eps_min",
                 "eps_max", "seed"}
-# inner H_A options: config key -> (keyword of make_a_preconditioner, type)
-_HA_OPTS = {"ha_steps": ("steps", int), "ha_base": ("base", str),
-            "ha_drop_tol": ("drop_tol", float),
-            "ha_fill_factor": ("fill_factor", float)}
-_HA_KEYS = {"ha"} | set(_HA_OPTS)
+# inner-CG H_A options: config key ha_<name> -> keyword <name> of
+# make_a_preconditioner, with its type
+_HA_OPTS = {"steps": int, "drop_tol": float, "fill_factor": float}
+_HA_KEYS = {"ha"} | {f"ha_{name}" for name in _HA_OPTS}
 _ALLOWED_KEYS = {
     "solve": _COMMON_KEYS | _HA_KEYS | {"method", "delta", "rhs", "max_iter"},
     "spectrum": _COMMON_KEYS | {"ha", "pencil", "tol", "corrupt_q"},
@@ -174,13 +173,21 @@ class ExperimentConfig:
     config_sha: str
 
 
-def _ha_opts_from(raw, prefix=""):
-    opts = {}
-    for key, (name, conv) in _HA_OPTS.items():
-        value = _typed_scalar(raw, prefix + key, conv, None)
-        if value is not None:
-            opts[name] = value
-    return opts
+def _ha_config(raw, prefix, kinds, kind, opts):
+    """(kind, opts) of one H_A: a <prefix>ha key replaces the default kind
+    and options, <prefix>ha_<option> keys override options of kind cg."""
+    if prefix + "ha" in raw:
+        kind, opts = raw[prefix + "ha"], {}
+    _choices(prefix + "ha", [kind], kinds)
+    opts = {**opts, **{name: _typed_scalar(raw, f"{prefix}ha_{name}", conv,
+                                           None)
+                       for name, conv in _HA_OPTS.items()
+                       if f"{prefix}ha_{name}" in raw}}
+    try:
+        check_a_options(kind, opts)
+    except ParameterError as exc:
+        raise ConfigError(f"config key {prefix}ha: {exc}") from exc
+    return kind, opts
 
 
 def build_config(command: str, raw: dict, path: str,
@@ -214,7 +221,9 @@ def build_config(command: str, raw: dict, path: str,
     rhs = _typed_scalar(raw, "rhs", str, "zero")
     _choices("rhs", [rhs], ("zero", "one"))
     max_iter = _typed_scalar(raw, "max_iter", int, 2000)
-    ha_kind = _typed_scalar(raw, "ha", str, "exact")
+    ha_kind, ha_opts = _ha_config(
+        raw, "", ("exact", "diagonal") if command == "spectrum" else A_KINDS,
+        "exact", {})
     pencils = _choices("pencil",
                        _typed_list(raw, "pencil", str, ["preconditioner"]),
                        ("preconditioner", "ideal"))
@@ -227,19 +236,13 @@ def build_config(command: str, raw: dict, path: str,
     # per-method H_A configuration for the cost table; defaults mirror the
     # benchmark: PU runs an inner-CG H_A, the Krylov methods an exact one
     cost_ha = {
-        "pu": ("cg", {"steps": 12, "base": "ilu", "drop_tol": 1e-2,
-                      "fill_factor": 8.0}),
+        "pu": ("cg", {"steps": 12, "drop_tol": 1e-2, "fill_factor": 8.0}),
         "pl": ("exact", {}),
         "pcgk": ("exact", {}),
     }
     if command == "cost":
-        for m in _METHODS:
-            kind = _typed_scalar(raw, f"{m}_ha", str, None)
-            opts = _ha_opts_from(raw, prefix=f"{m}_")
-            if kind is not None:
-                cost_ha[m] = (kind, opts)
-            elif opts:
-                cost_ha[m] = (cost_ha[m][0], {**cost_ha[m][1], **opts})
+        cost_ha = {m: _ha_config(raw, f"{m}_", A_KINDS, *cost_ha[m])
+                   for m in _METHODS}
 
     with open(path, "rb") as fh:
         sha = hashlib.sha256(fh.read()).hexdigest()
@@ -249,7 +252,7 @@ def build_config(command: str, raw: dict, path: str,
         removal=removal, eps_modes=eps_modes, eps_mins=eps_mins,
         eps_max=eps_max, deltas=deltas, seeds=seeds, rhs=rhs,
         max_iter=max_iter, ha_kind=ha_kind,
-        ha_opts=_ha_opts_from(raw), pencils=pencils, tol=tol,
+        ha_opts=ha_opts, pencils=pencils, tol=tol,
         corrupt_q=corrupt_q, matrix=matrix, name=name, cost_ha=cost_ha,
         config_sha=sha)
 
@@ -262,8 +265,8 @@ def _build_layout(cfg, M, k, layout, eps_mode, eps_min, seed):
     if layout == "periodic":
         lay = place_periodic(mesh, k)
     else:
-        base = place_periodic(mesh, k)
-        count = cfg.removal if cfg.removal is not None else base.m // 2
+        count = (cfg.removal if cfg.removal is not None
+                 else place_periodic(mesh, k).m // 2)
         lay = place_random(mesh, k, count, seed=seed + _LAYOUT_SEED_OFFSET)
     if eps_mode == "uniform":
         lay = assign_epsilon(lay, "uniform", epsilon=eps_min)

@@ -67,6 +67,22 @@ class StructuredMesh:
                                 (gids // (self.M + 1)) * self.h))
 
 
+def triangulate(M: int):
+    """Triangles of the diagonal split of M x M cells over (M+1)**2 row-major
+    nodes, counterclockwise, lower (ll, lr, ur) before upper (ll, ur, ul)
+    in each cell, and the owning cell id (cy*M + cx) of each triangle."""
+    side = M + 1
+    cx, cy = np.meshgrid(np.arange(M), np.arange(M), indexing="ij")
+    ll = (cy * side + cx).ravel()
+    lr = ll + 1
+    ul = ll + side
+    ur = ul + 1
+    tris = np.empty((2 * M * M, 3), dtype=np.int64)
+    tris[0::2] = np.column_stack((ll, lr, ur))
+    tris[1::2] = np.column_stack((ll, ur, ul))
+    return tris, np.repeat((cy * M + cx).ravel(), 2)
+
+
 def build_mesh(M: int) -> StructuredMesh:
     """Build the uniform diagonal triangulation with M cells per side.
 
@@ -79,17 +95,7 @@ def build_mesh(M: int) -> StructuredMesh:
         raise MeshError(f"mesh resolution must be an integer >= 2, got {M!r}")
     M = int(M)
     side = M + 1
-
-    cx, cy = np.meshgrid(np.arange(M), np.arange(M), indexing="ij")
-    ll = (cy * side + cx).ravel()
-    lr = ll + 1
-    ul = ll + side
-    ur = ul + 1
-    # lower triangle (ll, lr, ur), upper triangle (ll, ur, ul)
-    tris = np.empty((2 * M * M, 3), dtype=np.int64)
-    tris[0::2] = np.column_stack((ll, lr, ur))
-    tris[1::2] = np.column_stack((ll, ur, ul))
-    cells = np.repeat((cy * M + cx).ravel(), 2)
+    tris, cells = triangulate(M)
 
     ix = np.arange(side * side) % side
     iy = np.arange(side * side) // side
@@ -153,10 +159,9 @@ class InclusionLayout:
         return self.k * self.mesh.h
 
     def inclusion_cells(self) -> np.ndarray:
-        """Cell ids covered by any inclusion."""
-        if not self.inclusions:
-            return np.empty(0, dtype=np.int64)
-        return np.concatenate([inc.cell_ids for inc in self.inclusions])
+        """Cell ids covered by any inclusion, grouped per inclusion."""
+        return np.concatenate([np.empty(0, dtype=np.int64)]
+                              + [inc.cell_ids for inc in self.inclusions])
 
 
 def _inclusion_from_corner(mesh: StructuredMesh, k: int, cx: int, cy: int) -> Inclusion:
@@ -184,7 +189,7 @@ def layout_from_cells(mesh: StructuredMesh, k: int, corners,
         raise LayoutError(f"inclusion size k must be a positive integer, got {k!r}")
     k = int(k)
     incs = []
-    seen: set[int] = set()
+    occupied = np.zeros((mesh.M + 1) ** 2, dtype=bool)
     for cx, cy in corners:
         if cx < 0 or cy < 0 or cx + k > mesh.M or cy + k > mesh.M:
             raise LayoutError(f"inclusion at cell ({cx},{cy}) leaves the domain")
@@ -193,12 +198,11 @@ def layout_from_cells(mesh: StructuredMesh, k: int, corners,
                 f"inclusion at cell ({cx},{cy}) touches the outer boundary; "
                 "inclusion nodes must be interior")
         inc = _inclusion_from_corner(mesh, k, cx, cy)
-        nodes = set(inc.node_gids.tolist())
-        if seen & nodes:
+        if occupied[inc.node_gids].any():
             raise LayoutError(
                 f"inclusion at cell ({cx},{cy}) shares nodes with another "
                 "inclusion; closures must be disjoint")
-        seen |= nodes
+        occupied[inc.node_gids] = True
         incs.append(inc)
     eps = np.ones(len(incs))
     return InclusionLayout(mesh=mesh, k=k, inclusions=tuple(incs), eps=eps,
@@ -290,7 +294,6 @@ class OrderingMap:
 
     perm: np.ndarray      # interior index -> system index
     inv: np.ndarray       # system index -> interior index
-    offsets: np.ndarray   # (m+1,) block offsets into the first n entries
     n: int
     n_exterior: int
 
@@ -307,29 +310,18 @@ def build_ordering(layout: InclusionLayout) -> OrderingMap:
     """Ordering map putting inclusion nodes in the leading block."""
     mesh = layout.mesh
     N = mesh.n_interior
-    ns = layout.nodes_per_inclusion
-    m = layout.m
-    n = m * ns
-
-    inv = np.empty(N, dtype=np.int64)
+    gids = np.concatenate([np.empty(0, dtype=np.int64)]
+                          + [inc.node_gids for inc in layout.inclusions])
+    lead = mesh.interior_index[gids]
+    if np.any(lead < 0):
+        raise LayoutError("inclusion node on the boundary")
     taken = np.zeros(N, dtype=bool)
-    pos = 0
-    offsets = np.zeros(m + 1, dtype=np.int64)
-    for s, inc in enumerate(layout.inclusions):
-        idx = mesh.interior_index[inc.node_gids]
-        if np.any(idx < 0):
-            raise LayoutError("inclusion node on the boundary")
-        inv[pos:pos + ns] = idx
-        taken[idx] = True
-        pos += ns
-        offsets[s + 1] = pos
-    rest = np.flatnonzero(~taken)
-    inv[pos:] = rest
-
+    taken[lead] = True
+    inv = np.concatenate((lead, np.flatnonzero(~taken)))
     perm = np.empty(N, dtype=np.int64)
     perm[inv] = np.arange(N)
-    return OrderingMap(perm=perm, inv=inv, offsets=offsets, n=n,
-                       n_exterior=N - n)
+    return OrderingMap(perm=perm, inv=inv, n=lead.size,
+                       n_exterior=N - lead.size)
 
 
 def layout_manifest(layout: InclusionLayout) -> dict:

@@ -18,6 +18,7 @@ preconditioned by a symmetrized incomplete LU, or plain diagonal scaling.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 
 import numpy as np
 import scipy.linalg
@@ -106,6 +107,33 @@ class ReferenceSchurSolver:
         return X.T.ravel()
 
 
+def pcg_steps(A, x, r, apply_m, breakdown: str,
+              counter: OpCounter | None = None):
+    """CG on the SPD matrix A preconditioned by apply_m: advances x and its
+    residual r = b - A x in place and yields the step number k after each
+    step, leaving the stopping rule to the caller.  A direction of
+    nonpositive curvature raises SolverBreakdownError(breakdown.format(k=k)).
+    """
+    z = apply_m(r)
+    p = z.copy()
+    rz = r @ z
+    for k in itertools.count(1):
+        Ap = A @ p
+        if counter is not None:
+            counter.a += 1
+        pAp = p @ Ap
+        if pAp <= 0.0:
+            raise SolverBreakdownError(breakdown.format(k=k))
+        alpha = rz / pAp
+        x += alpha * p
+        r -= alpha * Ap
+        yield k
+        z = apply_m(r)
+        rz_new = r @ z
+        p = z + (rz_new / rz) * p
+        rz = rz_new
+
+
 class ExactAInverse:
     """H_A = A^{-1} through a sparse LU factorization."""
 
@@ -153,11 +181,8 @@ class InnerCgAInverse:
 
     def __init__(self, A: sp.csr_matrix, steps: int = 12, base: str = "ilu",
                  drop_tol: float = 5e-4, fill_factor: float = 12.0):
-        if steps < 1:
-            raise ParameterError(f"inner CG needs at least 1 step, got {steps}")
-        if base != "ilu":
-            raise ParameterError(
-                f"unknown inner CG base {base!r}; only 'ilu' is supported")
+        check_a_options(self.kind, {"steps": steps, "base": base,
+                                    "fill_factor": fill_factor})
         self.A = A.tocsr()
         self.steps = steps
         self._ilu = spla.spilu(A.tocsc(), drop_tol=drop_tol,
@@ -178,39 +203,43 @@ class InnerCgAInverse:
         if res_norm == 0.0:
             return x
         res_floor = 1e-15 * res_norm
-        z = self._base(res)
-        p = z.copy()
-        rz = res @ z
-        for _ in range(self.steps):
-            Ap = self.A @ p
-            if counter is not None:
-                counter.a += 1
-            pAp = p @ Ap
-            if pAp <= 0.0:
-                raise SolverBreakdownError(
-                    "inner CG direction lost positivity; base preconditioner "
-                    "is not positive definite on this input")
-            alpha = rz / pAp
-            x += alpha * p
-            res -= alpha * Ap
-            if np.linalg.norm(res) <= res_floor:
+        for k in pcg_steps(self.A, x, res, self._base,
+                           "inner CG direction lost positivity; base "
+                           "preconditioner is not positive definite on this "
+                           "input", counter):
+            if k == self.steps or np.linalg.norm(res) <= res_floor:
                 break
-            z = self._base(res)
-            rz_new = res @ z
-            p = z + (rz_new / rz) * p
-            rz = rz_new
         return x
+
+
+A_KINDS = {cls.kind: cls
+           for cls in (ExactAInverse, InnerCgAInverse, DiagonalAInverse)}
+
+
+def check_a_options(kind: str, opts: dict) -> None:
+    """Raise ParameterError, naming the kind or the option, for an H_A
+    configuration make_a_preconditioner refuses; only kind cg takes options."""
+    if kind not in A_KINDS:
+        raise ParameterError(f"unknown H_A kind {kind!r}")
+    if kind != InnerCgAInverse.kind and opts:
+        raise ParameterError(
+            f"H_A kind {kind!r} takes no options, got {', '.join(sorted(opts))}")
+    if opts.get("steps", 1) < 1:
+        raise ParameterError(
+            f"inner CG needs at least 1 step, got {opts['steps']}")
+    if opts.get("base", "ilu") != "ilu":
+        raise ParameterError(
+            f"unknown inner CG base {opts['base']!r}; only 'ilu' is supported")
+    # SuperLU loops forever on a zero fill factor and rejects a negative one
+    if opts.get("fill_factor", 1.0) <= 0.0:
+        raise ParameterError(
+            f"ILU fill factor must be positive, got {opts['fill_factor']}")
 
 
 def make_a_preconditioner(A: sp.csr_matrix, kind: str = "exact", **opts):
     """Factory for the pluggable H_A operator."""
-    if kind == "exact":
-        return ExactAInverse(A)
-    if kind == "cg":
-        return InnerCgAInverse(A, **opts)
-    if kind == "diagonal":
-        return DiagonalAInverse(A)
-    raise ParameterError(f"unknown H_A kind {kind!r}")
+    check_a_options(kind, opts)
+    return A_KINDS[kind](A, **opts)
 
 
 @dataclasses.dataclass(eq=False)

@@ -20,6 +20,7 @@ recorded sequences non-increasing.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import time
 
 import numpy as np
@@ -27,7 +28,7 @@ import numpy as np
 from .assembly import SaddleOperator
 from .mesh import ParameterError
 from .precond import (BlockPreconditioner, OpCounter, ReferenceSchurSolver,
-                      SolverBreakdownError)
+                      SolverBreakdownError, pcg_steps)
 
 # relative slack granted to rounding before a "nonnegative" quadratic form
 # or a monotone norm sequence is declared broken
@@ -379,19 +380,10 @@ def cg_solve(A, b, precond=None, x0=None, delta: float = 1e-6,
     if norm0 == 0.0:
         return _finish("cg", norms, True, 0, counter, t0, x, None, stop_rule)
 
-    z = apply_m(r)
-    pdir = z.copy()
-    rz = r @ z
-    for k in range(1, max_iter + 1):
-        Ap = A @ pdir
-        counter.a += 1
-        pAp = pdir @ Ap
-        if pAp <= 0.0:
-            raise SolverBreakdownError(
-                f"CG direction lost A-positivity at iteration {k}")
-        step = rz / pAp
-        x += step * pdir
-        r -= step * Ap
+    steps = pcg_steps(A, x, r, apply_m,
+                      "CG direction lost A-positivity at iteration {k}",
+                      counter)
+    for k in itertools.islice(steps, max_iter):
         if homogeneous:
             norms.append(_guarded_sqrt(-(x @ r), scale, "A-norm of iterate"))
         else:
@@ -399,10 +391,6 @@ def cg_solve(A, b, precond=None, x0=None, delta: float = 1e-6,
         if norms[-1] <= delta * norm0:
             return _finish("cg", norms, True, k, counter, t0, x, None,
                            stop_rule)
-        z = apply_m(r)
-        rz_new = r @ z
-        pdir = z + (rz_new / rz) * pdir
-        rz = rz_new
     raise _max_iter_error("CG", delta, max_iter, norms)
 
 

@@ -122,10 +122,7 @@ def complement_basis(blocks: InclusionBlocks) -> np.ndarray:
     w = blocks.weights / np.linalg.norm(blocks.weights)
     Qf, _ = np.linalg.qr(np.column_stack([w, np.eye(ns)[:, 1:]]))
     loc = Qf[:, 1:]                       # ns x (ns-1), w^T loc = 0
-    Z = np.zeros((m * ns, m * (ns - 1)))
-    for s in range(m):
-        Z[s * ns:(s + 1) * ns, s * (ns - 1):(s + 1) * (ns - 1)] = loc
-    return Z
+    return sla.block_diag(*[loc] * m)
 
 
 def measure_a0_b0(layout: InclusionLayout):
@@ -139,6 +136,11 @@ def measure_a0_b0(layout: InclusionLayout):
     degenerate cluster.
     """
     _, A, blocks, _ = build_problem(layout.mesh, layout)
+    return _schur_pencil(A, blocks)[2:]
+
+
+def _schur_pencil(A: sp.csr_matrix, blocks: InclusionBlocks):
+    """Dense S0 and B_D + Q of an instance, then a0 and b0 of their pencil."""
     S0 = schur_complement_dense(A, blocks)
     BDQ = (blocks.B_D + blocks.q_sparse()).toarray()
     # kernel sanity: S0 e_s = (B_D + Q) e_s exactly, so 1 is an eigenvalue
@@ -150,7 +152,7 @@ def measure_a0_b0(layout: InclusionLayout):
             f"kernel eigenpair violated by {gap:.2e}; Schur assembly is wrong")
     Z = complement_basis(blocks)
     tvals = np.sort(sla.eigh(Z.T @ S0 @ Z, Z.T @ BDQ @ Z, eigvals_only=True))
-    return float(tvals[0]), float(tvals[-1])
+    return S0, BDQ, float(tvals[0]), float(tvals[-1])
 
 
 @dataclasses.dataclass
@@ -248,16 +250,12 @@ def verify_intervals(layout: InclusionLayout, eps=None, ha_kind: str = "exact",
         raise ParameterError(
             f"ha_kind {ha_kind!r} has no symmetric inverse matrix to use as "
             "a Gram factor; dense verification supports 'exact' and 'diagonal'")
-    BDQ = (blocks.B_D + blocks.q_sparse()).toarray()
-    if pencil == "preconditioner":
-        gram[N:, N:] = BDQ
-    elif pencil == "ideal":
-        gram[N:, N:] = schur_complement_dense(A, blocks)
-    else:
+    if pencil not in ("preconditioner", "ideal"):
         raise ParameterError(f"unknown pencil {pencil!r}")
+    S0, BDQ, a0, b0 = _schur_pencil(A, blocks)
+    gram[N:, N:] = BDQ if pencil == "preconditioner" else S0
 
     eigs = dense_spectrum(K, gram)
-    a0, b0 = measure_a0_b0(layout)
     eps_min = float(layout.eps.min())
     eps_max = float(layout.eps.max())
     r_max = eps_max / a0

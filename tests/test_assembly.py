@@ -63,6 +63,23 @@ def test_block_kernel_and_mass_identities(prob8):
                                atol=1e-16)
 
 
+def test_local_blocks_hand_values_for_single_cell_inclusion(tiny_problem):
+    # k = 1, h = 1/4: nodes (ll, lr, ul, ur) split into (ll, lr, ur) and
+    # (ll, ur, ul); the diagonal ll-ur couples through both triangles in
+    # the mass only, never in the stiffness
+    blocks = tiny_problem.blocks
+    np.testing.assert_array_equal(blocks.B_loc, [[1.0, -0.5, -0.5, 0.0],
+                                                 [-0.5, 1.0, 0.0, -0.5],
+                                                 [-0.5, 0.0, 1.0, -0.5],
+                                                 [0.0, -0.5, -0.5, 1.0]])
+    area = 0.5 / 16
+    np.testing.assert_allclose(blocks.M_loc, area / 12 * np.array(
+        [[4.0, 1.0, 1.0, 2.0],
+         [1.0, 2.0, 0.0, 1.0],
+         [1.0, 0.0, 2.0, 1.0],
+         [2.0, 1.0, 1.0, 4.0]]), rtol=1e-15, atol=0.0)
+
+
 def test_saddle_apply_of_zero_and_kernel_vector(tiny_problem):
     op, blocks = tiny_problem.op, tiny_problem.blocks
     np.testing.assert_array_equal(op.apply(np.zeros(op.size)),

@@ -344,3 +344,44 @@ def test_export_matrix_refuses_colliding_files(tmp_path, capsys, text):
     assert "error: export-matrix instances [M=" in err
     assert "would both write" in err
     assert not out.exists()             # refused before anything is written
+
+
+@pytest.mark.parametrize("command,text,match", [
+    ("solve", "ha = exact\nha_steps = 3\n",
+     "config key ha: H_A kind 'exact' takes no options, got steps"),
+    ("solve", "ha = cg\nha_steps = 0\n", "at least 1 step, got 0"),
+    ("solve", "ha = cg\nha_fill_factor = 0\n",
+     "fill factor must be positive, got 0.0"),
+    ("solve", "ha = foo\n", "unknown ha 'foo'; use exact|cg|diagonal"),
+    ("solve", "ha = cg\nha_base = ilu\n", "unknown config key(s) for solve: ha_base;"),
+    ("spectrum", "ha = cg\n", "unknown ha 'cg'; use exact|diagonal"),
+    ("cost", "pl_ha_steps = 4\n",
+     "config key pl_ha: H_A kind 'exact' takes no options, got steps"),
+], ids=["exact-with-option", "cg-zero-steps", "cg-zero-fill", "unknown-kind",
+        "ha-base-gone", "spectrum-cg", "cost-option-on-exact"])
+def test_ha_config_refused_before_any_run(tmp_path, capsys, command, text,
+                                          match):
+    cfg = _write(tmp_path / "ha.cfg", "M = 8\n" + text)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_ERROR
+    assert match in capsys.readouterr().err
+    assert not out.exists()
+
+
+# the subcommand each shipped sample config is documented with
+_SHIPPED = {"solve_sweep.cfg": "solve", "spectrum_check.cfg": "spectrum",
+            "cost_table.cfg": "cost", "export_saddle.cfg": "export-matrix"}
+_CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "demos", "configs")
+
+
+def test_every_shipped_config_is_covered():
+    assert sorted(os.listdir(_CONFIG_DIR)) == sorted(_SHIPPED)
+
+
+@pytest.mark.parametrize("name", sorted(_SHIPPED))
+def test_shipped_config_runs(tmp_path, capsys, name):
+    cfg = os.path.join(_CONFIG_DIR, name)
+    out = tmp_path / "out"
+    assert main([_SHIPPED[name], "--config", cfg, "--out", str(out)]) == EXIT_OK
+    assert (out / "manifest.json").exists()
+    capsys.readouterr()

@@ -160,6 +160,15 @@ def test_inner_cg_counter_and_zero_input(prob16):
     assert counter.ha == 1
 
 
+def test_inner_cg_breakdown_on_negative_definite_matrix(prob8):
+    ha = InnerCgAInverse(-prob8.A)
+    with pytest.raises(SolverBreakdownError,
+                       match="^inner CG direction lost positivity; base "
+                             "preconditioner is not positive definite on "
+                             "this input$"):
+        ha.apply(np.ones(prob8.A.shape[0]))
+
+
 def test_make_a_preconditioner_dispatch(prob8):
     assert make_a_preconditioner(prob8.A, "exact").kind == "exact"
     assert make_a_preconditioner(prob8.A, "diagonal").kind == "diagonal"
@@ -172,6 +181,14 @@ def test_make_a_preconditioner_dispatch(prob8):
     for base in ("none", "jacobi", "sgs"):
         with pytest.raises(ParameterError, match="only 'ilu'"):
             make_a_preconditioner(prob8.A, "cg", base=base)
+
+
+@pytest.mark.parametrize("kind", ["exact", "diagonal"])
+def test_make_a_preconditioner_refuses_options_it_would_drop(prob8, kind):
+    with pytest.raises(ParameterError,
+                       match=f"H_A kind '{kind}' takes no options, got "
+                             "drop_tol, steps"):
+        make_a_preconditioner(prob8.A, kind, steps=3, drop_tol=1e-2)
 
 
 def test_op_counter_totals():

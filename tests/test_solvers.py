@@ -7,6 +7,7 @@ from saddleprec import (
     pu_solve, pl_solve, pcg_k_solve, cg_solve, evaluate_norm, random_guess,
     assemble_load, build_block_preconditioner, ReferenceSchurSolver,
     MaxIterationsError, OperatorContractError, ParameterError, OpCounter,
+    SolverBreakdownError,
 )
 
 from conftest import make_problem, make_exact_precond
@@ -250,6 +251,23 @@ def test_cg_homogeneous_stop_rule(prob8):
                    delta=1e-8)
     assert rep.stop_rule == "iterate-A-norm"
     assert rep.converged and rep.is_monotone()
+
+
+@pytest.mark.parametrize("max_iter", [0, 1])
+def test_cg_max_iteration_error(prob8, max_iter):
+    counter = OpCounter()
+    with pytest.raises(MaxIterationsError,
+                       match=f"CG did not reach 1e-06 within {max_iter} "
+                             "iterations"):
+        cg_solve(prob8.A, np.ones(prob8.A.shape[0]), max_iter=max_iter,
+                 counter=counter)
+    assert counter.a == 1 + max_iter     # residual plus one per step
+
+
+def test_cg_breakdown_on_negative_definite_matrix(prob8):
+    with pytest.raises(SolverBreakdownError,
+                       match="CG direction lost A-positivity at iteration 1$"):
+        cg_solve(-prob8.A, np.ones(prob8.A.shape[0]))
 
 
 def test_evaluate_norm_basics(prob8):

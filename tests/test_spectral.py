@@ -175,6 +175,24 @@ def test_verify_intervals_ideal_pencil(prob8):
     assert eigs[-1] <= rep.mu_hat2 + 1e-8
 
 
+def test_verify_intervals_builds_and_factorizes_once(prob8, monkeypatch):
+    import saddleprec.spectral as spectral
+    calls = {"build_problem": 0, "splu": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(spectral, "build_problem",
+                        counting("build_problem", spectral.build_problem))
+    monkeypatch.setattr(spectral.spla, "splu",
+                        counting("splu", spectral.spla.splu))
+    verify_intervals(prob8.layout, pencil="ideal")
+    assert calls == {"build_problem": 1, "splu": 1}
+
+
 def test_verify_intervals_mixed_contrast_envelope():
     prob = make_problem(8, 2, eps_mode="random", eps_min=1e-6, eps_max=1e-2,
                         eps_seed=7)
