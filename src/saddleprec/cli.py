@@ -22,21 +22,26 @@ import argparse
 import concurrent.futures
 import contextlib
 import dataclasses
+import functools
 import hashlib
 import itertools
 import json
 import os
 import sys
+import threading
 import time
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .mesh import (MeshError, LayoutError, ParameterError, build_mesh,
                    place_periodic, place_random, assign_epsilon)
-from .assembly import (build_problem, assemble_load, assemble_sigma_matrix,
-                       write_matrix_market)
-from .precond import (A_KINDS, ContractViolationError, SolverBreakdownError,
+from . import assembly
+from .assembly import (build_problem, build_saddle_operator, assemble_load,
+                       assemble_sigma_matrix, write_matrix_market)
+from .precond import (A_KINDS, BlockPreconditioner, ContractViolationError,
+                      SchurPreconditioner, SolverBreakdownError,
                       build_block_preconditioner, check_a_options)
 from .solvers import (pu_solve, pl_solve, pcg_k_solve, random_guess,
                       OperatorContractError, MaxIterationsError)
@@ -260,20 +265,26 @@ def build_config(command: str, raw: dict, path: str,
 # ---------------------------------------------------------------------------
 # instance construction
 
+def _place(cfg, mesh, k, layout, seed):
+    """The bare placement of an instance: inclusions with eps = 1."""
+    if layout == "periodic":
+        return place_periodic(mesh, k)
+    count = (cfg.removal if cfg.removal is not None
+             else place_periodic(mesh, k).m // 2)
+    return place_random(mesh, k, count, seed=seed + _LAYOUT_SEED_OFFSET)
+
+
+def _assign(cfg, lay, eps_mode, eps_min, seed):
+    if eps_mode == "uniform":
+        return assign_epsilon(lay, "uniform", epsilon=eps_min)
+    return assign_epsilon(lay, "random", eps_min=eps_min,
+                          eps_max=cfg.eps_max, seed=seed + _EPS_SEED_OFFSET)
+
+
 def _build_layout(cfg, M, k, layout, eps_mode, eps_min, seed):
     mesh = build_mesh(M)
-    if layout == "periodic":
-        lay = place_periodic(mesh, k)
-    else:
-        count = (cfg.removal if cfg.removal is not None
-                 else place_periodic(mesh, k).m // 2)
-        lay = place_random(mesh, k, count, seed=seed + _LAYOUT_SEED_OFFSET)
-    if eps_mode == "uniform":
-        lay = assign_epsilon(lay, "uniform", epsilon=eps_min)
-    else:
-        lay = assign_epsilon(lay, "random", eps_min=eps_min,
-                             eps_max=cfg.eps_max, seed=seed + _EPS_SEED_OFFSET)
-    return mesh, lay
+    return mesh, _assign(cfg, _place(cfg, mesh, k, layout, seed), eps_mode,
+                         eps_min, seed)
 
 
 def _axes(cfg, *extra):
@@ -331,6 +342,79 @@ def validate_instances(cfg: ExperimentConfig) -> None:
 
 
 # ---------------------------------------------------------------------------
+# operators shared across instances
+
+@dataclasses.dataclass(eq=False)
+class _Operator:
+    """The eps-independent part of the instances with one operator key
+    (M, k, layout, layout seed or None): mesh, bare placement, ordering, A,
+    the unit load and each H_A built on A, keyed by (kind, options)."""
+
+    key: tuple
+    mesh: object
+    placement: object
+    ordering: object
+    A: object
+    a_invs: dict = dataclasses.field(default_factory=dict)
+
+    @functools.cached_property
+    def unit_load(self) -> np.ndarray:
+        return assemble_load(self.mesh, 1.0, ordering=self.ordering)
+
+
+class _Sweep:
+    """Builds the instances of one sweep, sharing each _Operator across
+    consecutive instances with the same key.
+
+    A worker thread holds one key at a time and frees it before it builds
+    the next, so a sweep keeps at most one A and its H_A per thread alive,
+    and nothing of it outlives the sweep.  Instances run in their sorted
+    order, and every matrix, factorization and pivot is the one a fresh
+    build would make, so outputs do not depend on the sharing.
+    """
+
+    def __init__(self, cfg: ExperimentConfig):
+        self.cfg = cfg
+        self.ha_setups = 0
+        self._lock = threading.Lock()
+        self._slot = threading.local()
+
+    def _operator(self, M, k, layout, seed) -> _Operator:
+        key = (M, k, layout, seed if layout == "random" else None)
+        held = getattr(self._slot, "held", None)
+        if held is None or held.key != key:
+            self._slot.held = held = None       # free the previous key first
+            mesh = build_mesh(M)
+            placement = _place(self.cfg, mesh, k, layout, seed)
+            ordering, A, _, _ = build_problem(mesh, placement)
+            held = self._slot.held = _Operator(key, mesh, placement,
+                                               ordering, A)
+        return held
+
+    def instance(self, M, k, layout, eps_mode, eps_min, seed):
+        """(shared operator, saddle operator) of one instance; only the
+        eps assignment and the inclusion blocks are built here."""
+        shared = self._operator(M, k, layout, seed)
+        lay = _assign(self.cfg, shared.placement, eps_mode, eps_min, seed)
+        # looked up on the module, so a wrapper installed there sees it
+        blocks = assembly.assemble_inclusion_blocks(shared.mesh, lay)
+        return shared, build_saddle_operator(shared.A, blocks)
+
+    def preconditioner(self, shared: _Operator, blocks, kind: str,
+                       opts: dict) -> BlockPreconditioner:
+        """H = diag(H_A, H_S) over the shared H_A of (kind, opts)."""
+        ha_key = (kind, tuple(sorted(opts.items())))
+        if ha_key not in shared.a_invs:
+            shared.a_invs[ha_key] = build_block_preconditioner(
+                shared.A, blocks, kind, **opts).a_inv
+            with self._lock:
+                self.ha_setups += 1
+        return BlockPreconditioner(a_inv=shared.a_invs[ha_key],
+                                   schur=SchurPreconditioner(blocks),
+                                   N=shared.A.shape[0], n=blocks.n)
+
+
+# ---------------------------------------------------------------------------
 # workers
 
 @contextlib.contextmanager
@@ -351,18 +435,18 @@ def _guess(method, op, seed):
     return {"z0": random_guess(op.size, seed)}
 
 
-def _run_solve(cfg, axes):
+def _run_solve(sweep, axes):
+    cfg = sweep.cfg
     method, M, k, layout, eps_mode, eps_min, delta, seed = axes
-    mesh, lay = _build_layout(cfg, M, k, layout, eps_mode, eps_min, seed)
-    ordering, A, blocks, op = build_problem(mesh, lay)
+    shared, op = sweep.instance(M, k, layout, eps_mode, eps_min, seed)
     with _naming_instance(*axes):
-        precond = build_block_preconditioner(A, blocks, cfg.ha_kind,
-                                             **cfg.ha_opts)
+        precond = sweep.preconditioner(shared, op.blocks, cfg.ha_kind,
+                                       cfg.ha_opts)
         if cfg.rhs == "zero":
             kwargs = _guess(method, op, seed)
         else:
             F = np.zeros(op.size)
-            F[:op.N] = assemble_load(mesh, 1.0, ordering=ordering)
+            F[:op.N] = shared.unit_load
             kwargs = {"F": F}
         report = _METHODS[method](op, precond, delta=delta,
                                   max_iter=cfg.max_iter, **kwargs)
@@ -413,16 +497,16 @@ def _run_spectrum(cfg, axes):
     return row, eig_rows
 
 
-def _run_cost(cfg, axes):
+def _run_cost(sweep, axes):
+    cfg = sweep.cfg
     M, k, layout, eps_mode, eps_min, delta, seed = axes
-    mesh, lay = _build_layout(cfg, M, k, layout, eps_mode, eps_min, seed)
-    _, A, blocks, op = build_problem(mesh, lay)
+    shared, op = sweep.instance(M, k, layout, eps_mode, eps_min, seed)
     entry = {"M": M, "k": k, "layout": layout, "eps_mode": eps_mode,
              "eps_min": eps_min, "delta": delta, "seed": seed}
     for method in cfg.methods:
         kind, opts = cfg.cost_ha[method]
         with _naming_instance(method, *axes):
-            precond = build_block_preconditioner(A, blocks, kind, **opts)
+            precond = sweep.preconditioner(shared, op.blocks, kind, opts)
             report = _METHODS[method](op, precond, delta=delta,
                                       max_iter=cfg.max_iter,
                                       **_guess(method, op, seed))
@@ -443,7 +527,10 @@ def _write_csv(path, schema, fieldnames, rows):
             fh.write(",".join(str(row[f]) for f in fieldnames) + "\n")
 
 
-def write_manifest(out_dir, command, cfg, args_seed, n_instances):
+def write_manifest(out_dir, command, cfg, args_seed, n_instances,
+                   ha_setups=None):
+    """Run record beside the CSVs: environment, timestamp and the H_A
+    set-ups of a solve or cost sweep (None for the other subcommands)."""
     manifest = {
         "schema": "saddleprec.manifest.v1",
         "command": command,
@@ -452,6 +539,10 @@ def write_manifest(out_dir, command, cfg, args_seed, n_instances):
         "seeds": list(cfg.seeds),
         "seed_override": args_seed,
         "instances": n_instances,
+        "ha_setups": ha_setups,
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "cpu_count": os.cpu_count(),
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
     }
     path = os.path.join(out_dir, "manifest.json")
@@ -474,14 +565,16 @@ def _pool_map(worker, items, threads):
 def cmd_solve(cfg: ExperimentConfig, out_dir: str, threads: int,
               args_seed) -> int:
     axes = _instances(cfg)
-    rows = _pool_map(lambda ax: _run_solve(cfg, ax), axes, threads)
+    sweep = _Sweep(cfg)
+    rows = _pool_map(lambda ax: _run_solve(sweep, ax), axes, threads)
     fields = ["method", "M", "k", "layout", "removal", "eps_mode", "eps_min",
               "eps_max", "delta", "ha", "seed", "iterations", "converged",
               "stop_rule", "a_applies", "ha_applies", "total_applies",
               "final_ratio", "monotone"]
     path = os.path.join(out_dir, "solve.csv")
     _write_csv(path, SOLVE_SCHEMA, fields, rows)
-    write_manifest(out_dir, "solve", cfg, args_seed, len(axes))
+    write_manifest(out_dir, "solve", cfg, args_seed, len(axes),
+                   sweep.ha_setups)
     print(f"solve: {len(rows)} runs -> {path}")
     return EXIT_OK
 
@@ -525,7 +618,8 @@ def cmd_spectrum(cfg: ExperimentConfig, out_dir: str, threads: int,
 def cmd_cost(cfg: ExperimentConfig, out_dir: str, threads: int,
              args_seed) -> int:
     axes = _instances(cfg)
-    entries = _pool_map(lambda ax: _run_cost(cfg, ax), axes, threads)
+    sweep = _Sweep(cfg)
+    entries = _pool_map(lambda ax: _run_cost(sweep, ax), axes, threads)
 
     header = ["eps_min"]
     for m in cfg.methods:
@@ -547,7 +641,8 @@ def cmd_cost(cfg: ExperimentConfig, out_dir: str, threads: int,
         fh.write(f"# Application counts (M={cfg.Ms}, k={cfg.ks}, "
                  f"delta={cfg.deltas})\n\n")
         fh.write(table + "\n")
-    write_manifest(out_dir, "cost", cfg, args_seed, len(axes))
+    write_manifest(out_dir, "cost", cfg, args_seed, len(axes),
+                   sweep.ha_setups)
     print(table)
     print(f"cost: {len(entries)} instance(s) -> {path}")
     return EXIT_OK

@@ -21,7 +21,7 @@ from saddleprec import (
     recover_p_from_u,
 )
 
-from conftest import ACCEPTANCE_VERDICTS, make_problem, make_exact_precond
+from saddle_problems import ACCEPTANCE_VERDICTS, make_problem, make_exact_precond
 
 EPS_SWEEP = (1e-2, 1e-4, 1e-6)
 SEED = 101

@@ -10,7 +10,7 @@ from saddleprec import (
     ParameterError,
 )
 
-from conftest import make_problem
+from saddle_problems import make_problem
 
 
 def test_single_interior_node_stiffness_is_four():

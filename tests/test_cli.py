@@ -1,14 +1,24 @@
+import hashlib
+import importlib
 import json
 import os
+import subprocess
+import sys
+import weakref
 
 import numpy as np
 import pytest
+import scipy
 import scipy.io
 
+from saddleprec import cli
 from saddleprec.cli import (
     main, parse_config, build_config, ConfigError,
     EXIT_OK, EXIT_ERROR, EXIT_VERIFY,
 )
+from saddleprec.precond import ContractViolationError
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def _write(path, text):
@@ -281,6 +291,195 @@ max_iter = 1
     err = capsys.readouterr().err
     assert "solver error: PL did not reach" in err
     assert "[method=pl M=8 k=2 periodic eps_min=0.0001" in err
+
+
+# ---------------------------------------------------------------------------
+# operators shared across the instances of a sweep
+
+# three methods x two layouts x three contrasts: 18 solve instances on two
+# layouts, which the sorted order visits as six runs of one operator key
+_CONTRAST = """
+method = pu, pl, pcgk
+M = 16
+layout = periodic, random
+eps_min = 1e-2, 1e-4, 1e-6
+"""
+
+
+def _count_calls(monkeypatch, name, calls):
+    original = getattr(cli, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, name, counted)
+
+
+def test_solve_builds_a_and_ha_once_per_run_of_a_key(tmp_path, capsys,
+                                                     monkeypatch):
+    calls = []
+    for name in ("build_block_preconditioner", "build_problem",
+                 "assign_epsilon"):
+        _count_calls(monkeypatch, name, calls)
+    cfg = _write(tmp_path / "contrast.cfg", _CONTRAST)
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    assert calls.count("build_block_preconditioner") == 6
+    assert calls.count("build_problem") == 6
+    # one eps assignment per instance, plus one per distinct layout checked
+    # before the runs (2 layouts x 3 contrasts)
+    assert calls.count("assign_epsilon") == 18 + 6
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["ha_setups"] == 6
+    capsys.readouterr()
+
+
+def test_cost_shares_one_exact_lu_between_pl_and_pcgk(tmp_path, capsys,
+                                                      monkeypatch):
+    kinds = []
+    original = cli.build_block_preconditioner
+
+    def recorded(A, blocks, ha_kind="exact", **opts):
+        kinds.append(ha_kind)
+        return original(A, blocks, ha_kind, **opts)
+
+    monkeypatch.setattr(cli, "build_block_preconditioner", recorded)
+    used = {}
+    for method, solver in list(cli._METHODS.items()):
+        def spy(op, precond, *args, _method=method, _solver=solver, **kw):
+            used.setdefault(_method, set()).add(id(precond.a_inv))
+            return _solver(op, precond, *args, **kw)
+        monkeypatch.setitem(cli._METHODS, method, spy)
+    # the axes of demos/configs/cost_table.cfg on a smaller mesh
+    cfg = _write(tmp_path / "cost.cfg", """
+method = pu, pl, pcgk
+M = 16
+k = 2
+eps_min = 1e-2, 1e-4, 1e-6
+delta = 1e-6
+""")
+    out = tmp_path / "out"
+    assert main(["cost", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    # one run of one key: one inner-CG H_A for PU, one exact LU for both
+    # Krylov methods, whatever the contrast
+    assert sorted(kinds) == ["cg", "exact"]
+    assert used["pl"] == used["pcgk"] and len(used["pl"]) == 1
+    assert used["pu"].isdisjoint(used["pl"]) and len(used["pu"]) == 1
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["ha_setups"] == 2
+    capsys.readouterr()
+
+
+def test_sweep_holds_at_most_one_ha_and_frees_it(tmp_path, capsys,
+                                                 monkeypatch):
+    built = []
+    alive_at_build = []
+    original = cli.build_block_preconditioner
+    original_problem = cli.build_problem
+
+    def alive():
+        return sum(ref() is not None for ref in built)
+
+    def tracked(*args, **kwargs):
+        alive_at_build.append(alive())
+        precond = original(*args, **kwargs)
+        built.append(weakref.ref(precond.a_inv))
+        return precond
+
+    def problem(*args, **kwargs):
+        alive_at_build.append(alive())
+        return original_problem(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "build_block_preconditioner", tracked)
+    monkeypatch.setattr(cli, "build_problem", problem)
+    cfg = _write(tmp_path / "contrast.cfg", _CONTRAST)
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg, "--out", str(out),
+                 "--threads", "1"]) == EXIT_OK
+    # a key's A and H_A are freed before the next key's A is built
+    assert len(built) == 6 and alive_at_build == [0] * 12
+    assert all(ref() is None for ref in built)      # nothing outlives main
+    capsys.readouterr()
+
+
+def test_failing_ha_build_names_its_instance(tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise ContractViolationError("H_A refused")
+
+    monkeypatch.setattr(cli, "build_block_preconditioner", refuse)
+    cfg = _write(tmp_path / "s.cfg", "method = pl\nM = 8\n")
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert "solver error: H_A refused [method=pl M=8 k=2 periodic" in err
+
+
+def test_contrast_sweep_csv_matches_the_benchmark_reference(tmp_path,
+                                                             monkeypatch):
+    monkeypatch.syspath_prepend(ROOT)
+    workloads = importlib.import_module("bench.workloads")
+    with open(os.path.join(ROOT, "bench", "reference", "contrast-sweep.json"),
+              encoding="utf-8") as fh:
+        expected = json.load(fh)["0"]["outputs"]["solve_csv_sha256"]
+    cfg = _write(tmp_path / "contrast.cfg", workloads.CONTRAST_CONFIG.format(
+        M=128, removal=512, delta=workloads.DELTA))
+    out = tmp_path / "out"
+    # the reference was recorded with one BLAS thread; the last digits of
+    # final_ratio follow the BLAS thread count, which only a fresh process
+    # can set
+    path = [os.path.join(ROOT, "src")] + [
+        p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    env.update({var: "1" for var in ("OMP_NUM_THREADS",
+                                     "OPENBLAS_NUM_THREADS",
+                                     "MKL_NUM_THREADS")})
+    subprocess.run([sys.executable, "-m", "saddleprec.cli", "solve",
+                    "--config", cfg, "--out", str(out), "--seed", "0"],
+                   env=env, check=True, capture_output=True)
+    data = (out / "solve.csv").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == expected
+
+
+@pytest.mark.parametrize("command,output", [("solve", "solve.csv"),
+                                            ("cost", "cost.md")])
+def test_outputs_identical_across_threads_with_many_keys(tmp_path, capsys,
+                                                         command, output):
+    cfg = _write(tmp_path / "keys.cfg", """
+method = pu, pl, pcgk
+M = 16
+layout = periodic, random
+eps_min = 1e-2, 1e-4
+seed = 0, 1
+""")
+    outputs = []
+    for threads, sub in (("1", "t1"), ("4", "t4"), ("1", "t1b")):
+        out = tmp_path / sub
+        assert main([command, "--config", cfg, "--out", str(out),
+                     "--threads", threads]) == EXIT_OK
+        outputs.append((out / output).read_bytes())
+    assert outputs[0] == outputs[1] == outputs[2]
+    capsys.readouterr()
+
+
+def test_manifest_records_environment_outside_the_csv(tmp_path, capsys):
+    cfg = _write(tmp_path / "s.cfg", "method = pl\nM = 8\n")
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["numpy"] == np.__version__
+    assert manifest["scipy"] == scipy.__version__
+    assert manifest["cpu_count"] == os.cpu_count()
+    assert manifest["ha_setups"] == 1
+    csv = (out / "solve.csv").read_text()
+    for key in ("numpy", "scipy", "cpu_count", "ha_setups", "timestamp"):
+        assert key not in csv
+    spec = _write(tmp_path / "sp.cfg", "M = 8\n")
+    assert main(["spectrum", "--config", spec,
+                 "--out", str(tmp_path / "sp")]) == EXIT_OK
+    manifest = json.loads((tmp_path / "sp" / "manifest.json").read_text())
+    assert manifest["ha_setups"] is None
+    capsys.readouterr()
 
 
 # ---------------------------------------------------------------------------

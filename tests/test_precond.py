@@ -9,7 +9,7 @@ from saddleprec import (
     SolverBreakdownError,
 )
 
-from conftest import make_problem, make_exact_precond
+from saddle_problems import make_problem, make_exact_precond
 
 
 # ---------------------------------------------------------------------------

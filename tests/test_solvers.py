@@ -10,7 +10,7 @@ from saddleprec import (
     SolverBreakdownError,
 )
 
-from conftest import make_problem, make_exact_precond
+from saddle_problems import make_problem, make_exact_precond
 
 
 def _load_rhs(prob, value=1.0):

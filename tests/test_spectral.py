@@ -11,7 +11,7 @@ from saddleprec import (
     ParameterError, ContractViolationError,
 )
 
-from conftest import make_problem, make_exact_precond
+from saddle_problems import make_problem, make_exact_precond
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
 
