@@ -11,9 +11,11 @@ Subcommands
 Configs are flat key = value text files; list-valued keys take commas.  Every
 axis combination is validated before any run starts, results are emitted in
 sorted order regardless of worker scheduling, and CSV content is a pure
-function of the config and the seed arguments (timestamps live only in the
-run manifest).  Exit status: 0 success, 1 solver or configuration error,
-2 verification failure.
+function of the config, the seed arguments and the BLAS thread count, which
+moves the last digits of solve.csv's final_ratio; --threads does not change
+it.  Timestamps and the BLAS thread variables live only in the run manifest.
+Exit status: 0 success, 1 solver or configuration error, 2 verification
+failure.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ import itertools
 import json
 import os
 import sys
-import threading
 import time
 
 import numpy as np
@@ -342,76 +343,66 @@ def validate_instances(cfg: ExperimentConfig) -> None:
 
 
 # ---------------------------------------------------------------------------
-# operators shared across instances
+# runs of instances that share one operator
 
-@dataclasses.dataclass(eq=False)
-class _Operator:
-    """The eps-independent part of the instances with one operator key
-    (M, k, layout, layout seed or None): mesh, bare placement, ordering, A,
-    the unit load and each H_A built on A, keyed by (kind, options)."""
+class _Run:
+    """The eps-independent part of a run of consecutive instances with one
+    operator key (M, k, layout, layout seed or None): mesh, bare placement,
+    ordering, A, the unit load and one H per (kind, options).  Every matrix,
+    factorization and pivot is the one a per-instance build would make.
+    """
 
-    key: tuple
-    mesh: object
-    placement: object
-    ordering: object
-    A: object
-    a_invs: dict = dataclasses.field(default_factory=dict)
+    def __init__(self, cfg: ExperimentConfig, M, k, layout, seed):
+        self.cfg = cfg
+        self.mesh = build_mesh(M)
+        self.placement = _place(cfg, self.mesh, k, layout, seed)
+        self.ordering, self.A, _, _ = build_problem(self.mesh, self.placement)
+        self.preconds = {}
 
     @functools.cached_property
     def unit_load(self) -> np.ndarray:
         return assemble_load(self.mesh, 1.0, ordering=self.ordering)
 
-
-class _Sweep:
-    """Builds the instances of one sweep, sharing each _Operator across
-    consecutive instances with the same key.
-
-    A worker thread holds one key at a time and frees it before it builds
-    the next, so a sweep keeps at most one A and its H_A per thread alive,
-    and nothing of it outlives the sweep.  Instances run in their sorted
-    order, and every matrix, factorization and pivot is the one a fresh
-    build would make, so outputs do not depend on the sharing.
-    """
-
-    def __init__(self, cfg: ExperimentConfig):
-        self.cfg = cfg
-        self.ha_setups = 0
-        self._lock = threading.Lock()
-        self._slot = threading.local()
-
-    def _operator(self, M, k, layout, seed) -> _Operator:
-        key = (M, k, layout, seed if layout == "random" else None)
-        held = getattr(self._slot, "held", None)
-        if held is None or held.key != key:
-            self._slot.held = held = None       # free the previous key first
-            mesh = build_mesh(M)
-            placement = _place(self.cfg, mesh, k, layout, seed)
-            ordering, A, _, _ = build_problem(mesh, placement)
-            held = self._slot.held = _Operator(key, mesh, placement,
-                                               ordering, A)
-        return held
-
-    def instance(self, M, k, layout, eps_mode, eps_min, seed):
-        """(shared operator, saddle operator) of one instance; only the
-        eps assignment and the inclusion blocks are built here."""
-        shared = self._operator(M, k, layout, seed)
-        lay = _assign(self.cfg, shared.placement, eps_mode, eps_min, seed)
+    def instance(self, eps_mode, eps_min, seed):
+        """Saddle operator of one instance; only its eps and blocks are new."""
+        lay = _assign(self.cfg, self.placement, eps_mode, eps_min, seed)
         # looked up on the module, so a wrapper installed there sees it
-        blocks = assembly.assemble_inclusion_blocks(shared.mesh, lay)
-        return shared, build_saddle_operator(shared.A, blocks)
+        blocks = assembly.assemble_inclusion_blocks(self.mesh, lay)
+        return build_saddle_operator(self.A, blocks)
 
-    def preconditioner(self, shared: _Operator, blocks, kind: str,
+    def preconditioner(self, blocks, kind: str,
                        opts: dict) -> BlockPreconditioner:
-        """H = diag(H_A, H_S) over the shared H_A of (kind, opts)."""
-        ha_key = (kind, tuple(sorted(opts.items())))
-        if ha_key not in shared.a_invs:
-            shared.a_invs[ha_key] = build_block_preconditioner(
-                shared.A, blocks, kind, **opts).a_inv
-            with self._lock:
-                self.ha_setups += 1
-        return BlockPreconditioner(a_inv=shared.a_invs[ha_key],
-                                   schur=SchurPreconditioner(blocks),
-                                   N=shared.A.shape[0], n=blocks.n)
+        """H = diag(H_A, H_S) over the run's H_A of (kind, opts)."""
+        key = (kind, tuple(sorted(opts.items())))
+        if key not in self.preconds:
+            self.preconds[key] = build_block_preconditioner(
+                self.A, blocks, kind, **opts)
+        return dataclasses.replace(self.preconds[key],
+                                   schur=SchurPreconditioner(blocks))
+
+
+def _sweep(cfg, instances, axes, work, threads):
+    """(work(run, instance) per instance in order, H_A set-ups), where
+    axes(instance) is (M, k, layout, eps_mode, eps_min, delta, seed).
+
+    Each maximal run of consecutive instances with one operator key is one
+    worker task; its _Run is freed when the task returns, so a sweep holds
+    one A per worker and the set-ups do not depend on the thread count.
+    """
+    def key(instance):
+        M, k, layout, *_, seed = axes(instance)
+        return M, k, layout, seed if layout == "random" else None
+
+    def task(run):
+        run_key, run_instances = run
+        shared = _Run(cfg, *run_key)
+        return [work(shared, ax) for ax in run_instances], len(shared.preconds)
+
+    runs = [(run_key, list(group))
+            for run_key, group in itertools.groupby(instances, key)]
+    done = _pool_map(task, runs, threads)
+    return ([result for results, _ in done for result in results],
+            sum(setups for _, setups in done))
 
 
 # ---------------------------------------------------------------------------
@@ -435,24 +426,23 @@ def _guess(method, op, seed):
     return {"z0": random_guess(op.size, seed)}
 
 
-def _run_solve(sweep, axes):
-    cfg = sweep.cfg
+def _run_solve(run, axes):
+    cfg = run.cfg
     method, M, k, layout, eps_mode, eps_min, delta, seed = axes
-    shared, op = sweep.instance(M, k, layout, eps_mode, eps_min, seed)
+    op = run.instance(eps_mode, eps_min, seed)
     with _naming_instance(*axes):
-        precond = sweep.preconditioner(shared, op.blocks, cfg.ha_kind,
-                                       cfg.ha_opts)
+        precond = run.preconditioner(op.blocks, cfg.ha_kind, cfg.ha_opts)
         if cfg.rhs == "zero":
             kwargs = _guess(method, op, seed)
         else:
             F = np.zeros(op.size)
-            F[:op.N] = shared.unit_load
+            F[:op.N] = run.unit_load
             kwargs = {"F": F}
         report = _METHODS[method](op, precond, delta=delta,
                                   max_iter=cfg.max_iter, **kwargs)
     return {
         "method": method, "M": M, "k": k, "layout": layout,
-        "removal": cfg.removal if layout == "random" else 0,
+        "removal": run.placement.removal_count,
         "eps_mode": eps_mode, "eps_min": eps_min, "eps_max": cfg.eps_max,
         "delta": delta, "ha": cfg.ha_kind, "seed": seed,
         "iterations": report.iterations,
@@ -497,16 +487,16 @@ def _run_spectrum(cfg, axes):
     return row, eig_rows
 
 
-def _run_cost(sweep, axes):
-    cfg = sweep.cfg
+def _run_cost(run, axes):
+    cfg = run.cfg
     M, k, layout, eps_mode, eps_min, delta, seed = axes
-    shared, op = sweep.instance(M, k, layout, eps_mode, eps_min, seed)
+    op = run.instance(eps_mode, eps_min, seed)
     entry = {"M": M, "k": k, "layout": layout, "eps_mode": eps_mode,
              "eps_min": eps_min, "delta": delta, "seed": seed}
     for method in cfg.methods:
         kind, opts = cfg.cost_ha[method]
         with _naming_instance(method, *axes):
-            precond = sweep.preconditioner(shared, op.blocks, kind, opts)
+            precond = run.preconditioner(op.blocks, kind, opts)
             report = _METHODS[method](op, precond, delta=delta,
                                       max_iter=cfg.max_iter,
                                       **_guess(method, op, seed))
@@ -529,8 +519,9 @@ def _write_csv(path, schema, fieldnames, rows):
 
 def write_manifest(out_dir, command, cfg, args_seed, n_instances,
                    ha_setups=None):
-    """Run record beside the CSVs: environment, timestamp and the H_A
-    set-ups of a solve or cost sweep (None for the other subcommands)."""
+    """Run record beside the CSVs: environment (BLAS thread variables as
+    strings, None when unset), timestamp and the H_A set-ups of a solve or
+    cost sweep (None for the other subcommands)."""
     manifest = {
         "schema": "saddleprec.manifest.v1",
         "command": command,
@@ -543,6 +534,8 @@ def write_manifest(out_dir, command, cfg, args_seed, n_instances,
         "numpy": np.__version__,
         "scipy": scipy.__version__,
         "cpu_count": os.cpu_count(),
+        **{var: os.environ.get(var) for var in (
+            "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")},
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
     }
     path = os.path.join(out_dir, "manifest.json")
@@ -565,16 +558,15 @@ def _pool_map(worker, items, threads):
 def cmd_solve(cfg: ExperimentConfig, out_dir: str, threads: int,
               args_seed) -> int:
     axes = _instances(cfg)
-    sweep = _Sweep(cfg)
-    rows = _pool_map(lambda ax: _run_solve(sweep, ax), axes, threads)
+    rows, ha_setups = _sweep(cfg, axes, lambda ax: ax[1:], _run_solve,
+                             threads)
     fields = ["method", "M", "k", "layout", "removal", "eps_mode", "eps_min",
               "eps_max", "delta", "ha", "seed", "iterations", "converged",
               "stop_rule", "a_applies", "ha_applies", "total_applies",
               "final_ratio", "monotone"]
     path = os.path.join(out_dir, "solve.csv")
     _write_csv(path, SOLVE_SCHEMA, fields, rows)
-    write_manifest(out_dir, "solve", cfg, args_seed, len(axes),
-                   sweep.ha_setups)
+    write_manifest(out_dir, "solve", cfg, args_seed, len(axes), ha_setups)
     print(f"solve: {len(rows)} runs -> {path}")
     return EXIT_OK
 
@@ -618,8 +610,7 @@ def cmd_spectrum(cfg: ExperimentConfig, out_dir: str, threads: int,
 def cmd_cost(cfg: ExperimentConfig, out_dir: str, threads: int,
              args_seed) -> int:
     axes = _instances(cfg)
-    sweep = _Sweep(cfg)
-    entries = _pool_map(lambda ax: _run_cost(sweep, ax), axes, threads)
+    entries, ha_setups = _sweep(cfg, axes, lambda ax: ax, _run_cost, threads)
 
     header = ["eps_min"]
     for m in cfg.methods:
@@ -641,8 +632,7 @@ def cmd_cost(cfg: ExperimentConfig, out_dir: str, threads: int,
         fh.write(f"# Application counts (M={cfg.Ms}, k={cfg.ks}, "
                  f"delta={cfg.deltas})\n\n")
         fh.write(table + "\n")
-    write_manifest(out_dir, "cost", cfg, args_seed, len(axes),
-                   sweep.ha_setups)
+    write_manifest(out_dir, "cost", cfg, args_seed, len(axes), ha_setups)
     print(table)
     print(f"cost: {len(entries)} instance(s) -> {path}")
     return EXIT_OK

@@ -38,8 +38,8 @@ def mu_check_pair(r):
 
     For r = eps_s / t this parametrizes the generic eigenvalue pair of the
     ideal pencil (exact Schur complement as the Gram block).  r = 0 recovers
-    (MU_HAT_1, MU_HAT_2); both roots move toward each other as r grows, the
-    negative one staying below -(something) ... the positive one above 1.
+    (MU_HAT_1, MU_HAT_2).  As r grows the positive root falls from MU_HAT_2
+    toward 1 and the negative root falls without bound: lo * hi = -(1 + r).
     """
     r = np.asarray(r, dtype=float)
     disc = np.sqrt((1.0 - r) ** 2 + 4.0 * (1.0 + r))
@@ -159,7 +159,6 @@ def _schur_pencil(A: sp.csr_matrix, blocks: InclusionBlocks):
 class SpectrumReport:
     """Dense-spectrum verdict for one preconditioned saddle instance."""
 
-    tag: str
     pencil: str                 # "preconditioner" (B_D + Q) or "ideal" (S0)
     eigenvalues: np.ndarray
     lam_min: float
@@ -264,7 +263,6 @@ def verify_intervals(layout: InclusionLayout, eps=None, ha_kind: str = "exact",
     in_stated = stated_set_membership(eigs, r_max, tol)
     in_env = envelope_membership(eigs, pencil, eps_min, eps_max, a0, b0, tol)
     return SpectrumReport(
-        tag=f"h_a_eps[{pencil}]",
         pencil=pencil,
         eigenvalues=eigs,
         lam_min=float(eigs[0]),

@@ -183,6 +183,22 @@ seed = 3
     capsys.readouterr()
 
 
+def test_solve_removal_column_counts_the_default_removal(tmp_path, capsys):
+    # without a removal key a random layout removes half of the periodic
+    # layout's 16 inclusions at M = 16; a periodic one removes none
+    cfg = _write(tmp_path / "rand.cfg", """
+method = pl
+M = 16
+layout = periodic, random
+""")
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    _, rows = _read_rows(out / "solve.csv")
+    assert [(r["layout"], r["removal"]) for r in rows] == [("periodic", "0"),
+                                                          ("random", "8")]
+    capsys.readouterr()
+
+
 # ---------------------------------------------------------------------------
 # spectrum subcommand
 
@@ -452,17 +468,28 @@ layout = periodic, random
 eps_min = 1e-2, 1e-4
 seed = 0, 1
 """)
-    outputs = []
+    outputs, ha_setups = [], []
     for threads, sub in (("1", "t1"), ("4", "t4"), ("1", "t1b")):
         out = tmp_path / sub
         assert main([command, "--config", cfg, "--out", str(out),
                      "--threads", threads]) == EXIT_OK
         outputs.append((out / output).read_bytes())
+        manifest = json.loads((out / "manifest.json").read_text())
+        ha_setups.append(manifest["ha_setups"])
     assert outputs[0] == outputs[1] == outputs[2]
+    # solve: per method one periodic run and four random runs, since the
+    # seed sorts last (3 x 5 H_A); cost: five runs with a cg and an exact H_A
+    assert ha_setups == [{"solve": 15, "cost": 10}[command]] * 3
     capsys.readouterr()
 
 
-def test_manifest_records_environment_outside_the_csv(tmp_path, capsys):
+def test_manifest_records_environment_outside_the_csv(tmp_path, capsys,
+                                                      monkeypatch):
+    # the BLAS thread count moves the last digits of final_ratio, so the
+    # manifest records the variables that set it
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
     cfg = _write(tmp_path / "s.cfg", "method = pl\nM = 8\n")
     out = tmp_path / "out"
     assert main(["solve", "--config", cfg, "--out", str(out)]) == EXIT_OK
@@ -471,8 +498,12 @@ def test_manifest_records_environment_outside_the_csv(tmp_path, capsys):
     assert manifest["scipy"] == scipy.__version__
     assert manifest["cpu_count"] == os.cpu_count()
     assert manifest["ha_setups"] == 1
+    assert manifest["OPENBLAS_NUM_THREADS"] == "1"
+    assert manifest["OMP_NUM_THREADS"] is None
+    assert manifest["MKL_NUM_THREADS"] is None
     csv = (out / "solve.csv").read_text()
-    for key in ("numpy", "scipy", "cpu_count", "ha_setups", "timestamp"):
+    for key in ("numpy", "scipy", "cpu_count", "ha_setups", "timestamp",
+                "NUM_THREADS"):
         assert key not in csv
     spec = _write(tmp_path / "sp.cfg", "M = 8\n")
     assert main(["spectrum", "--config", spec,

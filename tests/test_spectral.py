@@ -32,6 +32,8 @@ def test_mu_check_pair_monotone_in_r():
     lo, hi = mu_check_pair(r)
     assert np.all(np.diff(lo) < 0)        # negative root falls with r
     assert np.all(lo <= MU_HAT_1 + 1e-15)
+    assert np.all(np.diff(hi) < 0)        # positive root falls toward 1
+    assert np.all(hi <= MU_HAT_2)
     assert np.all(hi >= 1.0)
     # both roots solve the quadratic
     for mu in (lo, hi):
