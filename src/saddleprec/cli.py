@@ -5,11 +5,15 @@ Subcommands
                  seed); one CSV row per run
   spectrum       dense interval verification per instance; CSV plus a verdict
                  block; process exits 2 if any verdict fails
-  cost           {A, H_A}-application totals per method as a Markdown table
+  cost           the solve runs with a per-method H_A, their iterations and
+                 {A, H_A}-application totals pivoted into a Markdown table:
+                 one row per axes tuple, labelled by eps_min and by every
+                 other axis that takes more than one value
   export-matrix  assembled operators in Matrix Market ASCII
 
 Configs are flat key = value text files; list-valued keys take commas.  Every
-axis combination is validated before any run starts, results are emitted in
+axis combination is validated before any run starts (every distinct layout
+is built, even when the method axis is empty), results are emitted in
 sorted order regardless of worker scheduling, and CSV content is a pure
 function of the config, the seed arguments and the BLAS thread count, which
 moves the last digits of solve.csv's final_ratio; --threads does not change
@@ -22,7 +26,6 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
-import contextlib
 import dataclasses
 import functools
 import hashlib
@@ -168,15 +171,22 @@ class ExperimentConfig:
     seeds: list
     rhs: str
     max_iter: int
-    ha_kind: str
-    ha_opts: dict
+    ha: dict                # method -> (H_A kind, options)
     pencils: list
     tol: float
     corrupt_q: bool
     matrix: str
     name: str | None
-    cost_ha: dict
     config_sha: str
+
+
+# per-method H_A of the cost table; defaults mirror the benchmark: PU runs an
+# inner-CG H_A, the Krylov methods an exact one
+_COST_HA = {
+    "pu": ("cg", {"steps": 12, "drop_tol": 1e-2, "fill_factor": 8.0}),
+    "pl": ("exact", {}),
+    "pcgk": ("exact", {}),
+}
 
 
 def _ha_config(raw, prefix, kinds, kind, opts):
@@ -227,9 +237,13 @@ def build_config(command: str, raw: dict, path: str,
     rhs = _typed_scalar(raw, "rhs", str, "zero")
     _choices("rhs", [rhs], ("zero", "one"))
     max_iter = _typed_scalar(raw, "max_iter", int, 2000)
-    ha_kind, ha_opts = _ha_config(
-        raw, "", ("exact", "diagonal") if command == "spectrum" else A_KINDS,
-        "exact", {})
+    if command == "cost":       # <method>_ha keys over _COST_HA
+        ha = {m: _ha_config(raw, f"{m}_", A_KINDS, *_COST_HA[m])
+              for m in _METHODS}
+    else:                       # the one ha key for every method
+        ha = dict.fromkeys(_METHODS, _ha_config(
+            raw, "", ("exact", "diagonal") if command == "spectrum"
+            else A_KINDS, "exact", {}))
     pencils = _choices("pencil",
                        _typed_list(raw, "pencil", str, ["preconditioner"]),
                        ("preconditioner", "ideal"))
@@ -239,17 +253,6 @@ def build_config(command: str, raw: dict, path: str,
     _choices("matrix", [matrix], ("saddle", "stiffness", "sigma"))
     name = _typed_scalar(raw, "name", str, None)
 
-    # per-method H_A configuration for the cost table; defaults mirror the
-    # benchmark: PU runs an inner-CG H_A, the Krylov methods an exact one
-    cost_ha = {
-        "pu": ("cg", {"steps": 12, "drop_tol": 1e-2, "fill_factor": 8.0}),
-        "pl": ("exact", {}),
-        "pcgk": ("exact", {}),
-    }
-    if command == "cost":
-        cost_ha = {m: _ha_config(raw, f"{m}_", A_KINDS, *cost_ha[m])
-                   for m in _METHODS}
-
     with open(path, "rb") as fh:
         sha = hashlib.sha256(fh.read()).hexdigest()
 
@@ -257,10 +260,8 @@ def build_config(command: str, raw: dict, path: str,
         command=command, methods=methods, Ms=Ms, ks=ks, layouts=layouts,
         removal=removal, eps_modes=eps_modes, eps_mins=eps_mins,
         eps_max=eps_max, deltas=deltas, seeds=seeds, rhs=rhs,
-        max_iter=max_iter, ha_kind=ha_kind,
-        ha_opts=ha_opts, pencils=pencils, tol=tol,
-        corrupt_q=corrupt_q, matrix=matrix, name=name, cost_ha=cost_ha,
-        config_sha=sha)
+        max_iter=max_iter, ha=ha, pencils=pencils, tol=tol,
+        corrupt_q=corrupt_q, matrix=matrix, name=name, config_sha=sha)
 
 
 # ---------------------------------------------------------------------------
@@ -295,18 +296,6 @@ def _axes(cfg, *extra):
                                     cfg.seeds))
 
 
-def _instances(cfg):
-    """Sorted run tuples of the subcommand; solve runs lead with the method."""
-    if cfg.command == "solve":
-        return sorted((method, *ax) for method in cfg.methods
-                      for ax in _axes(cfg, cfg.deltas))
-    if cfg.command == "spectrum":
-        return _axes(cfg, cfg.pencils)
-    if cfg.command == "cost":
-        return _axes(cfg, cfg.deltas)
-    return _axes(cfg)
-
-
 def _export_stem(cfg, ax):
     M, k, layout, _, eps_min, _ = ax
     return cfg.name or f"{cfg.matrix}_M{M}_k{k}_{layout}_{eps_min:g}"
@@ -314,13 +303,11 @@ def _export_stem(cfg, ax):
 
 def validate_instances(cfg: ExperimentConfig) -> None:
     """Fail fast: refuse sweeps whose exports would overwrite each other and
-    construct every distinct layout of the sweep before any run."""
-    instances = _instances(cfg)
-    if not instances:       # an empty axis (say `method =`) runs nothing
-        return
+    construct every distinct layout of the sweep before any run, whatever
+    the method axis."""
     if cfg.command == "export-matrix":
         owners = {}
-        for ax in instances:
+        for ax in _axes(cfg):
             label = "M={} k={} {} eps_mode={} eps_min={:g} seed={}".format(*ax)
             stem = _export_stem(cfg, ax)
             if stem in owners:
@@ -381,22 +368,23 @@ class _Run:
                                    schur=SchurPreconditioner(blocks))
 
 
-def _sweep(cfg, instances, axes, work, threads):
-    """(work(run, instance) per instance in order, H_A set-ups), where
-    axes(instance) is (M, k, layout, eps_mode, eps_min, delta, seed).
+def _sweep(cfg, instances, threads):
+    """(_run_solve row per instance in order, H_A set-ups) of instances
+    (method, M, k, layout, eps_mode, eps_min, delta, seed).
 
     Each maximal run of consecutive instances with one operator key is one
     worker task; its _Run is freed when the task returns, so a sweep holds
     one A per worker and the set-ups do not depend on the thread count.
     """
     def key(instance):
-        M, k, layout, *_, seed = axes(instance)
+        M, k, layout, *_, seed = instance[1:]
         return M, k, layout, seed if layout == "random" else None
 
     def task(run):
         run_key, run_instances = run
         shared = _Run(cfg, *run_key)
-        return [work(shared, ax) for ax in run_instances], len(shared.preconds)
+        return ([_run_solve(shared, instance) for instance in run_instances],
+                len(shared.preconds))
 
     runs = [(run_key, list(group))
             for run_key, group in itertools.groupby(instances, key)]
@@ -408,43 +396,32 @@ def _sweep(cfg, instances, axes, work, threads):
 # ---------------------------------------------------------------------------
 # workers
 
-@contextlib.contextmanager
-def _naming_instance(method, M, k, layout, eps_mode, eps_min, delta, seed):
-    """Append the instance to any solver error raised inside the block."""
-    try:
-        yield
-    except _SOLVER_ERRORS as exc:
-        raise type(exc)(
-            f"{exc} [method={method} M={M} k={k} {layout} eps_min={eps_min:g} "
-            f"delta={delta:g} seed={seed}]") from exc
-
-
-def _guess(method, op, seed):
-    """Random initial guess keyword: p0 on the inclusions for PU, else z0."""
-    if method == "pu":
-        return {"p0": random_guess(op.n, seed)}
-    return {"z0": random_guess(op.size, seed)}
-
-
-def _run_solve(run, axes):
+def _run_solve(run, instance):
     cfg = run.cfg
-    method, M, k, layout, eps_mode, eps_min, delta, seed = axes
+    method, M, k, layout, eps_mode, eps_min, delta, seed = instance
+    kind, opts = cfg.ha[method]
     op = run.instance(eps_mode, eps_min, seed)
-    with _naming_instance(*axes):
-        precond = run.preconditioner(op.blocks, cfg.ha_kind, cfg.ha_opts)
-        if cfg.rhs == "zero":
-            kwargs = _guess(method, op, seed)
-        else:
+    try:
+        precond = run.preconditioner(op.blocks, kind, opts)
+        if cfg.rhs == "one":
             F = np.zeros(op.size)
             F[:op.N] = run.unit_load
             kwargs = {"F": F}
+        elif method == "pu":    # random guess: p0 on the inclusions for PU
+            kwargs = {"p0": random_guess(op.n, seed)}
+        else:
+            kwargs = {"z0": random_guess(op.size, seed)}
         report = _METHODS[method](op, precond, delta=delta,
                                   max_iter=cfg.max_iter, **kwargs)
+    except _SOLVER_ERRORS as exc:   # name the instance
+        raise type(exc)(
+            f"{exc} [method={method} M={M} k={k} {layout} eps_min={eps_min:g} "
+            f"delta={delta:g} seed={seed}]") from exc
     return {
         "method": method, "M": M, "k": k, "layout": layout,
         "removal": run.placement.removal_count,
         "eps_mode": eps_mode, "eps_min": eps_min, "eps_max": cfg.eps_max,
-        "delta": delta, "ha": cfg.ha_kind, "seed": seed,
+        "delta": delta, "ha": kind, "seed": seed,
         "iterations": report.iterations,
         "converged": report.converged,
         "stop_rule": report.stop_rule,
@@ -458,13 +435,14 @@ def _run_solve(run, axes):
 
 def _run_spectrum(cfg, axes):
     M, k, layout, eps_mode, eps_min, pencil, seed = axes
+    kind = cfg.ha["pl"][0]      # every method maps to the one ha key
     mesh, lay = _build_layout(cfg, M, k, layout, eps_mode, eps_min, seed)
-    rep = verify_intervals(lay, ha_kind=cfg.ha_kind, pencil=pencil,
+    rep = verify_intervals(lay, ha_kind=kind, pencil=pencil,
                            tol=cfg.tol, corrupt_q=cfg.corrupt_q)
     row = {
         "M": M, "k": k, "layout": layout, "eps_mode": eps_mode,
         "eps_min": eps_min, "eps_max": rep.eps_max, "pencil": pencil,
-        "ha": cfg.ha_kind, "seed": seed,
+        "ha": kind, "seed": seed,
         "dim": mesh.n_interior + lay.n,
         "a0": f"{rep.a0:.12f}", "b0": f"{rep.b0:.12f}",
         "r_max": f"{rep.r_max:.12f}",
@@ -485,25 +463,6 @@ def _run_spectrum(cfg, axes):
         "in_envelope": bool(rep.in_envelope[i]),
     } for i, val in enumerate(rep.eigenvalues)]
     return row, eig_rows
-
-
-def _run_cost(run, axes):
-    cfg = run.cfg
-    M, k, layout, eps_mode, eps_min, delta, seed = axes
-    op = run.instance(eps_mode, eps_min, seed)
-    entry = {"M": M, "k": k, "layout": layout, "eps_mode": eps_mode,
-             "eps_min": eps_min, "delta": delta, "seed": seed}
-    for method in cfg.methods:
-        kind, opts = cfg.cost_ha[method]
-        with _naming_instance(method, *axes):
-            precond = run.preconditioner(op.blocks, kind, opts)
-            report = _METHODS[method](op, precond, delta=delta,
-                                      max_iter=cfg.max_iter,
-                                      **_guess(method, op, seed))
-        entry[method] = {"iters": report.iterations, "a": report.a_applies,
-                         "ha": report.ha_applies,
-                         "total": report.total_applies, "ha_kind": kind}
-    return entry
 
 
 # ---------------------------------------------------------------------------
@@ -557,23 +516,24 @@ def _pool_map(worker, items, threads):
 
 def cmd_solve(cfg: ExperimentConfig, out_dir: str, threads: int,
               args_seed) -> int:
-    axes = _instances(cfg)
-    rows, ha_setups = _sweep(cfg, axes, lambda ax: ax[1:], _run_solve,
-                             threads)
+    instances = sorted((method, *ax) for method in cfg.methods
+                       for ax in _axes(cfg, cfg.deltas))
+    rows, ha_setups = _sweep(cfg, instances, threads)
     fields = ["method", "M", "k", "layout", "removal", "eps_mode", "eps_min",
               "eps_max", "delta", "ha", "seed", "iterations", "converged",
               "stop_rule", "a_applies", "ha_applies", "total_applies",
               "final_ratio", "monotone"]
     path = os.path.join(out_dir, "solve.csv")
     _write_csv(path, SOLVE_SCHEMA, fields, rows)
-    write_manifest(out_dir, "solve", cfg, args_seed, len(axes), ha_setups)
+    write_manifest(out_dir, "solve", cfg, args_seed, len(instances),
+                   ha_setups)
     print(f"solve: {len(rows)} runs -> {path}")
     return EXIT_OK
 
 
 def cmd_spectrum(cfg: ExperimentConfig, out_dir: str, threads: int,
                  args_seed) -> int:
-    axes = _instances(cfg)
+    axes = _axes(cfg, cfg.pencils)
     results = _pool_map(lambda ax: _run_spectrum(cfg, ax), axes, threads)
     rows = [r for r, _ in results]
     eig_rows = [er for _, ers in results for er in ers]
@@ -609,21 +569,28 @@ def cmd_spectrum(cfg: ExperimentConfig, out_dir: str, threads: int,
 
 def cmd_cost(cfg: ExperimentConfig, out_dir: str, threads: int,
              args_seed) -> int:
-    axes = _instances(cfg)
-    entries, ha_setups = _sweep(cfg, axes, lambda ax: ax, _run_cost, threads)
-
-    header = ["eps_min"]
+    axes = _axes(cfg, cfg.deltas)
+    # the solve runs with methods inside each axes tuple, one row per tuple
+    results, ha_setups = _sweep(cfg, [(m, *ax) for ax in axes
+                                      for m in cfg.methods], threads)
+    # eps_min first, then every other axis that varies, in _axes order
+    labels = [4] + [i for i, values in enumerate(zip(*axes))
+                    if i != 4 and len(set(values)) > 1]
+    header = [("M", "k", "layout", "eps_mode", "eps_min", "delta", "seed")[i]
+              for i in labels]
     for m in cfg.methods:
-        kind = cfg.cost_ha[m][0]
-        header.append(f"{m.upper()} iters (H_A={kind})")
+        header.append(f"{m.upper()} iters (H_A={cfg.ha[m][0]})")
         header.append(f"{m.upper()} A+H_A")
     lines = ["| " + " | ".join(header) + " |",
              "|" + "|".join(" --- " for _ in header) + "|"]
-    for e in entries:
-        cells = [f"{e['eps_min']:g}"]
-        for m in cfg.methods:
-            cells.append(str(e[m]["iters"]))
-            cells.append(f"{e[m]['total']} ({e[m]['a']}+{e[m]['ha']})")
+    rows = iter(results)
+    for ax in axes:
+        cells = [f"{ax[i]:g}" if isinstance(ax[i], float) else str(ax[i])
+                 for i in labels]
+        for row in itertools.islice(rows, len(cfg.methods)):
+            cells.append(str(row["iterations"]))
+            cells.append(f"{row['total_applies']} "
+                         f"({row['a_applies']}+{row['ha_applies']})")
         lines.append("| " + " | ".join(cells) + " |")
     table = "\n".join(lines)
 
@@ -634,13 +601,13 @@ def cmd_cost(cfg: ExperimentConfig, out_dir: str, threads: int,
         fh.write(table + "\n")
     write_manifest(out_dir, "cost", cfg, args_seed, len(axes), ha_setups)
     print(table)
-    print(f"cost: {len(entries)} instance(s) -> {path}")
+    print(f"cost: {len(axes)} instance(s) -> {path}")
     return EXIT_OK
 
 
 def cmd_export_matrix(cfg: ExperimentConfig, out_dir: str, threads: int,
                       args_seed) -> int:
-    axes = _instances(cfg)
+    axes = _axes(cfg)
     for ax in axes:
         M, k, layout, eps_mode, eps_min, seed = ax
         mesh, lay = _build_layout(cfg, *ax)

@@ -165,6 +165,17 @@ def test_solve_empty_method_axis(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", ["solve", "cost"])
+def test_empty_method_axis_still_validates_the_layout(tmp_path, capsys,
+                                                      command):
+    cfg = _write(tmp_path / "empty.cfg", "method =\nM = 16\nk = 3\n")
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_ERROR
+    assert ("error: periodic layouts require an even inclusion size k >= 2, "
+            "got 3") in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_solve_random_layout_and_contrast(tmp_path, capsys):
     cfg = _write(tmp_path / "rand.cfg", """
 method = pu
@@ -293,6 +304,57 @@ eps_min = 1e-4
     body = [l for l in (out / "cost.md").read_text().splitlines()
             if l.startswith("|") and "---" not in l]
     assert body[0].count("|") == 4        # eps_min + two PCGK columns
+    capsys.readouterr()
+
+
+def _table(path):
+    """Header cells and data rows (lists of cells) of a cost.md table."""
+    body = [[c.strip() for c in line.strip("|").split("|")]
+            for line in path.read_text().splitlines()
+            if line.startswith("|") and "---" not in line]
+    return body[0], body[1:]
+
+
+def test_cost_rows_name_every_axis_that_varies(tmp_path, capsys):
+    cfg = _write(tmp_path / "cost.cfg", """
+method = pl
+M = 8, 16
+layout = periodic, random
+seed = 0, 1
+""")
+    out = tmp_path / "out"
+    assert main(["cost", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    header, rows = _table(out / "cost.md")
+    # eps_min first, then the varying axes in sweep order; k, eps_mode and
+    # delta take one value each and get no column
+    assert header == ["eps_min", "M", "layout", "seed",
+                      "PL iters (H_A=exact)", "PL A+H_A"]
+    assert [tuple(r[:4]) for r in rows] == [
+        ("0.0001", M, layout, seed) for M in ("8", "16")
+        for layout in ("periodic", "random") for seed in ("0", "1")]
+    capsys.readouterr()
+
+
+def test_cost_counts_equal_solve_counts(tmp_path, capsys):
+    axes = "M = 16\nlayout = periodic, random\neps_min = 1e-2, 1e-4\n"
+    cost = _write(tmp_path / "cost.cfg", axes + "pu_ha = exact\n")
+    solve = _write(tmp_path / "solve.cfg", axes + "ha = exact\n")
+    assert main(["cost", "--config", cost,
+                 "--out", str(tmp_path / "c")]) == EXIT_OK
+    assert main(["solve", "--config", solve,
+                 "--out", str(tmp_path / "s")]) == EXIT_OK
+    header, rows = _table(tmp_path / "c" / "cost.md")
+    assert header[:2] == ["eps_min", "layout"]
+    _, solved = _read_rows(tmp_path / "s" / "solve.csv")
+    by_instance = {(r["method"], r["layout"], float(r["eps_min"])): r
+                   for r in solved}
+    assert len(rows) * 3 == len(by_instance) == 12
+    for row in rows:
+        for i, method in enumerate(("pu", "pl", "pcgk")):
+            r = by_instance[(method, row[1], float(row[0]))]
+            assert row[2 + 2 * i] == r["iterations"]
+            assert row[3 + 2 * i] == (f"{r['total_applies']} "
+                                      f"({r['a_applies']}+{r['ha_applies']})")
     capsys.readouterr()
 
 
@@ -431,6 +493,20 @@ def test_failing_ha_build_names_its_instance(tmp_path, capsys, monkeypatch):
     assert "solver error: H_A refused [method=pl M=8 k=2 periodic" in err
 
 
+def _main_with_one_blas_thread(*args):
+    """Run the CLI in a fresh process with one BLAS thread: the last digits
+    of final_ratio follow the BLAS thread count, which only a fresh process
+    can set."""
+    path = [os.path.join(ROOT, "src")] + [
+        p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    env.update({var: "1" for var in ("OMP_NUM_THREADS",
+                                     "OPENBLAS_NUM_THREADS",
+                                     "MKL_NUM_THREADS")})
+    subprocess.run([sys.executable, "-m", "saddleprec.cli", *args],
+                   env=env, check=True, capture_output=True)
+
+
 def test_contrast_sweep_csv_matches_the_benchmark_reference(tmp_path,
                                                              monkeypatch):
     monkeypatch.syspath_prepend(ROOT)
@@ -441,18 +517,9 @@ def test_contrast_sweep_csv_matches_the_benchmark_reference(tmp_path,
     cfg = _write(tmp_path / "contrast.cfg", workloads.CONTRAST_CONFIG.format(
         M=128, removal=512, delta=workloads.DELTA))
     out = tmp_path / "out"
-    # the reference was recorded with one BLAS thread; the last digits of
-    # final_ratio follow the BLAS thread count, which only a fresh process
-    # can set
-    path = [os.path.join(ROOT, "src")] + [
-        p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
-    env.update({var: "1" for var in ("OMP_NUM_THREADS",
-                                     "OPENBLAS_NUM_THREADS",
-                                     "MKL_NUM_THREADS")})
-    subprocess.run([sys.executable, "-m", "saddleprec.cli", "solve",
-                    "--config", cfg, "--out", str(out), "--seed", "0"],
-                   env=env, check=True, capture_output=True)
+    # the reference was recorded with one BLAS thread
+    _main_with_one_blas_thread("solve", "--config", cfg, "--out", str(out),
+                               "--seed", "0")
     data = (out / "solve.csv").read_bytes()
     assert hashlib.sha256(data).hexdigest() == expected
 
@@ -615,3 +682,26 @@ def test_shipped_config_runs(tmp_path, capsys, name):
     assert main([_SHIPPED[name], "--config", cfg, "--out", str(out)]) == EXIT_OK
     assert (out / "manifest.json").exists()
     capsys.readouterr()
+
+
+# sha256 of the outputs of the shipped cost and export configs, recorded with
+# one BLAS thread; a change that means to keep every output byte keeps these
+_SHIPPED_BYTES = {
+    "cost_table.cfg": (
+        "cost.md",
+        "252c011aeccd85120af557e2088db47449567ad5470e2f67b4a6e8f44af10b82"),
+    "export_saddle.cfg": (
+        "saddle_M16_k2_periodic_0.0001.mtx",
+        "886b2ae515a0f03f8a71cb74992a985eb4764371d8bda0c94332d3bc2f2126b6"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SHIPPED_BYTES))
+def test_shipped_config_outputs_keep_their_bytes(tmp_path, name):
+    output, expected = _SHIPPED_BYTES[name]
+    out = tmp_path / "out"
+    _main_with_one_blas_thread(_SHIPPED[name], "--config",
+                               os.path.join(_CONFIG_DIR, name),
+                               "--out", str(out))
+    data = (out / output).read_bytes()
+    assert hashlib.sha256(data).hexdigest() == expected
