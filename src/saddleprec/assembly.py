@@ -62,6 +62,35 @@ def _scatter(tri: np.ndarray, K: np.ndarray, size: int) -> sp.csr_matrix:
     return A.tocsr()
 
 
+# the stored row of the unit-coefficient stiffness in column order: SW, S, W,
+# C, E, N, NE.  The diagonal split couples SW and NE with a sum of two zero
+# element entries, which the element scatter stores; so does the stencil.
+_STENCIL = np.array([0.0, -1.0, -1.0, 4.0, -1.0, -1.0, 0.0])
+
+
+def _stencil_stiffness(M: int, ordering: OrderingMap | None) -> sp.csr_matrix:
+    """The unit-coefficient stiffness with the bytes of the element scatter:
+    built in natural order, then relabelled and re-sorted by two
+    compressed-format transposes."""
+    n = M - 1
+    x, y = np.meshgrid(np.arange(n), np.arange(n))
+    x, y = x.ravel(), y.ravel()
+    west, south, east, north = x > 0, y > 0, x < n - 1, y < n - 1
+    present = np.column_stack((west & south, south, west, np.ones_like(west),
+                               east, north, east & north))
+    cols = np.arange(n * n)[:, None] + [-n - 1, -n, -1, 0, 1, n, n + 1]
+    indptr = np.concatenate(([0], np.cumsum(present.sum(axis=1))))
+    data = np.broadcast_to(_STENCIL, present.shape)[present]
+    if ordering is None:
+        return sp.csr_matrix((data, cols[present], indptr), shape=(n * n,) * 2)
+    perm = ordering.perm
+    # natural rows, system columns; its CSC holds each column's rows sorted
+    csc = sp.csr_matrix((data, perm[cols[present]], indptr),
+                        shape=(n * n,) * 2).tocsc()
+    return sp.csc_matrix((csc.data, perm[csc.indices], csc.indptr),
+                         shape=csc.shape).tocsr()
+
+
 def assemble_stiffness(mesh: StructuredMesh, ordering: OrderingMap | None = None,
                        cell_weights: np.ndarray | None = None) -> sp.csr_matrix:
     """Dirichlet P1 stiffness matrix on the interior nodes.
@@ -80,11 +109,11 @@ def assemble_stiffness(mesh: StructuredMesh, ordering: OrderingMap | None = None
     -------
     csr_matrix, shape (N, N) with N = (M-1)**2.
     """
+    if cell_weights is None:
+        return _stencil_stiffness(mesh.M, ordering)
     tri = mesh.triangles
-    K = _element_batches(tri.shape[0])
-    if cell_weights is not None:
-        w = np.asarray(cell_weights, dtype=float)[mesh.tri_cells]
-        K = K * w[:, None, None]
+    w = np.asarray(cell_weights, dtype=float)[mesh.tri_cells]
+    K = _element_batches(tri.shape[0]) * w[:, None, None]
 
     idx = mesh.interior_index[tri]                      # (nt, 3), -1 on boundary
     if ordering is not None:

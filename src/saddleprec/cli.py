@@ -296,6 +296,13 @@ def _axes(cfg, *extra):
                                     cfg.seeds))
 
 
+def _operator_key(ax):
+    """(M, k, layout, layout seed or None) of axes (M, k, layout, ..., seed):
+    what the mesh, placement, ordering, A and H_A of an instance depend on."""
+    M, k, layout, *_, seed = ax
+    return M, k, layout, seed if layout == "random" else None
+
+
 def _export_stem(cfg, ax):
     M, k, layout, _, eps_min, _ = ax
     return cfg.name or f"{cfg.matrix}_M{M}_k{k}_{layout}_{eps_min:g}"
@@ -304,7 +311,8 @@ def _export_stem(cfg, ax):
 def validate_instances(cfg: ExperimentConfig) -> None:
     """Fail fast: refuse sweeps whose exports would overwrite each other and
     construct every distinct layout of the sweep before any run, whatever
-    the method axis."""
+    the method axis: one mesh per M, one placement per operator key and
+    every eps assignment, in sorted axes order."""
     if cfg.command == "export-matrix":
         owners = {}
         for ax in _axes(cfg):
@@ -318,9 +326,16 @@ def validate_instances(cfg: ExperimentConfig) -> None:
                     f"would both write {stem}.mtx; narrow the sweep "
                     f"({hint})")
             owners[stem] = label
-    for (M, k, *rest) in sorted(set(_axes(cfg))):
-        mesh, lay = _build_layout(cfg, M, k, *rest)
-        dim = mesh.n_interior + lay.n
+    meshes, placed = {}, {}     # one mesh per M, one placement per key
+    for ax in sorted(set(_axes(cfg))):
+        M, k, layout, eps_mode, eps_min, seed = ax
+        if M not in meshes:
+            meshes[M] = build_mesh(M)
+        key = _operator_key(ax)
+        if key not in placed:
+            placed[key] = _place(cfg, meshes[M], k, layout, seed)
+        lay = _assign(cfg, placed[key], eps_mode, eps_min, seed)
+        dim = meshes[M].n_interior + lay.n
         if cfg.command == "spectrum" and dim > DENSE_LIMIT:
             raise ConfigError(
                 f"spectrum instance M={M} k={k} has dimension {dim} > "
@@ -376,18 +391,14 @@ def _sweep(cfg, instances, threads):
     worker task; its _Run is freed when the task returns, so a sweep holds
     one A per worker and the set-ups do not depend on the thread count.
     """
-    def key(instance):
-        M, k, layout, *_, seed = instance[1:]
-        return M, k, layout, seed if layout == "random" else None
-
     def task(run):
         run_key, run_instances = run
         shared = _Run(cfg, *run_key)
         return ([_run_solve(shared, instance) for instance in run_instances],
                 len(shared.preconds))
 
-    runs = [(run_key, list(group))
-            for run_key, group in itertools.groupby(instances, key)]
+    runs = [(run_key, list(group)) for run_key, group in itertools.groupby(
+        instances, lambda instance: _operator_key(instance[1:]))]
     done = _pool_map(task, runs, threads)
     return ([result for results, _ in done for result in results],
             sum(setups for _, setups in done))

@@ -2,10 +2,12 @@
 
 The unit square is divided into M x M cells of size h = 1/M and every cell is
 split into two triangles along its lower-left to upper-right diagonal.  The
-resulting P1 stiffness matrix has the classical 5-point stencil.  Inclusions
-are k x k blocks of cells whose closed node sets must stay away from the outer
-boundary and from each other, so that the per-inclusion variables decouple
-from the Dirichlet data and from one another.
+resulting P1 stiffness matrix has the 5-point Laplacian's values, stored as
+a 7-entry pattern per row: the diagonal couples each node with its SW and
+NE neighbours through two explicit zeros.  Inclusions are k x k blocks of
+cells whose closed node sets must stay away from the outer boundary and from
+each other, so that the per-inclusion variables decouple from the Dirichlet
+data and from one another.
 """
 
 from __future__ import annotations
@@ -111,7 +113,8 @@ def build_mesh(M: int) -> StructuredMesh:
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class Inclusion:
-    """One square inclusion: k x k cells anchored at cell (cell_x, cell_y)."""
+    """One square inclusion: k x k cells anchored at cell (cell_x, cell_y);
+    its arrays are rows of the layout's stacked arrays."""
 
     cell_x: int
     cell_y: int
@@ -124,13 +127,18 @@ class Inclusion:
 class InclusionLayout:
     """A family of disjoint square inclusions on a structured mesh.
 
-    eps holds the stiffness parameter of each inclusion (sigma = 1 + 1/eps_s
+    Inclusion s is anchored at cell corners[s] = (cell_x, cell_y) and owns
+    the row-major closure nodes node_gids[s] and cells cell_ids[s].  eps
+    holds the stiffness parameter of each inclusion (sigma = 1 + 1/eps_s
     inside inclusion s); placement routines initialise it to 1.
     """
 
     mesh: StructuredMesh
     k: int
-    inclusions: tuple
+    corners: np.ndarray     # (m, 2) anchor cells
+    node_gids: np.ndarray   # (m, (k+1)**2)
+    cell_ids: np.ndarray    # (m, k*k)
+    inclusions: tuple       # Inclusion views of the rows above
     eps: np.ndarray
     mode: str = "custom"
     seed: int | None = None
@@ -138,7 +146,7 @@ class InclusionLayout:
 
     @property
     def m(self) -> int:
-        return len(self.inclusions)
+        return len(self.corners)
 
     @property
     def nodes_per_inclusion(self) -> int:
@@ -160,20 +168,15 @@ class InclusionLayout:
 
     def inclusion_cells(self) -> np.ndarray:
         """Cell ids covered by any inclusion, grouped per inclusion."""
-        return np.concatenate([np.empty(0, dtype=np.int64)]
-                              + [inc.cell_ids for inc in self.inclusions])
+        return self.cell_ids.ravel()
 
 
-def _inclusion_from_corner(mesh: StructuredMesh, k: int, cx: int, cy: int) -> Inclusion:
-    side = mesh.M + 1
-    nx = np.arange(cx, cx + k + 1)
-    ny = np.arange(cy, cy + k + 1)
-    gids = (ny[:, None] * side + nx[None, :]).ravel()
-    ccx = np.arange(cx, cx + k)
-    ccy = np.arange(cy, cy + k)
-    cells = (ccy[:, None] * mesh.M + ccx[None, :]).ravel()
-    return Inclusion(cell_x=int(cx), cell_y=int(cy), k=int(k),
-                     node_gids=gids, cell_ids=cells)
+def _block_ids(cx, cy, width, stride):
+    """Row-major ids y*stride + x of the width x width block anchored at
+    each (cx, cy), shape (len(cx), width**2)."""
+    offsets = np.arange(width)
+    return ((cy[:, None, None] + offsets[:, None]) * stride
+            + cx[:, None, None] + offsets).reshape(len(cx), width * width)
 
 
 def layout_from_cells(mesh: StructuredMesh, k: int, corners,
@@ -182,31 +185,42 @@ def layout_from_cells(mesh: StructuredMesh, k: int, corners,
     """Build a validated layout from anchor cells (lower-left cell of each
     inclusion).
 
-    Raises LayoutError if an inclusion touches the outer boundary, leaves the
-    domain, or if two closed node sets intersect.
+    Raises LayoutError for the first corner, in input order, whose inclusion
+    leaves the domain, touches the outer boundary or shares a closure node
+    with an earlier inclusion (checked in that order).
     """
     if not isinstance(k, (int, np.integer)) or k < 1:
         raise LayoutError(f"inclusion size k must be a positive integer, got {k!r}")
     k = int(k)
-    incs = []
-    occupied = np.zeros((mesh.M + 1) ** 2, dtype=bool)
-    for cx, cy in corners:
-        if cx < 0 or cy < 0 or cx + k > mesh.M or cy + k > mesh.M:
-            raise LayoutError(f"inclusion at cell ({cx},{cy}) leaves the domain")
-        if cx < 1 or cy < 1 or cx + k > mesh.M - 1 or cy + k > mesh.M - 1:
-            raise LayoutError(
-                f"inclusion at cell ({cx},{cy}) touches the outer boundary; "
-                "inclusion nodes must be interior")
-        inc = _inclusion_from_corner(mesh, k, cx, cy)
-        if occupied[inc.node_gids].any():
-            raise LayoutError(
-                f"inclusion at cell ({cx},{cy}) shares nodes with another "
-                "inclusion; closures must be disjoint")
-        occupied[inc.node_gids] = True
-        incs.append(inc)
-    eps = np.ones(len(incs))
-    return InclusionLayout(mesh=mesh, k=k, inclusions=tuple(incs), eps=eps,
-                           mode=mode, seed=seed, removal_count=removal_count)
+    M = mesh.M
+    corners = np.array(corners, dtype=np.int64).reshape(-1, 2)
+    cx, cy = corners.T
+    gids = _block_ids(cx, cy, k + 1, M + 1)
+    leaves = (cx < 0) | (cy < 0) | (cx + k > M) | (cy + k > M)
+    touches = (cx < 1) | (cy < 1) | (cx + k > M - 1) | (cy + k > M - 1)
+    # a node seen in an earlier inclusion; an inclusion that leaves the
+    # domain may alias ids, but then it fails before any later one counts
+    repeated = np.ones(gids.size, dtype=bool)
+    repeated[np.unique(gids, return_index=True)[1]] = False
+    shares = repeated.reshape(gids.shape).any(axis=1)
+    failed = np.flatnonzero(leaves | touches | shares)
+    if failed.size:
+        s = failed[0]
+        where = f"inclusion at cell ({cx[s]},{cy[s]})"
+        if leaves[s]:
+            raise LayoutError(f"{where} leaves the domain")
+        if touches[s]:
+            raise LayoutError(f"{where} touches the outer boundary; "
+                              "inclusion nodes must be interior")
+        raise LayoutError(f"{where} shares nodes with another inclusion; "
+                          "closures must be disjoint")
+    cells = _block_ids(cx, cy, k, M)
+    incs = tuple(Inclusion(cell_x=x, cell_y=y, k=k, node_gids=g, cell_ids=c)
+                 for (x, y), g, c in zip(corners.tolist(), gids, cells))
+    return InclusionLayout(mesh=mesh, k=k, corners=corners, node_gids=gids,
+                           cell_ids=cells, inclusions=incs,
+                           eps=np.ones(len(corners)), mode=mode, seed=seed,
+                           removal_count=removal_count)
 
 
 def _periodic_corners(mesh: StructuredMesh, k: int):
@@ -218,10 +232,9 @@ def _periodic_corners(mesh: StructuredMesh, k: int):
         raise LayoutError(
             f"M = {mesh.M} is not divisible by 2*k = {2 * k}; the periodic "
             "pattern (period 2k cells, margin k/2 cells) does not fit")
-    per_side = mesh.M // (2 * k)
-    start = k // 2
-    return [(start + 2 * k * i, start + 2 * k * j)
-            for j in range(per_side) for i in range(per_side)]
+    starts = k // 2 + 2 * k * np.arange(mesh.M // (2 * k))
+    cy, cx = np.meshgrid(starts, starts, indexing="ij")   # rows of corners
+    return np.column_stack((cx.ravel(), cy.ravel()))
 
 
 def place_periodic(mesh: StructuredMesh, k: int) -> InclusionLayout:
@@ -249,9 +262,8 @@ def place_random(mesh: StructuredMesh, k: int, removal_count: int,
             f"removal_count = {removal_count} would leave no inclusions "
             f"(periodic layout has {len(corners)})")
     rng = np.random.Generator(np.random.Philox(seed))
-    removed = set(rng.choice(len(corners), size=int(removal_count),
-                             replace=False).tolist())
-    kept = [c for i, c in enumerate(corners) if i not in removed]
+    removed = rng.choice(len(corners), size=int(removal_count), replace=False)
+    kept = np.delete(corners, removed, axis=0)
     return layout_from_cells(mesh, k, kept, mode="random", seed=int(seed),
                              removal_count=int(removal_count))
 
@@ -310,9 +322,7 @@ def build_ordering(layout: InclusionLayout) -> OrderingMap:
     """Ordering map putting inclusion nodes in the leading block."""
     mesh = layout.mesh
     N = mesh.n_interior
-    gids = np.concatenate([np.empty(0, dtype=np.int64)]
-                          + [inc.node_gids for inc in layout.inclusions])
-    lead = mesh.interior_index[gids]
+    lead = mesh.interior_index[layout.node_gids.ravel()]
     if np.any(lead < 0):
         raise LayoutError("inclusion node on the boundary")
     taken = np.zeros(N, dtype=bool)
@@ -333,7 +343,7 @@ def layout_manifest(layout: InclusionLayout) -> dict:
         "mode": layout.mode,
         "seed": layout.seed,
         "removal_count": layout.removal_count,
-        "corners": [[inc.cell_x, inc.cell_y] for inc in layout.inclusions],
+        "corners": layout.corners.tolist(),
         "eps": [float(e) for e in layout.eps],
     }
 

@@ -3,13 +3,16 @@ import pytest
 import scipy.sparse as sp
 
 from saddleprec import (
-    build_mesh, layout_from_cells, place_periodic, assign_epsilon,
+    build_mesh, layout_from_cells, place_periodic, place_random,
+    assign_epsilon,
     build_ordering, build_problem,
     assemble_stiffness, assemble_sigma_matrix, assemble_inclusion_blocks,
     assemble_load, recover_p_from_u, write_matrix_market,
     ParameterError,
 )
 
+from saddleprec.assembly import _element_batches, _scatter
+from saddleprec.mesh import OrderingMap, triangulate
 from saddle_problems import make_problem
 
 
@@ -39,6 +42,46 @@ def test_stiffness_spectrum_matches_five_point_laplacian():
                         ).ravel())
     np.testing.assert_allclose(np.linalg.eigvalsh(A.toarray()), expected,
                                atol=1e-12)
+
+
+def _permutation_ordering(mesh):
+    inv = np.random.default_rng(mesh.M).permutation(mesh.n_interior)
+    perm = np.empty_like(inv)
+    perm[inv] = np.arange(inv.size)
+    return OrderingMap(perm=perm, inv=inv, n=0, n_exterior=inv.size)
+
+
+# system orderings the stencil must reproduce, by the smallest M they fit
+_ORDERINGS = {
+    "natural": (2, lambda mesh: None),
+    "empty-layout": (2, lambda mesh: build_ordering(
+        layout_from_cells(mesh, 1, []))),
+    "permutation": (2, _permutation_ordering),
+    "periodic": (4, lambda mesh: build_ordering(place_periodic(mesh, 2))),
+    "random": (8, lambda mesh: build_ordering(place_random(mesh, 2, 1, 5))),
+    "two-inclusions": (5, lambda mesh: build_ordering(
+        layout_from_cells(mesh, 1, [(mesh.M - 2, 1), (1, mesh.M - 2)]))),
+}
+
+
+@pytest.mark.parametrize("M,name", [
+    (M, name) for M in (2, 3, 4, 5, 8, 16, 64)
+    for name, (smallest, _) in _ORDERINGS.items()
+    if M >= smallest and (name not in ("periodic", "random") or M % 4 == 0)])
+def test_stencil_stiffness_equals_the_element_scatter(M, name):
+    mesh = build_mesh(M)
+    ordering = _ORDERINGS[name][1](mesh)
+    tri, _ = triangulate(M)
+    idx = mesh.interior_index[tri]
+    if ordering is not None:
+        idx = np.where(idx >= 0, ordering.perm[np.clip(idx, 0, None)], -1)
+    oracle = _scatter(idx, _element_batches(tri.shape[0]), mesh.n_interior)
+    A = assemble_stiffness(mesh, ordering)
+    for attr in ("indptr", "indices", "data"):
+        got, want = getattr(A, attr), getattr(oracle, attr)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()      # explicit zeros included
+    assert A.has_sorted_indices and oracle.has_sorted_indices
 
 
 def test_stiffness_is_symmetric_positive_definite():

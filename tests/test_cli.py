@@ -413,6 +413,30 @@ def test_solve_builds_a_and_ha_once_per_run_of_a_key(tmp_path, capsys,
     capsys.readouterr()
 
 
+def test_validation_places_each_operator_key_once(tmp_path, capsys,
+                                                 monkeypatch):
+    calls = []
+    for name in ("build_mesh", "place_periodic", "place_random",
+                 "assign_epsilon"):
+        _count_calls(monkeypatch, name, calls)
+    # no method: only the validation runs; 2 layouts x 3 contrasts x 2 seeds
+    # over one periodic placement and one random placement per seed
+    cfg = _write(tmp_path / "keys.cfg", "method =\nremoval = 2\nseed = 0, 1\n"
+                 + _CONTRAST.replace("method = pu, pl, pcgk\n", ""))
+    assert main(["solve", "--config", cfg,
+                 "--out", str(tmp_path / "out")]) == EXIT_OK
+    assert [calls.count(name) for name in ("build_mesh", "place_periodic",
+                                           "place_random", "assign_epsilon")
+            ] == [1, 1, 2, 12]
+    # every tuple still gets its eps assignment, so the first bad one fails
+    cfg = _write(tmp_path / "bad.cfg", "method =\nlayout = periodic, random\n"
+                 "eps_min = 1e-2, 2\n")
+    assert main(["solve", "--config", cfg,
+                 "--out", str(tmp_path / "bad")]) == EXIT_ERROR
+    assert capsys.readouterr().err == (
+        "error: uniform mode needs epsilon in (0, 1], got 2.0\n")
+
+
 def test_cost_shares_one_exact_lu_between_pl_and_pcgk(tmp_path, capsys,
                                                       monkeypatch):
     kinds = []
@@ -694,6 +718,28 @@ _SHIPPED_BYTES = {
         "saddle_M16_k2_periodic_0.0001.mtx",
         "886b2ae515a0f03f8a71cb74992a985eb4764371d8bda0c94332d3bc2f2126b6"),
 }
+
+
+# sha256 of export-matrix outputs for a random layout with random contrasts,
+# recorded with one BLAS thread before the stiffness was built as a stencil:
+# the stiffness comes from the stencil, the sigma matrix from the scatter
+_EXPORT_BYTES = {
+    "stiffness":
+        "5c985d38ef3b9ed64ad5965cf372f2f71bea6c61bb6af726eacbac892faf89f8",
+    "sigma":
+        "56c1faeb8898d60d7450d7e6b0325e213e4ecfae7de24b4e5eb2a94a2c38e354",
+}
+
+
+@pytest.mark.parametrize("matrix", sorted(_EXPORT_BYTES))
+def test_export_matrix_keeps_its_bytes(tmp_path, matrix):
+    cfg = _write(tmp_path / "exp.cfg", "M = 16\nk = 2\nlayout = random\n"
+                 f"eps_mode = random\nmatrix = {matrix}\n")
+    out = tmp_path / "out"
+    _main_with_one_blas_thread("export-matrix", "--config", cfg,
+                               "--out", str(out))
+    data = (out / f"{matrix}_M16_k2_random_0.0001.mtx").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == _EXPORT_BYTES[matrix]
 
 
 @pytest.mark.parametrize("name", sorted(_SHIPPED_BYTES))

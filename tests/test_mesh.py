@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -44,8 +47,9 @@ def test_boundary_nodes_are_exactly_those_on_unit_square_edge():
 
 
 def test_interior_node_touches_six_triangles():
-    # one diagonal per cell gives the classical 5-point stencil; each
-    # interior node is a vertex of exactly six triangles
+    # one diagonal per cell gives each interior node six triangles and
+    # seven stiffness entries: the 5-point stencil plus explicit zeros to
+    # its SW and NE neighbours along the diagonals
     mesh = build_mesh(64)
     counts = np.bincount(mesh.triangles.ravel(),
                          minlength=(mesh.M + 1) ** 2)
@@ -93,6 +97,60 @@ def test_custom_layout_rejects_boundary_and_overlap():
         layout_from_cells(mesh, 2, [(6, 3)])     # closure reaches x = 1
     with pytest.raises(LayoutError):
         layout_from_cells(mesh, 2, [(1, 1), (3, 1)])   # shared closure nodes
+
+
+@pytest.mark.parametrize("corners,named", [
+    ([(1, 1), (0, 4), (7, 1)], "(0,4) touches the outer boundary"),
+    ([(1, 1), (3, 1), (-1, 0)], "(3,1) shares nodes"),
+    ([(1, 1), (5, 5), (9, 1), (1, 1)], "(9,1) leaves the domain"),
+], ids=["touches-before-leaves", "shares-before-leaves", "leaves-first"])
+def test_layout_error_names_the_first_failing_corner(corners, named):
+    with pytest.raises(LayoutError, match=re.escape(f"inclusion at cell {named}")):
+        layout_from_cells(build_mesh(8), 2, corners)
+
+
+@pytest.mark.parametrize("corner,message", [
+    ((-1, 1), "leaves the domain"),              # also touches and shares
+    ((0, 1), "touches the outer boundary"),      # also shares
+    ((2, 2), "shares nodes with another inclusion"),
+])
+def test_layout_checks_one_corner_in_fixed_precedence(corner, message):
+    with pytest.raises(LayoutError) as info:
+        layout_from_cells(build_mesh(8), 2, [(1, 1), corner])
+    assert str(info.value).startswith(
+        f"inclusion at cell ({corner[0]},{corner[1]}) {message}")
+
+
+def test_empty_corner_list_gives_an_empty_layout():
+    mesh = build_mesh(8)
+    layout = layout_from_cells(mesh, 2, [])
+    assert layout.m == 0 and layout.n == 0 and layout.inclusions == ()
+    assert layout.node_gids.shape == (0, 9)
+    assert layout.inclusion_cells().dtype == np.int64
+    assert layout.inclusion_cells().size == 0
+    ordering = build_ordering(layout)
+    assert ordering.n == 0
+    np.testing.assert_array_equal(ordering.inv, np.arange(mesh.n_interior))
+
+
+def test_numpy_corners_give_python_ints_and_stacked_views():
+    mesh = build_mesh(16)
+    corners = np.array([[1, 1], [5, 9]], dtype=np.int32)
+    layout = layout_from_cells(mesh, np.int64(2), corners)
+    assert [(type(i.cell_x), type(i.cell_y), type(i.k))
+            for i in layout.inclusions] == [(int, int, int)] * 2
+    data = json.loads(json.dumps(layout_manifest(layout)))
+    assert data["corners"] == [[1, 1], [5, 9]]
+    for s, inc in enumerate(layout.inclusions):
+        assert np.shares_memory(inc.node_gids, layout.node_gids)
+        np.testing.assert_array_equal(inc.node_gids, layout.node_gids[s])
+        np.testing.assert_array_equal(inc.cell_ids, layout.cell_ids[s])
+    cells = layout.inclusion_cells()
+    assert cells.dtype == np.int64
+    np.testing.assert_array_equal(cells[:4], [17, 18, 33, 34])
+    corners[0] = (3, 3)                 # the layout keeps its own copy
+    assert (layout.inclusions[0].cell_x, layout.inclusions[0].cell_y) == (1, 1)
+    np.testing.assert_array_equal(layout.corners[0], [1, 1])
 
 
 def test_random_removal_count_and_determinism():
