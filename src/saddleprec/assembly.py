@@ -155,7 +155,7 @@ class InclusionBlocks:
     ns: int
     m: int
     d: float
-    eps: np.ndarray        # (m,)
+    eps: np.ndarray        # (m,); None in the copy a placement stores
     eps_node: np.ndarray   # (n,) eps of the inclusion owning each node
     B_loc: np.ndarray      # (ns, ns) Neumann stiffness, kernel = constants
     M_loc: np.ndarray      # (ns, ns) consistent mass
@@ -186,9 +186,31 @@ class InclusionBlocks:
                        format="csr")
 
 
+def _shared(mesh: StructuredMesh, layout: InclusionLayout):
+    """(ordering, A, blocks without eps) that build_problem stored for the
+    layout's placement, or None; only its own mesh object shares them."""
+    held = layout.slot.products
+    if held is None or held[0] is not mesh or held[1] is not layout.node_gids:
+        return None
+    return held[2:]
+
+
 def assemble_inclusion_blocks(mesh: StructuredMesh,
                               layout: InclusionLayout) -> InclusionBlocks:
-    """Neumann stiffness, mass and averaging data for every inclusion."""
+    """Neumann stiffness, mass and averaging data for every inclusion.
+
+    Once build_problem has assembled the placement, only eps and eps_node
+    are new; the matrices are the stored ones.
+    """
+    shared = _shared(mesh, layout)
+    base = shared[2] if shared is not None else _placement_blocks(mesh, layout)
+    eps = np.asarray(layout.eps, dtype=float).copy()
+    return dataclasses.replace(base, eps=eps, eps_node=np.repeat(eps, base.ns))
+
+
+def _placement_blocks(mesh: StructuredMesh,
+                      layout: InclusionLayout) -> InclusionBlocks:
+    """The blocks of the placement, with eps and eps_node left None."""
     if layout.m == 0:
         raise AssemblyError("layout has no inclusions")
     B_loc, M_loc = _assemble_local(layout.k, mesh.h)
@@ -199,12 +221,9 @@ def assemble_inclusion_blocks(mesh: StructuredMesh,
     eye = sp.identity(layout.m, format="csr")
     B_D = sp.kron(eye, sp.csr_matrix(B_loc), format="csr")
     M_D = sp.kron(eye, sp.csr_matrix(M_loc), format="csr")
-    eps = np.asarray(layout.eps, dtype=float).copy()
-    ns = layout.nodes_per_inclusion
-    return InclusionBlocks(ns=ns, m=layout.m, d=d, eps=eps,
-                           eps_node=np.repeat(eps, ns),
-                           B_loc=B_loc, M_loc=M_loc, weights=weights,
-                           B_D=B_D, M_D=M_D)
+    return InclusionBlocks(ns=layout.nodes_per_inclusion, m=layout.m, d=d,
+                           eps=None, eps_node=None, B_loc=B_loc, M_loc=M_loc,
+                           weights=weights, B_D=B_D, M_D=M_D)
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -257,10 +276,28 @@ def build_saddle_operator(A: sp.csr_matrix,
 
 
 def build_problem(mesh: StructuredMesh, layout: InclusionLayout):
-    """Convenience: ordering, stiffness, blocks and operator in one call."""
-    ordering = build_ordering(layout)
-    A = assemble_stiffness(mesh, ordering)
+    """Convenience: ordering, stiffness, blocks and operator in one call.
+
+    The ordering, A and the block matrices depend only on the placement.
+    The first call with the layout's own mesh to finish stores them in its
+    slot, which every eps copy of it shares; a later call on any such copy
+    builds only the eps arrays and the operator.  A call never mixes two
+    builds: whenever its blocks are the stored ones, so are its ordering
+    and A.
+    """
+    if _shared(mesh, layout) is None:
+        ordering = build_ordering(layout)
+        A = assemble_stiffness(mesh, ordering)
     blocks = assemble_inclusion_blocks(mesh, layout)
+    # the slot is written once, so stored products seen by the first read
+    # are the ones whose blocks come back here
+    shared = _shared(mesh, layout)
+    if shared is not None and shared[2].B_D is blocks.B_D:
+        ordering, A, _ = shared
+    elif mesh is layout.mesh:
+        layout.slot.keep((mesh, layout.node_gids, ordering, A,
+                          dataclasses.replace(blocks, eps=None,
+                                              eps_node=None)))
     return ordering, A, blocks, build_saddle_operator(A, blocks)
 
 
@@ -271,9 +308,9 @@ def assemble_load(mesh: StructuredMesh, f,
     f may be a number or a callable f(x, y) accepting arrays.
     """
     tri = mesh.triangles
-    coords = mesh.node_coords(tri.ravel()).reshape(tri.shape[0], 3, 2)
-    bary = coords.mean(axis=1)
     if callable(f):
+        coords = mesh.node_coords(tri.ravel()).reshape(tri.shape[0], 3, 2)
+        bary = coords.mean(axis=1)
         vals = np.asarray(f(bary[:, 0], bary[:, 1]), dtype=float)
         if vals.shape != (tri.shape[0],):
             vals = np.broadcast_to(vals, (tri.shape[0],)).astype(float)

@@ -40,10 +40,12 @@ import scipy
 
 from . import __version__
 from .mesh import (MeshError, LayoutError, ParameterError, build_mesh,
-                   place_periodic, place_random, assign_epsilon)
+                   build_ordering, place_periodic, place_random,
+                   assign_epsilon)
 from . import assembly
 from .assembly import (build_problem, build_saddle_operator, assemble_load,
-                       assemble_sigma_matrix, write_matrix_market)
+                       assemble_sigma_matrix, assemble_stiffness,
+                       write_matrix_market)
 from .precond import (A_KINDS, BlockPreconditioner, ContractViolationError,
                       SchurPreconditioner, SolverBreakdownError,
                       build_block_preconditioner, check_a_options)
@@ -350,7 +352,9 @@ def validate_instances(cfg: ExperimentConfig) -> None:
 class _Run:
     """The eps-independent part of a run of consecutive instances with one
     operator key (M, k, layout, layout seed or None): mesh, bare placement,
-    ordering, A, the unit load and one H per (kind, options).  Every matrix,
+    ordering, A, the unit load and one H per (kind, options).  The eps
+    copies of the placement share its ordering, A and block matrices, so an
+    instance builds only its eps arrays, operator and H_S.  Every matrix,
     factorization and pivot is the one a per-instance build would make.
     """
 
@@ -366,7 +370,7 @@ class _Run:
         return assemble_load(self.mesh, 1.0, ordering=self.ordering)
 
     def instance(self, eps_mode, eps_min, seed):
-        """Saddle operator of one instance; only its eps and blocks are new."""
+        """Saddle operator of one instance; only its eps arrays are new."""
         lay = _assign(self.cfg, self.placement, eps_mode, eps_min, seed)
         # looked up on the module, so a wrapper installed there sees it
         blocks = assembly.assemble_inclusion_blocks(self.mesh, lay)
@@ -624,9 +628,10 @@ def cmd_export_matrix(cfg: ExperimentConfig, out_dir: str, threads: int,
         mesh, lay = _build_layout(cfg, *ax)
         if cfg.matrix == "sigma":
             mat = assemble_sigma_matrix(mesh, lay)
+        elif cfg.matrix == "stiffness":
+            mat = assemble_stiffness(mesh, build_ordering(lay))
         else:
-            _, A, _, op = build_problem(mesh, lay)
-            mat = op.to_sparse() if cfg.matrix == "saddle" else A
+            mat = build_problem(mesh, lay)[3].to_sparse()
         path = os.path.join(out_dir, _export_stem(cfg, ax) + ".mtx")
         write_matrix_market(path, mat,
                             comment=f"{cfg.matrix} M={M} k={k} {layout} "

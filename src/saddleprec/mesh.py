@@ -123,6 +123,30 @@ class Inclusion:
     cell_ids: np.ndarray    # k*k owning cells
 
 
+class PlacementSlot:
+    """Holder of the eps-independent products of one placement.
+
+    assembly.build_problem stores them here as one tuple, once: the first
+    build to finish keeps its products and later ones are dropped, so a
+    reader sees either no products or one complete build of them, and
+    never a second one after the first.
+    """
+
+    __slots__ = ("_held",)
+
+    def __init__(self):
+        self._held = {}
+
+    @property
+    def products(self):
+        return self._held.get("products")
+
+    def keep(self, products):
+        """Store products unless some are stored already; dict.setdefault
+        makes the check and the store one step, also between threads."""
+        self._held.setdefault("products", products)
+
+
 @dataclasses.dataclass(frozen=True, eq=False)
 class InclusionLayout:
     """A family of disjoint square inclusions on a structured mesh.
@@ -130,7 +154,10 @@ class InclusionLayout:
     Inclusion s is anchored at cell corners[s] = (cell_x, cell_y) and owns
     the row-major closure nodes node_gids[s] and cells cell_ids[s].  eps
     holds the stiffness parameter of each inclusion (sigma = 1 + 1/eps_s
-    inside inclusion s); placement routines initialise it to 1.
+    inside inclusion s); placement routines initialise it to 1.  The eps
+    copies made by assign_epsilon and layout_from_manifest share the
+    placement's arrays and its slot, and with it the ordering, stiffness
+    and inclusion block matrices once build_problem has assembled them.
     """
 
     mesh: StructuredMesh
@@ -143,6 +170,8 @@ class InclusionLayout:
     mode: str = "custom"
     seed: int | None = None
     removal_count: int = 0
+    slot: PlacementSlot = dataclasses.field(default_factory=PlacementSlot,
+                                            repr=False)
 
     @property
     def m(self) -> int:

@@ -20,11 +20,11 @@ import dataclasses
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .mesh import InclusionLayout, ParameterError, assign_epsilon
 from .assembly import InclusionBlocks, build_problem
-from .precond import ContractViolationError
+from .precond import (ContractViolationError, ExactAInverse,
+                      SchurPreconditioner)
 
 MU_HAT_1 = (1.0 - np.sqrt(5.0)) / 2.0
 MU_HAT_2 = (1.0 + np.sqrt(5.0)) / 2.0
@@ -102,10 +102,9 @@ def schur_complement_dense(A: sp.csr_matrix, blocks: InclusionBlocks) -> np.ndar
     """Exact Schur complement S0 = Q + B A^{-1} B^T at eps = 0, dense n x n."""
     N = A.shape[0]
     n = blocks.n
-    lu = spla.splu(A.tocsc())
     rhs = np.zeros((N, n))
     rhs[:n] = blocks.B_D.toarray()
-    X = lu.solve(rhs)
+    X = ExactAInverse(A).apply(rhs)
     S0 = blocks.q_sparse().toarray() + blocks.B_D @ X[:n]
     return 0.5 * (S0 + S0.T)
 
@@ -363,17 +362,15 @@ def make_hs_s0_operator(A: sp.csr_matrix, blocks: InclusionBlocks):
     S0 v needs one exact A solve per application; the preconditioner part
     runs through the projector identities at O(n).
     """
-    from .precond import SchurPreconditioner
-
     N = A.shape[0]
     n = blocks.n
-    lu = spla.splu(A.tocsc())
+    a_inv = ExactAInverse(A)
     hs = SchurPreconditioner(blocks)
 
     def apply(v):
         rhs = np.zeros(N)
         rhs[:n] = blocks.B_D @ v
-        bd_pre = lu.solve(rhs)[:n]
+        bd_pre = a_inv.apply(rhs)[:n]
         return hs.apply_tagged(bd_pre, v)
 
     def gram(v):

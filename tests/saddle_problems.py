@@ -1,8 +1,9 @@
 """Problem builders shared by the test modules.
 
-Stiffness factorizations dominate the suite's wall time, so problems are
+Stiffness factorizations dominate the suite's wall time, so placements are
 cached per (M, k, layout) and re-dressed with new inclusion parameters per
-test; the stiffness block and its factorization do not depend on eps.
+test; every eps copy of a cached placement shares its ordering, stiffness
+block and block matrices, and one exact factorization serves them all.
 
 The test modules import these from here rather than from conftest: with
 bench/tests collected in the same run, the name `conftest` may resolve
@@ -41,8 +42,7 @@ def _cached_base(M, k, layout_mode, removal, layout_seed):
 @functools.lru_cache(maxsize=None)
 def _cached_exact_ainv(M, k, layout_mode, removal, layout_seed):
     mesh, layout = _cached_base(M, k, layout_mode, removal, layout_seed)
-    probe = assign_epsilon(layout, "uniform", epsilon=1e-4)
-    _, A, _, _ = build_problem(mesh, probe)
+    _, A, _, _ = build_problem(mesh, layout)
     return A, ExactAInverse(A)
 
 

@@ -1,3 +1,7 @@
+import dataclasses
+import sys
+import threading
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -8,7 +12,8 @@ from saddleprec import (
     build_ordering, build_problem,
     assemble_stiffness, assemble_sigma_matrix, assemble_inclusion_blocks,
     assemble_load, recover_p_from_u, write_matrix_market,
-    ParameterError,
+    ParameterError, build_block_preconditioner, pu_solve, pl_solve,
+    pcg_k_solve, random_guess,
 )
 
 from saddleprec.assembly import _element_batches, _scatter
@@ -211,6 +216,15 @@ def test_load_accepts_callables():
         assemble_load(mesh, "heavy")
 
 
+@pytest.mark.parametrize("M,ordered", [(2, False), (5, False), (16, True)])
+def test_constant_load_equals_the_callable_path(M, ordered):
+    mesh = build_mesh(M)
+    ordering = build_ordering(place_periodic(mesh, 2)) if ordered else None
+    np.testing.assert_array_equal(
+        assemble_load(mesh, 1.0, ordering),
+        assemble_load(mesh, lambda x, y: np.ones_like(x), ordering))
+
+
 def test_recover_p_annihilates_constants(prob8):
     blocks = prob8.blocks
     u = np.zeros(prob8.op.N)
@@ -262,3 +276,168 @@ def test_matrix_market_round_trip(tmp_path, prob8):
     back = scipy.io.mmread(path)
     np.testing.assert_allclose(back.toarray(),
                                prob8.op.to_sparse().toarray(), atol=0)
+
+
+# ---------------------------------------------------------------------------
+# eps copies of one placement share its ordering, A and block matrices
+
+def _placement(mesh, layout_mode):
+    if layout_mode == "periodic":
+        return place_periodic(mesh, 2)
+    return place_random(mesh, 2, 5, seed=4)
+
+
+def _eps_copy(layout, eps_mode, draw):
+    if eps_mode == "uniform":
+        return assign_epsilon(layout, "uniform", epsilon=(1e-2, 1e-5)[draw])
+    return assign_epsilon(layout, "random", eps_min=1e-6, seed=draw)
+
+
+def _fresh_copy(layout):
+    """The same corners and eps on a new mesh, every array built anew."""
+    fresh = layout_from_cells(build_mesh(layout.mesh.M), layout.k,
+                              layout.corners, mode=layout.mode,
+                              seed=layout.seed,
+                              removal_count=layout.removal_count)
+    return dataclasses.replace(fresh, eps=layout.eps.copy())
+
+
+def _assert_identical(a, b):
+    """Equal values, dtypes and sparse structure, field by field."""
+    if sp.issparse(a):
+        assert a.format == b.format and a.shape == b.shape
+        for name in ("indptr", "indices", "data"):
+            _assert_identical(getattr(a, name), getattr(b, name))
+    elif isinstance(a, np.ndarray):
+        assert a.dtype == b.dtype
+        np.testing.assert_array_equal(a, b)
+    elif dataclasses.is_dataclass(a):
+        for field in dataclasses.fields(a):
+            _assert_identical(getattr(a, field.name), getattr(b, field.name))
+    else:
+        assert a == b
+
+
+def _solves(op, A, blocks, seed=3):
+    H = build_block_preconditioner(A, blocks)
+    return [pu_solve(op, H, p0=random_guess(op.n, seed)),
+            pl_solve(op, H, z0=random_guess(op.size, seed)),
+            pcg_k_solve(op, H, z0=random_guess(op.size, seed))]
+
+
+_SHARING = [(layout, eps) for layout in ("periodic", "random")
+            for eps in ("uniform", "random")]
+
+
+@pytest.mark.parametrize("layout_mode,eps_mode", _SHARING)
+def test_eps_copies_share_the_placement_products(layout_mode, eps_mode):
+    mesh = build_mesh(16)
+    placement = _placement(mesh, layout_mode)
+    first = build_problem(mesh, _eps_copy(placement, eps_mode, 0))
+    layout = _eps_copy(placement, eps_mode, 1)
+    ordering, A, blocks, op = build_problem(mesh, layout)
+    assert ordering is first[0] and A is first[1]
+    assert blocks.B_D is first[2].B_D and blocks.M_D is first[2].M_D
+    assert assemble_inclusion_blocks(mesh, layout).B_D is first[2].B_D
+    np.testing.assert_array_equal(blocks.eps, layout.eps)
+    fresh_layout = _fresh_copy(layout)
+    fresh = build_problem(fresh_layout.mesh, fresh_layout)
+    for shared_part, fresh_part in zip((ordering, A, blocks, op), fresh):
+        assert shared_part is not fresh_part
+        _assert_identical(shared_part, fresh_part)
+    _, fresh_A, fresh_blocks, fresh_op = fresh
+    for shared_run, fresh_run in zip(_solves(op, A, blocks),
+                                     _solves(fresh_op, fresh_A, fresh_blocks)):
+        assert shared_run.iterations == fresh_run.iterations
+        np.testing.assert_array_equal(shared_run.norms, fresh_run.norms)
+
+
+@pytest.mark.parametrize("layout_mode,eps_mode", _SHARING)
+def test_another_mesh_object_does_not_share(layout_mode, eps_mode):
+    mesh = build_mesh(16)
+    layout = _eps_copy(_placement(mesh, layout_mode), eps_mode, 0)
+    _, A, blocks, _ = build_problem(mesh, layout)
+    other = build_mesh(16)
+    _, A_other, blocks_other, _ = build_problem(other, layout)
+    assert A_other is not A and blocks_other.B_D is not blocks.B_D
+    assert assemble_inclusion_blocks(other, layout).B_D is not blocks.B_D
+    _assert_identical(A_other, A)
+    # the placement keeps the products of its own mesh
+    assert build_problem(mesh, _eps_copy(layout, eps_mode, 1))[1] is A
+    assert build_problem(other, layout)[1] is not A_other
+
+
+@pytest.mark.parametrize("layout_mode,eps_mode", _SHARING)
+def test_shared_matrices_survive_solves_and_exports(tmp_path, layout_mode,
+                                                    eps_mode):
+    mesh = build_mesh(16)
+    placement = _placement(mesh, layout_mode)
+    _, A, blocks, op = build_problem(mesh, _eps_copy(placement, eps_mode, 0))
+    before = [(m.data.copy(), m.indices.copy(), m.indptr.copy())
+              for m in (A, blocks.B_D)]
+    _solves(op, A, blocks)
+    write_matrix_market(tmp_path / "saddle.mtx", op.to_sparse())
+    write_matrix_market(tmp_path / "stiffness.mtx", A)
+    _, A_again, blocks_again, _ = build_problem(
+        mesh, _eps_copy(placement, eps_mode, 1))
+    assert A_again is A and blocks_again.B_D is blocks.B_D
+    for m, arrays in zip((A, blocks.B_D), before):
+        for now, then in zip((m.data, m.indices, m.indptr), arrays):
+            np.testing.assert_array_equal(now, then)
+
+
+def test_slot_keeps_the_first_products():
+    layout = place_periodic(build_mesh(8), 2)
+    first = build_problem(layout.mesh, layout)
+    stored = layout.slot.products
+    layout.slot.keep(("another", "build"))
+    assert layout.slot.products is stored
+    assert build_problem(layout.mesh, layout)[1] is first[1]
+
+
+def _build_concurrently(mesh, copies):
+    start = threading.Barrier(len(copies))
+    results = [None] * len(copies)
+
+    def build(i):
+        start.wait()
+        results[i] = build_problem(mesh, copies[i])
+
+    threads = [threading.Thread(target=build, args=(i,))
+               for i in range(len(copies))]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+    assert not any(thread.is_alive() for thread in threads)
+    return results
+
+
+def test_concurrent_first_builds_never_mix_products():
+    fresh_mesh = build_mesh(32)
+    reference = build_problem(fresh_mesh,
+                              place_random(fresh_mesh, 2, 9, seed=2))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            mesh = build_mesh(32)
+            placement = place_random(mesh, 2, 9, seed=2)
+            copies = [_eps_copy(placement, "random", draw)
+                      for draw in range(12)]
+            results = _build_concurrently(mesh, copies)
+            # one build per ordering, A and B_D: none is paired with
+            # another build's products
+            triples = {(id(o), id(A), id(b.B_D)) for o, A, b, _ in results}
+            for position in range(3):
+                assert len({t[position] for t in triples}) == len(triples)
+            _, _, ordering, A, blocks = placement.slot.products
+            assert (id(ordering), id(A), id(blocks.B_D)) in triples
+            for layout, (got_ordering, got_A, got_blocks, op) in zip(
+                    copies, results):
+                assert op.A is got_A and op.blocks is got_blocks
+                _assert_identical(got_A, reference[1])
+                _assert_identical(got_ordering, reference[0])
+                np.testing.assert_array_equal(got_blocks.eps, layout.eps)
+    finally:
+        sys.setswitchinterval(interval)

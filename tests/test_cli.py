@@ -384,14 +384,14 @@ eps_min = 1e-2, 1e-4, 1e-6
 """
 
 
-def _count_calls(monkeypatch, name, calls):
-    original = getattr(cli, name)
+def _count_calls(monkeypatch, name, calls, owner=cli):
+    original = getattr(owner, name)
 
     def counted(*args, **kwargs):
         calls.append(name)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(cli, name, counted)
+    monkeypatch.setattr(owner, name, counted)
 
 
 def test_solve_builds_a_and_ha_once_per_run_of_a_key(tmp_path, capsys,
@@ -740,6 +740,24 @@ def test_export_matrix_keeps_its_bytes(tmp_path, matrix):
                                "--out", str(out))
     data = (out / f"{matrix}_M16_k2_random_0.0001.mtx").read_bytes()
     assert hashlib.sha256(data).hexdigest() == _EXPORT_BYTES[matrix]
+
+
+@pytest.mark.parametrize("matrix,built", [("stiffness", 0), ("saddle", 1)])
+def test_export_matrix_builds_only_what_it_writes(tmp_path, capsys,
+                                                  monkeypatch, matrix, built):
+    calls = []
+    _count_calls(monkeypatch, "assemble_inclusion_blocks", calls,
+                 cli.assembly)
+    for owner in (cli.assembly, cli):
+        _count_calls(monkeypatch, "build_saddle_operator", calls, owner)
+    cfg = _write(tmp_path / "exp.cfg", "M = 16\nk = 2\nlayout = random\n"
+                 f"eps_mode = random\nmatrix = {matrix}\n")
+    assert main(["export-matrix", "--config", cfg,
+                 "--out", str(tmp_path / "out")]) == EXIT_OK
+    assert [calls.count(name) for name in ("assemble_inclusion_blocks",
+                                           "build_saddle_operator")
+            ] == [built, built]
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("name", sorted(_SHIPPED_BYTES))

@@ -178,6 +178,7 @@ def test_verify_intervals_ideal_pencil(prob8):
 
 
 def test_verify_intervals_builds_and_factorizes_once(prob8, monkeypatch):
+    import saddleprec.precond as precond
     import saddleprec.spectral as spectral
     calls = {"build_problem": 0, "splu": 0}
 
@@ -189,8 +190,8 @@ def test_verify_intervals_builds_and_factorizes_once(prob8, monkeypatch):
 
     monkeypatch.setattr(spectral, "build_problem",
                         counting("build_problem", spectral.build_problem))
-    monkeypatch.setattr(spectral.spla, "splu",
-                        counting("splu", spectral.spla.splu))
+    monkeypatch.setattr(precond.spla, "splu",
+                        counting("splu", precond.spla.splu))
     verify_intervals(prob8.layout, pencil="ideal")
     assert calls == {"build_problem": 1, "splu": 1}
 
