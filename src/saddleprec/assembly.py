@@ -180,6 +180,10 @@ class InclusionBlocks:
         """Blockwise projector onto constants along the mass weights."""
         return np.repeat(self.block_means(w), self.ns)
 
+    def from_tags(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """B_D a + Q b, the vector that the tag pair (a, b) stands for."""
+        return self.B_D @ a + self.apply_q(b)
+
     def q_sparse(self) -> sp.csr_matrix:
         q = np.outer(self.weights, self.weights) / (self.d * self.d)
         return sp.kron(sp.identity(self.m, format="csr"), sp.csr_matrix(q),

@@ -11,15 +11,17 @@ Subcommands
                  other axis that takes more than one value
   export-matrix  assembled operators in Matrix Market ASCII
 
-Configs are flat key = value text files; list-valued keys take commas.  Every
-axis combination is validated before any run starts (every distinct layout
-is built, even when the method axis is empty), results are emitted in
-sorted order regardless of worker scheduling, and CSV content is a pure
-function of the config, the seed arguments and the BLAS thread count, which
-moves the last digits of solve.csv's final_ratio; --threads does not change
-it.  Timestamps and the BLAS thread variables live only in the run manifest.
-Exit status: 0 success, 1 solver or configuration error, 2 verification
-failure.
+Configs are flat key = value text files; list-valued keys take commas.
+Every axis combination is validated before any run starts by building its
+layout, even when the method axis is empty: one mesh per M, one placement
+per operator key, one eps copy per axes tuple.  Runs build only from these
+layouts, whose placements keep ordering, A and blocks for the invocation.
+Results are emitted in sorted order regardless of worker scheduling, and CSV
+content is a pure function of the config, the seed arguments and the BLAS
+thread count, which moves the last digits of solve.csv's final_ratio;
+--threads does not change it.  Timestamps and the BLAS thread variables live
+only in the run manifest.  Exit status: 0 success, 1 solver or configuration
+error, 2 verification failure.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import dataclasses
-import functools
 import hashlib
 import itertools
 import json
@@ -42,13 +43,11 @@ from . import __version__
 from .mesh import (MeshError, LayoutError, ParameterError, build_mesh,
                    build_ordering, place_periodic, place_random,
                    assign_epsilon)
-from . import assembly
-from .assembly import (build_problem, build_saddle_operator, assemble_load,
-                       assemble_sigma_matrix, assemble_stiffness,
-                       write_matrix_market)
-from .precond import (A_KINDS, BlockPreconditioner, ContractViolationError,
-                      SchurPreconditioner, SolverBreakdownError,
-                      build_block_preconditioner, check_a_options)
+from .assembly import (build_problem, assemble_load, assemble_sigma_matrix,
+                       assemble_stiffness, write_matrix_market)
+from .precond import (A_KINDS, ContractViolationError, SchurPreconditioner,
+                      SolverBreakdownError, build_block_preconditioner,
+                      check_a_options)
 from .solvers import (pu_solve, pl_solve, pcg_k_solve, random_guess,
                       OperatorContractError, MaxIterationsError)
 from .spectral import DENSE_LIMIT, verify_intervals
@@ -130,6 +129,12 @@ def _choices(key, values, allowed):
             raise ConfigError(
                 f"unknown {key} {value!r}; use {'|'.join(allowed)}")
     return values
+
+
+def _in_range(name, values, ok, need):
+    for value in values:
+        if not ok(value):
+            raise ConfigError(f"{name} must be {need}, got {value!r}")
 
 
 def _bool(tok: str) -> bool:
@@ -233,12 +238,16 @@ def build_config(command: str, raw: dict, path: str,
     eps_mins = _typed_list(raw, "eps_min", float, [1e-4])
     eps_max = _typed_scalar(raw, "eps_max", float, 1e-2)
     deltas = _typed_list(raw, "delta", float, [1e-6])
+    _in_range("config key 'delta'", deltas, lambda d: 0 < d < 1, "in (0, 1)")
     seeds = _typed_list(raw, "seed", int, [0])
+    _in_range("config key 'seed'", seeds, lambda s: s >= 0, ">= 0")
     if seed_override is not None:
+        _in_range("--seed", [seed_override], lambda s: s >= 0, ">= 0")
         seeds = [seed_override]
     rhs = _typed_scalar(raw, "rhs", str, "zero")
     _choices("rhs", [rhs], ("zero", "one"))
     max_iter = _typed_scalar(raw, "max_iter", int, 2000)
+    _in_range("config key 'max_iter'", [max_iter], lambda n: n >= 1, ">= 1")
     if command == "cost":       # <method>_ha keys over _COST_HA
         ha = {m: _ha_config(raw, f"{m}_", A_KINDS, *_COST_HA[m])
               for m in _METHODS}
@@ -250,6 +259,7 @@ def build_config(command: str, raw: dict, path: str,
                        _typed_list(raw, "pencil", str, ["preconditioner"]),
                        ("preconditioner", "ideal"))
     tol = _typed_scalar(raw, "tol", float, 1e-8)
+    _in_range("config key 'tol'", [tol], lambda t: t >= 0, ">= 0")
     corrupt_q = _typed_scalar(raw, "corrupt_q", _bool, False)
     matrix = _typed_scalar(raw, "matrix", str, "saddle")
     _choices("matrix", [matrix], ("saddle", "stiffness", "sigma"))
@@ -285,12 +295,6 @@ def _assign(cfg, lay, eps_mode, eps_min, seed):
                           eps_max=cfg.eps_max, seed=seed + _EPS_SEED_OFFSET)
 
 
-def _build_layout(cfg, M, k, layout, eps_mode, eps_min, seed):
-    mesh = build_mesh(M)
-    return mesh, _assign(cfg, _place(cfg, mesh, k, layout, seed), eps_mode,
-                         eps_min, seed)
-
-
 def _axes(cfg, *extra):
     """Sorted tuples (M, k, layout, eps_mode, eps_min, *extra, seed)."""
     return sorted(itertools.product(cfg.Ms, cfg.ks, cfg.layouts,
@@ -305,16 +309,22 @@ def _operator_key(ax):
     return M, k, layout, seed if layout == "random" else None
 
 
+def _layout_key(ax):
+    """Layout key (M, k, layout, eps_mode, eps_min, seed) of longer axes."""
+    return (*ax[:5], ax[-1])
+
+
 def _export_stem(cfg, ax):
     M, k, layout, _, eps_min, _ = ax
     return cfg.name or f"{cfg.matrix}_M{M}_k{k}_{layout}_{eps_min:g}"
 
 
-def validate_instances(cfg: ExperimentConfig) -> None:
+def validate_instances(cfg: ExperimentConfig) -> dict:
     """Fail fast: refuse sweeps whose exports would overwrite each other and
     construct every distinct layout of the sweep before any run, whatever
     the method axis: one mesh per M, one placement per operator key and
-    every eps assignment, in sorted axes order."""
+    every eps assignment, in sorted axes order.  Returns the layout of each
+    (M, k, layout, eps_mode, eps_min, seed); the runs build only from it."""
     if cfg.command == "export-matrix":
         owners = {}
         for ax in _axes(cfg):
@@ -328,7 +338,7 @@ def validate_instances(cfg: ExperimentConfig) -> None:
                     f"would both write {stem}.mtx; narrow the sweep "
                     f"({hint})")
             owners[stem] = label
-    meshes, placed = {}, {}     # one mesh per M, one placement per key
+    meshes, placed, layouts = {}, {}, {}
     for ax in sorted(set(_axes(cfg))):
         M, k, layout, eps_mode, eps_min, seed = ax
         if M not in meshes:
@@ -336,7 +346,7 @@ def validate_instances(cfg: ExperimentConfig) -> None:
         key = _operator_key(ax)
         if key not in placed:
             placed[key] = _place(cfg, meshes[M], k, layout, seed)
-        lay = _assign(cfg, placed[key], eps_mode, eps_min, seed)
+        lay = layouts[ax] = _assign(cfg, placed[key], eps_mode, eps_min, seed)
         dim = meshes[M].n_interior + lay.n
         if cfg.command == "spectrum" and dim > DENSE_LIMIT:
             raise ConfigError(
@@ -344,84 +354,48 @@ def validate_instances(cfg: ExperimentConfig) -> None:
                 f"{DENSE_LIMIT}; dense verification is desk-scale only, "
                 "use smaller M (or the lanczos_extremes API for extreme "
                 "eigenvalue estimates)")
+    return layouts
 
 
 # ---------------------------------------------------------------------------
-# runs of instances that share one operator
+# workers
 
-class _Run:
-    """The eps-independent part of a run of consecutive instances with one
-    operator key (M, k, layout, layout seed or None): mesh, bare placement,
-    ordering, A, the unit load and one H per (kind, options).  The eps
-    copies of the placement share its ordering, A and block matrices, so an
-    instance builds only its eps arrays, operator and H_S.  Every matrix,
-    factorization and pivot is the one a per-instance build would make.
-    """
-
-    def __init__(self, cfg: ExperimentConfig, M, k, layout, seed):
-        self.cfg = cfg
-        self.mesh = build_mesh(M)
-        self.placement = _place(cfg, self.mesh, k, layout, seed)
-        self.ordering, self.A, _, _ = build_problem(self.mesh, self.placement)
-        self.preconds = {}
-
-    @functools.cached_property
-    def unit_load(self) -> np.ndarray:
-        return assemble_load(self.mesh, 1.0, ordering=self.ordering)
-
-    def instance(self, eps_mode, eps_min, seed):
-        """Saddle operator of one instance; only its eps arrays are new."""
-        lay = _assign(self.cfg, self.placement, eps_mode, eps_min, seed)
-        # looked up on the module, so a wrapper installed there sees it
-        blocks = assembly.assemble_inclusion_blocks(self.mesh, lay)
-        return build_saddle_operator(self.A, blocks)
-
-    def preconditioner(self, blocks, kind: str,
-                       opts: dict) -> BlockPreconditioner:
-        """H = diag(H_A, H_S) over the run's H_A of (kind, opts)."""
-        key = (kind, tuple(sorted(opts.items())))
-        if key not in self.preconds:
-            self.preconds[key] = build_block_preconditioner(
-                self.A, blocks, kind, **opts)
-        return dataclasses.replace(self.preconds[key],
-                                   schur=SchurPreconditioner(blocks))
-
-
-def _sweep(cfg, instances, threads):
+def _sweep(cfg, layouts, instances, threads):
     """(_run_solve row per instance in order, H_A set-ups) of instances
     (method, M, k, layout, eps_mode, eps_min, delta, seed).
 
     Each maximal run of consecutive instances with one operator key is one
-    worker task; its _Run is freed when the task returns, so a sweep holds
-    one A per worker and the set-ups do not depend on the thread count.
+    worker task holding one H_A per (kind, options), freed when the task
+    returns, so the set-ups do not depend on the thread count.
     """
     def task(run):
-        run_key, run_instances = run
-        shared = _Run(cfg, *run_key)
-        return ([_run_solve(shared, instance) for instance in run_instances],
-                len(shared.preconds))
+        preconds = {}
+        return ([_run_solve(cfg, layouts[_layout_key(instance[1:])],
+                            preconds, instance) for instance in run],
+                len(preconds))
 
-    runs = [(run_key, list(group)) for run_key, group in itertools.groupby(
+    runs = [list(group) for _, group in itertools.groupby(
         instances, lambda instance: _operator_key(instance[1:]))]
     done = _pool_map(task, runs, threads)
     return ([result for results, _ in done for result in results],
             sum(setups for _, setups in done))
 
 
-# ---------------------------------------------------------------------------
-# workers
-
-def _run_solve(run, instance):
-    cfg = run.cfg
+def _run_solve(cfg, lay, preconds, instance):
+    """One solve of the instance on its layout; preconds holds the H_A of
+    each (kind, options) built on the layout's placement so far."""
     method, M, k, layout, eps_mode, eps_min, delta, seed = instance
     kind, opts = cfg.ha[method]
-    op = run.instance(eps_mode, eps_min, seed)
+    ordering, A, blocks, op = build_problem(lay.mesh, lay)
     try:
-        precond = run.preconditioner(op.blocks, kind, opts)
+        key = (kind, tuple(sorted(opts.items())))
+        if key not in preconds:
+            preconds[key] = build_block_preconditioner(A, blocks, kind, **opts)
+        precond = dataclasses.replace(preconds[key],
+                                      schur=SchurPreconditioner(blocks))
         if cfg.rhs == "one":
-            F = np.zeros(op.size)
-            F[:op.N] = run.unit_load
-            kwargs = {"F": F}
+            kwargs = {"F": np.concatenate((assemble_load(
+                lay.mesh, 1.0, ordering=ordering), np.zeros(op.n)))}
         elif method == "pu":    # random guess: p0 on the inclusions for PU
             kwargs = {"p0": random_guess(op.n, seed)}
         else:
@@ -434,7 +408,7 @@ def _run_solve(run, instance):
             f"delta={delta:g} seed={seed}]") from exc
     return {
         "method": method, "M": M, "k": k, "layout": layout,
-        "removal": run.placement.removal_count,
+        "removal": lay.removal_count,
         "eps_mode": eps_mode, "eps_min": eps_min, "eps_max": cfg.eps_max,
         "delta": delta, "ha": kind, "seed": seed,
         "iterations": report.iterations,
@@ -448,17 +422,16 @@ def _run_solve(run, instance):
     }
 
 
-def _run_spectrum(cfg, axes):
+def _run_spectrum(cfg, lay, axes):
     M, k, layout, eps_mode, eps_min, pencil, seed = axes
     kind = cfg.ha["pl"][0]      # every method maps to the one ha key
-    mesh, lay = _build_layout(cfg, M, k, layout, eps_mode, eps_min, seed)
     rep = verify_intervals(lay, ha_kind=kind, pencil=pencil,
                            tol=cfg.tol, corrupt_q=cfg.corrupt_q)
     row = {
         "M": M, "k": k, "layout": layout, "eps_mode": eps_mode,
         "eps_min": eps_min, "eps_max": rep.eps_max, "pencil": pencil,
         "ha": kind, "seed": seed,
-        "dim": mesh.n_interior + lay.n,
+        "dim": lay.mesh.n_interior + lay.n,
         "a0": f"{rep.a0:.12f}", "b0": f"{rep.b0:.12f}",
         "r_max": f"{rep.r_max:.12f}",
         "mu_check1": f"{rep.mu_check1:.12f}", "mu_hat1": f"{rep.mu_hat1:.12f}",
@@ -529,11 +502,11 @@ def _pool_map(worker, items, threads):
 # ---------------------------------------------------------------------------
 # subcommand drivers
 
-def cmd_solve(cfg: ExperimentConfig, out_dir: str, threads: int,
-              args_seed) -> int:
+def cmd_solve(cfg: ExperimentConfig, layouts: dict, out_dir: str,
+              threads: int, args_seed) -> int:
     instances = sorted((method, *ax) for method in cfg.methods
                        for ax in _axes(cfg, cfg.deltas))
-    rows, ha_setups = _sweep(cfg, instances, threads)
+    rows, ha_setups = _sweep(cfg, layouts, instances, threads)
     fields = ["method", "M", "k", "layout", "removal", "eps_mode", "eps_min",
               "eps_max", "delta", "ha", "seed", "iterations", "converged",
               "stop_rule", "a_applies", "ha_applies", "total_applies",
@@ -546,10 +519,11 @@ def cmd_solve(cfg: ExperimentConfig, out_dir: str, threads: int,
     return EXIT_OK
 
 
-def cmd_spectrum(cfg: ExperimentConfig, out_dir: str, threads: int,
-                 args_seed) -> int:
+def cmd_spectrum(cfg: ExperimentConfig, layouts: dict, out_dir: str,
+                 threads: int, args_seed) -> int:
     axes = _axes(cfg, cfg.pencils)
-    results = _pool_map(lambda ax: _run_spectrum(cfg, ax), axes, threads)
+    results = _pool_map(lambda ax: _run_spectrum(cfg, layouts[_layout_key(ax)],
+                                                 ax), axes, threads)
     rows = [r for r, _ in results]
     eig_rows = [er for _, ers in results for er in ers]
     fields = ["M", "k", "layout", "eps_mode", "eps_min", "eps_max", "pencil",
@@ -582,12 +556,12 @@ def cmd_spectrum(cfg: ExperimentConfig, out_dir: str, threads: int,
     return EXIT_OK
 
 
-def cmd_cost(cfg: ExperimentConfig, out_dir: str, threads: int,
-             args_seed) -> int:
+def cmd_cost(cfg: ExperimentConfig, layouts: dict, out_dir: str,
+             threads: int, args_seed) -> int:
     axes = _axes(cfg, cfg.deltas)
     # the solve runs with methods inside each axes tuple, one row per tuple
-    results, ha_setups = _sweep(cfg, [(m, *ax) for ax in axes
-                                      for m in cfg.methods], threads)
+    instances = [(m, *ax) for ax in axes for m in cfg.methods]
+    results, ha_setups = _sweep(cfg, layouts, instances, threads)
     # eps_min first, then every other axis that varies, in _axes order
     labels = [4] + [i for i, values in enumerate(zip(*axes))
                     if i != 4 and len(set(values)) > 1]
@@ -620,18 +594,18 @@ def cmd_cost(cfg: ExperimentConfig, out_dir: str, threads: int,
     return EXIT_OK
 
 
-def cmd_export_matrix(cfg: ExperimentConfig, out_dir: str, threads: int,
-                      args_seed) -> int:
+def cmd_export_matrix(cfg: ExperimentConfig, layouts: dict, out_dir: str,
+                      threads: int, args_seed) -> int:
     axes = _axes(cfg)
     for ax in axes:
         M, k, layout, eps_mode, eps_min, seed = ax
-        mesh, lay = _build_layout(cfg, *ax)
+        lay = layouts[ax]
         if cfg.matrix == "sigma":
-            mat = assemble_sigma_matrix(mesh, lay)
+            mat = assemble_sigma_matrix(lay.mesh, lay)
         elif cfg.matrix == "stiffness":
-            mat = assemble_stiffness(mesh, build_ordering(lay))
+            mat = assemble_stiffness(lay.mesh, build_ordering(lay))
         else:
-            mat = build_problem(mesh, lay)[3].to_sparse()
+            mat = build_problem(lay.mesh, lay)[3].to_sparse()
         path = os.path.join(out_dir, _export_stem(cfg, ax) + ".mtx")
         write_matrix_market(path, mat,
                             comment=f"{cfg.matrix} M={M} k={k} {layout} "
@@ -685,10 +659,10 @@ def main(argv=None) -> int:
         raw = parse_config(args.config)
         cfg = build_config(args.command, raw, args.config,
                            seed_override=args.seed)
-        validate_instances(cfg)
+        layouts = validate_instances(cfg)
         os.makedirs(args.out, exist_ok=True)
-        return _DISPATCH[args.command](cfg, args.out, max(1, args.threads),
-                                       args.seed)
+        return _DISPATCH[args.command](cfg, layouts, args.out,
+                                       max(1, args.threads), args.seed)
     except (ConfigError, MeshError, LayoutError, ParameterError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

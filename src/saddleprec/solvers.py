@@ -162,7 +162,7 @@ def pu_solve(op: SaddleOperator, precond: BlockPreconditioner, F=None,
     if g is not None:
         u_pre = u_pre + g[0]
         q_pre = q_pre + g[1]
-    r = blocks.B_D @ u_pre + blocks.apply_q(q_pre)
+    r = blocks.from_tags(u_pre, q_pre)
 
     if homogeneous:
         stop_rule = "iterate-S-norm"
@@ -201,7 +201,7 @@ def pu_solve(op: SaddleOperator, precond: BlockPreconditioner, F=None,
             xi = hs_r - alpha * xi
         # S_eps xi with tags (s_u_pre, xi)
         s_u_pre = _schur_pre(op, precond.a_inv, xi, counter)
-        s = blocks.B_D @ s_u_pre + blocks.apply_q(xi)
+        s = blocks.from_tags(s_u_pre, xi)
         s_denom = s @ xi
         if s_denom <= 0.0:
             raise SolverBreakdownError(
@@ -415,8 +415,7 @@ def evaluate_norm(kind: str, vec: np.ndarray, A=None,
         raise ParameterError(f"kind {kind!r} needs the saddle operator and "
                              "preconditioner")
     if kind == "S":
-        s = (op.blocks.B_D @ _schur_pre(op, precond.a_inv, v, counter)
-             + op.blocks.apply_q(v))
+        s = op.blocks.from_tags(_schur_pre(op, precond.a_inv, v, counter), v)
         return _guarded_sqrt(v @ s, v @ v, "S-norm")
     if kind == "K":
         img = op.apply(v, counter)

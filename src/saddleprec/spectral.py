@@ -374,7 +374,7 @@ def make_hs_s0_operator(A: sp.csr_matrix, blocks: InclusionBlocks):
         return hs.apply_tagged(bd_pre, v)
 
     def gram(v):
-        return blocks.B_D @ v + blocks.apply_q(v)
+        return blocks.from_tags(v, v)
 
     return apply, gram
 
@@ -389,7 +389,7 @@ def make_h_aeps_operator(op, precond):
     def gram(z):
         out = np.empty_like(z)
         out[:N] = op.A @ z[:N]
-        out[N:] = op.blocks.B_D @ z[N:] + op.blocks.apply_q(z[N:])
+        out[N:] = op.blocks.from_tags(z[N:], z[N:])
         return out
 
     return apply, gram

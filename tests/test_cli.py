@@ -11,7 +11,7 @@ import pytest
 import scipy
 import scipy.io
 
-from saddleprec import cli
+from saddleprec import assembly, cli, mesh, precond, spectral
 from saddleprec.cli import (
     main, parse_config, build_config, ConfigError,
     EXIT_OK, EXIT_ERROR, EXIT_VERIFY,
@@ -87,6 +87,35 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     # keeping exit 2 reserved for verification failures
     assert main(["frobnicate", "--config", bad]) == EXIT_ERROR
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("text,args,err", [
+    ("seed = 0, -1\n", [], "error: config key 'seed' must be >= 0, got -1\n"),
+    ("", ["--seed", "-1"], "error: --seed must be >= 0, got -1\n"),
+], ids=["config-key", "flag"])
+def test_negative_seed_refused_before_any_run(tmp_path, capsys, text, args,
+                                              err):
+    cfg = _write(tmp_path / "seed.cfg", "method = pl\nM = 8\n" + text)
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg, "--out", str(out),
+                 *args]) == EXIT_ERROR
+    assert capsys.readouterr().err == err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,text,err", [
+    ("solve", "delta = -1\n", "'delta' must be in (0, 1), got -1.0"),
+    ("cost", "delta = 1e-6, 1\n", "'delta' must be in (0, 1), got 1.0"),
+    ("solve", "max_iter = 0\n", "'max_iter' must be >= 1, got 0"),
+    ("spectrum", "tol = -1e-8\n", "'tol' must be >= 0, got -1e-08"),
+], ids=["delta-negative", "delta-one", "max-iter-zero", "tol-negative"])
+def test_out_of_range_keys_refused_before_any_run(tmp_path, capsys, command,
+                                                  text, err):
+    cfg = _write(tmp_path / "range.cfg", "M = 8\n" + text)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_ERROR
+    assert capsys.readouterr().err == f"error: config key {err}\n"
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -394,22 +423,39 @@ def _count_calls(monkeypatch, name, calls, owner=cli):
     monkeypatch.setattr(owner, name, counted)
 
 
-def test_solve_builds_a_and_ha_once_per_run_of_a_key(tmp_path, capsys,
-                                                     monkeypatch):
+# two placements (periodic and random) of one mesh, each with two eps copies;
+# per subcommand, the extra keys and the H_A set-ups the sweep makes
+_EVERY_COMMAND = ("M = 8\nlayout = periodic, random\nremoval = 2\n"
+                  "eps_min = 1e-2, 1e-4\n")
+_BUILT_ONCE = {"solve": ("method = pu, pl, pcgk\n", 6),
+               "cost": ("method = pu, pl, pcgk\n", 4),
+               "spectrum": ("pencil = preconditioner, ideal\n", 0),
+               "export-matrix": ("", 0)}
+
+
+@pytest.mark.parametrize("command", sorted(_BUILT_ONCE))
+def test_each_part_of_an_instance_is_built_once(tmp_path, capsys, monkeypatch,
+                                                command):
     calls = []
-    for name in ("build_block_preconditioner", "build_problem",
-                 "assign_epsilon"):
-        _count_calls(monkeypatch, name, calls)
-    cfg = _write(tmp_path / "contrast.cfg", _CONTRAST)
+    names = ("build_mesh", "place_periodic", "place_random", "assign_epsilon",
+             "assemble_stiffness", "_placement_blocks",
+             "build_block_preconditioner")
+    # every module that holds a name, so no build escapes the count
+    for owner in (cli, mesh, assembly, precond, spectral):
+        for name in names:
+            if hasattr(owner, name):
+                _count_calls(monkeypatch, name, calls, owner)
+    text, ha_setups = _BUILT_ONCE[command]
+    cfg = _write(tmp_path / "once.cfg", _EVERY_COMMAND + text)
     out = tmp_path / "out"
-    assert main(["solve", "--config", cfg, "--out", str(out)]) == EXIT_OK
-    assert calls.count("build_block_preconditioner") == 6
-    assert calls.count("build_problem") == 6
-    # one eps assignment per instance, plus one per distinct layout checked
-    # before the runs (2 layouts x 3 contrasts)
-    assert calls.count("assign_epsilon") == 18 + 6
+    assert main([command, "--config", cfg, "--out", str(out),
+                 "--threads", "1"]) == EXIT_OK
+    # one mesh, two placements, four eps copies, and one A and one set of
+    # block matrices per placement
+    assert [calls.count(name) for name in names] == [1, 1, 1, 4, 2, 2,
+                                                     ha_setups]
     manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["ha_setups"] == 6
+    assert manifest["ha_setups"] == (ha_setups or None)
     capsys.readouterr()
 
 
@@ -475,33 +521,33 @@ delta = 1e-6
 
 def test_sweep_holds_at_most_one_ha_and_frees_it(tmp_path, capsys,
                                                  monkeypatch):
-    built = []
-    alive_at_build = []
+    ha_refs, a_refs, alive_at_build = [], [], []
     original = cli.build_block_preconditioner
-    original_problem = cli.build_problem
-
-    def alive():
-        return sum(ref() is not None for ref in built)
+    original_stiffness = assembly.assemble_stiffness
 
     def tracked(*args, **kwargs):
-        alive_at_build.append(alive())
+        alive_at_build.append(sum(ref() is not None for ref in ha_refs))
         precond = original(*args, **kwargs)
-        built.append(weakref.ref(precond.a_inv))
+        ha_refs.append(weakref.ref(precond.a_inv))
         return precond
 
-    def problem(*args, **kwargs):
-        alive_at_build.append(alive())
-        return original_problem(*args, **kwargs)
+    def stiffness(*args, **kwargs):
+        A = original_stiffness(*args, **kwargs)
+        a_refs.append(weakref.ref(A))
+        return A
 
     monkeypatch.setattr(cli, "build_block_preconditioner", tracked)
-    monkeypatch.setattr(cli, "build_problem", problem)
+    monkeypatch.setattr(assembly, "assemble_stiffness", stiffness)
     cfg = _write(tmp_path / "contrast.cfg", _CONTRAST)
     out = tmp_path / "out"
     assert main(["solve", "--config", cfg, "--out", str(out),
                  "--threads", "1"]) == EXIT_OK
-    # a key's A and H_A are freed before the next key's A is built
-    assert len(built) == 6 and alive_at_build == [0] * 12
-    assert all(ref() is None for ref in built)      # nothing outlives main
+    # a run's H_A is freed before the next run builds its own
+    assert len(ha_refs) == 6 and alive_at_build == [0] * 6
+    # the layouts keep one A per placement until main returns, and nothing
+    # outlives main
+    assert len(a_refs) == 2
+    assert all(ref() is None for ref in ha_refs + a_refs)
     capsys.readouterr()
 
 
@@ -746,10 +792,8 @@ def test_export_matrix_keeps_its_bytes(tmp_path, matrix):
 def test_export_matrix_builds_only_what_it_writes(tmp_path, capsys,
                                                   monkeypatch, matrix, built):
     calls = []
-    _count_calls(monkeypatch, "assemble_inclusion_blocks", calls,
-                 cli.assembly)
-    for owner in (cli.assembly, cli):
-        _count_calls(monkeypatch, "build_saddle_operator", calls, owner)
+    for name in ("assemble_inclusion_blocks", "build_saddle_operator"):
+        _count_calls(monkeypatch, name, calls, assembly)
     cfg = _write(tmp_path / "exp.cfg", "M = 16\nk = 2\nlayout = random\n"
                  f"eps_mode = random\nmatrix = {matrix}\n")
     assert main(["export-matrix", "--config", cfg,
