@@ -42,8 +42,6 @@ from .spectral import (
     MU_HAT_1, MU_HAT_2, DENSE_LIMIT,
     mu_check_pair, sector_pair, dense_spectrum, schur_complement_dense,
     complement_basis, measure_a0_b0, SpectrumReport, verify_intervals,
-    LanczosReport, lanczos_extremes,
-    make_hs_s0_operator, make_h_aeps_operator,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -352,8 +352,8 @@ def validate_instances(cfg: ExperimentConfig) -> dict:
             raise ConfigError(
                 f"spectrum instance M={M} k={k} has dimension {dim} > "
                 f"{DENSE_LIMIT}; dense verification is desk-scale only, "
-                "use smaller M (or the lanczos_extremes API for extreme "
-                "eigenvalue estimates)")
+                "use smaller M (or the ritz_extremes of a solver report "
+                "for extreme eigenvalue estimates)")
     return layouts
 
 
@@ -597,13 +597,17 @@ def cmd_cost(cfg: ExperimentConfig, layouts: dict, out_dir: str,
 def cmd_export_matrix(cfg: ExperimentConfig, layouts: dict, out_dir: str,
                       threads: int, args_seed) -> int:
     axes = _axes(cfg)
+    stiffness = {}                      # A per placement, keyed by its slot
     for ax in axes:
         M, k, layout, eps_mode, eps_min, seed = ax
         lay = layouts[ax]
         if cfg.matrix == "sigma":
             mat = assemble_sigma_matrix(lay.mesh, lay)
         elif cfg.matrix == "stiffness":
-            mat = assemble_stiffness(lay.mesh, build_ordering(lay))
+            if lay.slot not in stiffness:
+                stiffness[lay.slot] = assemble_stiffness(lay.mesh,
+                                                         build_ordering(lay))
+            mat = stiffness[lay.slot]
         else:
             mat = build_problem(lay.mesh, lay)[3].to_sparse()
         path = os.path.join(out_dir, _export_stem(cfg, ax) + ".mtx")

@@ -110,13 +110,16 @@ class ReferenceSchurSolver:
 def pcg_steps(A, x, r, apply_m, breakdown: str,
               counter: OpCounter | None = None):
     """CG on the SPD matrix A preconditioned by apply_m: advances x and its
-    residual r = b - A x in place and yields the step number k after each
-    step, leaving the stopping rule to the caller.  A direction of
-    nonpositive curvature raises SolverBreakdownError(breakdown.format(k=k)).
+    residual r = b - A x in place and yields (k, step length, direction
+    ratio) after each step k, leaving the stopping rule to the caller; the
+    ratio is the one that formed the direction just stepped along (0 at
+    k = 1).  A direction of nonpositive curvature raises
+    SolverBreakdownError(breakdown.format(k=k)).
     """
     z = apply_m(r)
     p = z.copy()
     rz = r @ z
+    ratio = 0.0
     for k in itertools.count(1):
         Ap = A @ p
         if counter is not None:
@@ -127,10 +130,11 @@ def pcg_steps(A, x, r, apply_m, breakdown: str,
         alpha = rz / pAp
         x += alpha * p
         r -= alpha * Ap
-        yield k
+        yield k, alpha, ratio
         z = apply_m(r)
         rz_new = r @ z
-        p = z + (rz_new / rz) * p
+        ratio = rz_new / rz
+        p = z + ratio * p
         rz = rz_new
 
 
@@ -182,6 +186,7 @@ class InnerCgAInverse:
     def __init__(self, A: sp.csr_matrix, steps: int = 12, base: str = "ilu",
                  drop_tol: float = 5e-4, fill_factor: float = 12.0):
         check_a_options(self.kind, {"steps": steps, "base": base,
+                                    "drop_tol": drop_tol,
                                     "fill_factor": fill_factor})
         self.A = A.tocsr()
         self.steps = steps
@@ -203,10 +208,10 @@ class InnerCgAInverse:
         if res_norm == 0.0:
             return x
         res_floor = 1e-15 * res_norm
-        for k in pcg_steps(self.A, x, res, self._base,
-                           "inner CG direction lost positivity; base "
-                           "preconditioner is not positive definite on this "
-                           "input", counter):
+        for k, _, _ in pcg_steps(self.A, x, res, self._base,
+                                 "inner CG direction lost positivity; base "
+                                 "preconditioner is not positive definite "
+                                 "on this input", counter):
             if k == self.steps or np.linalg.norm(res) <= res_floor:
                 break
         return x
@@ -230,10 +235,14 @@ def check_a_options(kind: str, opts: dict) -> None:
     if opts.get("base", "ilu") != "ilu":
         raise ParameterError(
             f"unknown inner CG base {opts['base']!r}; only 'ilu' is supported")
-    # SuperLU loops forever on a zero fill factor and rejects a negative one
-    if opts.get("fill_factor", 1.0) <= 0.0:
-        raise ParameterError(
-            f"ILU fill factor must be positive, got {opts['fill_factor']}")
+    # SuperLU loops forever on a zero fill factor, rejects a negative one
+    # and runs out of memory on a non-finite one; NaN fails both tests
+    if not 0.0 < opts.get("fill_factor", 1.0) < np.inf:
+        raise ParameterError("ILU fill factor must be positive and finite, "
+                             f"got {opts['fill_factor']}")
+    if not 0.0 <= opts.get("drop_tol", 0.0) < np.inf:
+        raise ParameterError("ILU drop tolerance must be nonnegative and "
+                             f"finite, got {opts['drop_tol']}")
 
 
 def make_a_preconditioner(A: sp.csr_matrix, kind: str = "exact", **opts):

@@ -10,11 +10,14 @@ Three methods, all preconditioned by H = diag(H_A, H_S):
   * pcg_k_solve-- CG on the squared operator K = A_eps H A_eps; two saddle
                   applies and two H applies per iteration.
 
-Each solver records its stopping-norm history and the operation counts that
-make up the cost tables.  For the homogeneous benchmark runs (F = 0) the
-stopping norms are exactly the error norms that the convergence theory bounds
-(S_eps-norm for PU, K-norm for PL and PCG), so CG optimality makes the
-recorded sequences non-increasing.
+Each solver records its stopping-norm history, the operation counts that
+make up the cost tables and the Lanczos tridiagonal T_k that its own
+recurrence coefficients form (Saad, Iterative Methods for Sparse Linear
+Systems, 2nd ed., 6.7.3; Meurant and Strakos, Acta Numerica 2006), whose
+extreme eigenvalues estimate those of the preconditioned operator.  For the
+homogeneous benchmark runs (F = 0) the stopping norms are exactly the error
+norms that the convergence theory bounds (S_eps-norm for PU, K-norm for PL
+and PCG), so CG optimality makes the recorded sequences non-increasing.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import itertools
 import time
 
 import numpy as np
+import scipy.linalg as sla
 
 from .assembly import SaddleOperator
 from .mesh import ParameterError
@@ -68,6 +72,10 @@ class SolverReport:
     u: np.ndarray | None = None
     p: np.ndarray | None = None
     stop_rule: str = ""
+    # (diagonal, off-diagonal) of the Lanczos tridiagonal T_k of the
+    # preconditioned operator: H_S S_eps for PU, H A_eps for PL,
+    # (H A_eps)^2 for PCG-K and M A for cg_solve with preconditioner M
+    tridiagonal: tuple = (np.empty(0), np.empty(0))
 
     @property
     def total_applies(self) -> int:
@@ -83,13 +91,41 @@ class SolverReport:
         scale = self.norms[0]
         return bool(np.all(np.diff(self.norms) <= rel_tol * max(scale, 1.0)))
 
+    def ritz_extremes(self) -> tuple[float, float]:
+        """Smallest and largest eigenvalue of T_k, computed on request.
+
+        In exact arithmetic they lie inside the spectrum of the
+        preconditioned operator and approach, from within as the run goes
+        on, the extremes of the part of it that the start residual excites;
+        the dense spectrum is needed only to check them.  Steps taken after
+        the residual reached rounding level (a delta near 1e-15) add noise
+        coefficients, which can put values outside the spectrum.
+        """
+        diag, off = self.tridiagonal
+        if diag.size == 0:
+            raise ParameterError(
+                f"{self.method} took no Lanczos step; its report has no "
+                "Ritz values")
+        theta = sla.eigvalsh_tridiagonal(diag, off)
+        return float(theta[0]), float(theta[-1])
+
 
 def _finish(method, norms, converged, iters, counter, t0, u=None, p=None,
-            stop_rule=""):
+            stop_rule="", tridiagonal=SolverReport.tridiagonal):
     return SolverReport(method=method, iterations=iters, converged=converged,
                         norms=np.asarray(norms), a_applies=counter.a,
                         ha_applies=counter.ha, wall_time=time.perf_counter() - t0,
-                        u=u, p=p, stop_rule=stop_rule)
+                        u=u, p=p, stop_rule=stop_rule, tridiagonal=tridiagonal)
+
+
+def _cg_tridiagonal(coeffs):
+    """T_k of a CG run from its (step length, direction ratio) pairs: the
+    diagonal 1/a_j + b_j/a_{j-1} and the off-diagonal sqrt(b_j)/a_{j-1},
+    where b_j formed the j-th direction (b_1 = 0 is not read)."""
+    a, b = np.reshape(coeffs, (-1, 2)).T
+    diag = 1.0 / a
+    diag[1:] += b[1:] / a[:-1]
+    return diag, np.sqrt(b[1:]) / a[:-1]
 
 
 def _split_rhs(op, F, g_tags):
@@ -192,6 +228,8 @@ def pu_solve(op: SaddleOperator, precond: BlockPreconditioner, F=None,
     xi = np.zeros(n)
     s = np.zeros(n)
     s_denom = 1.0
+    alpha = 0.0
+    coeffs = []
     for k in range(1, max_iter + 1):
         hs_r = precond.schur.apply_tagged(u_pre, q_pre)
         if k == 1:
@@ -207,6 +245,7 @@ def pu_solve(op: SaddleOperator, precond: BlockPreconditioner, F=None,
             raise SolverBreakdownError(
                 f"Uzawa direction lost S-positivity at iteration {k}")
         beta = (r @ xi) / s_denom
+        coeffs.append((beta, -alpha))
         p -= beta * xi
         r -= beta * s
         u_pre -= beta * s_u_pre
@@ -214,7 +253,7 @@ def pu_solve(op: SaddleOperator, precond: BlockPreconditioner, F=None,
         norms.append(current_norm())
         if norms[-1] <= delta * norm0:
             return _finish("pu", norms, True, k, counter, t0, recover_u(), p,
-                           stop_rule)
+                           stop_rule, _cg_tridiagonal(coeffs))
     raise _max_iter_error("PU", delta, max_iter, norms)
 
 
@@ -266,6 +305,9 @@ def pl_solve(op: SaddleOperator, precond: BlockPreconditioner, F=None,
     t_prev = np.zeros_like(t)
     u_prev = np.zeros_like(u)
     tu_prev = 1.0
+    # T_{k-1} has diagonal alpha_j and off-diagonal sqrt(gamma_j): the
+    # vectors xi_j are K-orthogonal with |xi_j|_K^2 / |xi_{j-1}|_K^2 = gamma_j
+    alphas, gammas = [], []
 
     for k in range(1, max_iter + 1):
         tu = t @ u
@@ -279,14 +321,17 @@ def pl_solve(op: SaddleOperator, precond: BlockPreconditioner, F=None,
         norms.append(_guarded_sqrt(rho @ v, scale, "K-norm of residual"))
         if norms[-1] <= delta * norm0:
             return _finish("pl", norms, True, k, counter, t0,
-                           z[:op.N], z[op.N:], "K-norm")
+                           z[:op.N], z[op.N:], "K-norm",
+                           (np.array(alphas), np.sqrt(gammas)))
 
         w = op.apply(u, counter)
         alpha = (w @ u) / tu
+        alphas.append(alpha)
         xi_next = u - alpha * xi
         t_next = w - alpha * t
         if k >= 2:
             gamma = (w @ u_prev) / tu_prev
+            gammas.append(gamma)
             xi_next -= gamma * xi_prev
             t_next -= gamma * t_prev
         xi_prev, xi = xi, xi_next
@@ -325,6 +370,8 @@ def pcg_k_solve(op: SaddleOperator, precond: BlockPreconditioner, F=None,
     xi = np.zeros_like(z)
     kxi = np.zeros_like(z)
     kxi_denom = 1.0
+    alpha = 0.0
+    coeffs = []
     for k in range(1, max_iter + 1):
         if k == 1:
             xi = eta
@@ -339,6 +386,7 @@ def pcg_k_solve(op: SaddleOperator, precond: BlockPreconditioner, F=None,
             raise SolverBreakdownError(
                 f"PCG direction lost K-positivity at iteration {k}")
         beta = (rK @ xi) / kxi_denom
+        coeffs.append((beta, -alpha))
         z -= beta * xi
         rK -= beta * kxi
         rho -= beta * t
@@ -346,7 +394,8 @@ def pcg_k_solve(op: SaddleOperator, precond: BlockPreconditioner, F=None,
         norms.append(_guarded_sqrt(rho @ v, scale, "K-norm of error"))
         if norms[-1] <= delta * norm0:
             return _finish("pcg_k", norms, True, k, counter, t0,
-                           z[:op.N], z[op.N:], "K-norm")
+                           z[:op.N], z[op.N:], "K-norm",
+                           _cg_tridiagonal(coeffs))
         eta = precond.apply_to_image(rK, *precond.source_tags(v), counter)
     raise _max_iter_error("PCG-K", delta, max_iter, norms)
 
@@ -383,14 +432,16 @@ def cg_solve(A, b, precond=None, x0=None, delta: float = 1e-6,
     steps = pcg_steps(A, x, r, apply_m,
                       "CG direction lost A-positivity at iteration {k}",
                       counter)
-    for k in itertools.islice(steps, max_iter):
+    coeffs = []
+    for k, step, ratio in itertools.islice(steps, max_iter):
+        coeffs.append((step, ratio))
         if homogeneous:
             norms.append(_guarded_sqrt(-(x @ r), scale, "A-norm of iterate"))
         else:
             norms.append(float(np.linalg.norm(r)))
         if norms[-1] <= delta * norm0:
             return _finish("cg", norms, True, k, counter, t0, x, None,
-                           stop_rule)
+                           stop_rule, _cg_tridiagonal(coeffs))
     raise _max_iter_error("CG", delta, max_iter, norms)
 
 

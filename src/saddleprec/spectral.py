@@ -9,8 +9,9 @@ two interval sets: the literal two-interval prediction
 
 and a measured-constant envelope derived from the same quadratic sector
 parametrization with (a0, b0) in place of the unknown extension constant.
-Dense solves cap at total dimension 2000; beyond that only Lanczos extreme
-estimates are offered.
+Dense solves cap at total dimension 2000; beyond that the extreme
+eigenvalues come from the solvers themselves: SolverReport.ritz_extremes
+reads them off the Lanczos tridiagonal of a PU, PL or PCG-K run.
 """
 
 from __future__ import annotations
@@ -23,8 +24,7 @@ import scipy.sparse as sp
 
 from .mesh import InclusionLayout, ParameterError, assign_epsilon
 from .assembly import InclusionBlocks, build_problem
-from .precond import (ContractViolationError, ExactAInverse,
-                      SchurPreconditioner)
+from .precond import ContractViolationError, ExactAInverse
 
 MU_HAT_1 = (1.0 - np.sqrt(5.0)) / 2.0
 MU_HAT_2 = (1.0 + np.sqrt(5.0)) / 2.0
@@ -65,7 +65,8 @@ def dense_spectrum(op_mat, gram_mat=None, limit: int = DENSE_LIMIT,
 
     gram_mat None means the identity.  The Gram factor must be SPD; a failed
     Cholesky raises ContractViolationError.  Instances above `limit` rows are
-    refused (use lanczos_extremes there).
+    refused; there the ritz_extremes of a solver report estimate the
+    extreme eigenvalues.
     """
     op = op_mat.toarray() if sp.issparse(op_mat) else np.asarray(op_mat, float)
     if op.shape[0] != op.shape[1]:
@@ -73,7 +74,7 @@ def dense_spectrum(op_mat, gram_mat=None, limit: int = DENSE_LIMIT,
     if op.shape[0] > limit:
         raise ParameterError(
             f"dense spectrum refused at dimension {op.shape[0]} > {limit}; "
-            "use lanczos_extremes for large instances")
+            "use the ritz_extremes of a solver report for large instances")
     if not np.allclose(op, op.T, rtol=0.0, atol=1e-10 * _scale(op)):
         raise ContractViolationError("operator block is not symmetric")
     gram = None
@@ -231,7 +232,8 @@ def verify_intervals(layout: InclusionLayout, eps=None, ha_kind: str = "exact",
     if layout.mesh.n_interior + layout.n > DENSE_LIMIT:
         raise ParameterError(
             f"instance dimension {layout.mesh.n_interior + layout.n} exceeds "
-            f"the dense limit {DENSE_LIMIT}; use lanczos_extremes instead")
+            f"the dense limit {DENSE_LIMIT}; use the ritz_extremes of a "
+            "solver report instead")
     _, A, blocks, op = build_problem(layout.mesh, layout)
     N, n = op.N, op.n
 
@@ -283,113 +285,3 @@ def verify_intervals(layout: InclusionLayout, eps=None, ha_kind: str = "exact",
         n_minus_one=int(np.sum(np.abs(eigs + 1.0) <= tol)),
         n_plus_one=int(np.sum(np.abs(eigs - 1.0) <= tol)),
     )
-
-
-@dataclasses.dataclass
-class LanczosReport:
-    """Extreme Ritz values with residual-based error bounds."""
-
-    lam_min: float
-    lam_max: float
-    err_min: float
-    err_max: float
-    steps: int
-    converged: bool
-    ritz: np.ndarray
-
-
-def lanczos_extremes(apply_op, size: int, apply_gram=None, budget: int = 60,
-                     tol: float = 1e-8, seed: int = 0) -> LanczosReport:
-    """Extreme eigenvalues of an operator self-adjoint in a Gram inner product.
-
-    apply_op(v) evaluates the operator, apply_gram(v) the Gram matvec (None
-    means Euclidean).  Full reorthogonalization in the Gram inner product
-    keeps the Ritz values clean at desk scale.  The error fields carry the
-    standard residual bound beta_k |s_k|; if they fail to reach `tol` within
-    the budget the report is flagged as not converged (partial result).
-    """
-    if apply_gram is None:
-        apply_gram = lambda v: v
-    budget = min(budget, size)
-    rng = np.random.Generator(np.random.Philox(seed))
-    v = rng.uniform(-1.0, 1.0, size)
-    gv = apply_gram(v)
-    nrm = np.sqrt(v @ gv)
-    if nrm <= 0.0:
-        raise ContractViolationError("Gram inner product is not definite")
-    V = [v / nrm]
-    alphas, betas = [], []
-    breakdown = False
-    for _ in range(budget):
-        w = apply_op(V[-1])
-        gw = apply_gram(w)
-        alphas.append(float(gw @ V[-1]))
-        scale0 = np.sqrt(max(w @ gw, 0.0))
-        # full reorthogonalization, two passes with a fresh Gram image each
-        # time: one pass is not enough once extreme Ritz pairs converge, and
-        # an incrementally updated Gram image accumulates drift that feeds
-        # wrong coefficients back into the basis
-        for _pass in range(2):
-            coeffs = [gw @ vi for vi in V]
-            for c, vi in zip(coeffs, V):
-                w = w - c * vi
-            gw = apply_gram(w)
-        beta2 = w @ gw
-        if beta2 <= (1e-13 * scale0) ** 2:
-            breakdown = True      # invariant subspace found, bounds exact
-            break
-        beta = np.sqrt(beta2)
-        betas.append(float(beta))
-        V.append(w / beta)
-    k = len(alphas)
-    if k > 1:
-        T = np.diag(alphas) + np.diag(betas[:k - 1], 1) + np.diag(betas[:k - 1], -1)
-        theta, S = sla.eigh(T)
-    else:
-        theta, S = np.array(alphas), np.ones((1, 1))
-    tail = betas[k - 1] if (len(betas) >= k and not breakdown) else 0.0
-    err_lo = abs(tail * S[-1, 0])
-    err_hi = abs(tail * S[-1, -1])
-    converged = breakdown or (err_lo <= tol and err_hi <= tol)
-    return LanczosReport(lam_min=float(theta[0]), lam_max=float(theta[-1]),
-                         err_min=float(err_lo), err_max=float(err_hi),
-                         steps=k, converged=bool(converged), ritz=theta)
-
-
-def make_hs_s0_operator(A: sp.csr_matrix, blocks: InclusionBlocks):
-    """Callables (apply, gram) for the pencil H_S S0 in the (B_D+Q) product.
-
-    S0 v needs one exact A solve per application; the preconditioner part
-    runs through the projector identities at O(n).
-    """
-    N = A.shape[0]
-    n = blocks.n
-    a_inv = ExactAInverse(A)
-    hs = SchurPreconditioner(blocks)
-
-    def apply(v):
-        rhs = np.zeros(N)
-        rhs[:n] = blocks.B_D @ v
-        bd_pre = a_inv.apply(rhs)[:n]
-        return hs.apply_tagged(bd_pre, v)
-
-    def gram(v):
-        return blocks.from_tags(v, v)
-
-    return apply, gram
-
-
-def make_h_aeps_operator(op, precond):
-    """Callables (apply, gram) for H A_eps in the H^{-1} inner product."""
-    N, n = op.N, op.n
-
-    def apply(z):
-        return precond.apply_to_image(op.apply(z), *precond.source_tags(z))
-
-    def gram(z):
-        out = np.empty_like(z)
-        out[:N] = op.A @ z[:N]
-        out[N:] = op.blocks.from_tags(z[N:], z[N:])
-        return out
-
-    return apply, gram

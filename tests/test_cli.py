@@ -288,7 +288,7 @@ def test_spectrum_rejects_oversize_instance(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["spectrum", "--config", cfg, "--out", str(out)]) == EXIT_ERROR
     err = capsys.readouterr().err
-    assert "dense verification" in err and "lanczos_extremes" in err
+    assert "dense verification" in err and "ritz_extremes" in err
 
 
 # ---------------------------------------------------------------------------
@@ -424,18 +424,22 @@ def _count_calls(monkeypatch, name, calls, owner=cli):
 
 
 # two placements (periodic and random) of one mesh, each with two eps copies;
-# per subcommand, the extra keys and the H_A set-ups the sweep makes
+# per case, the subcommand, its extra keys, the block matrix sets it builds
+# (a stiffness export needs none) and the H_A set-ups the sweep makes
 _EVERY_COMMAND = ("M = 8\nlayout = periodic, random\nremoval = 2\n"
                   "eps_min = 1e-2, 1e-4\n")
-_BUILT_ONCE = {"solve": ("method = pu, pl, pcgk\n", 6),
-               "cost": ("method = pu, pl, pcgk\n", 4),
-               "spectrum": ("pencil = preconditioner, ideal\n", 0),
-               "export-matrix": ("", 0)}
+_BUILT_ONCE = {
+    "solve": ("solve", "method = pu, pl, pcgk\n", 2, 6),
+    "cost": ("cost", "method = pu, pl, pcgk\n", 2, 4),
+    "spectrum": ("spectrum", "pencil = preconditioner, ideal\n", 2, 0),
+    "export-matrix": ("export-matrix", "", 2, 0),
+    "export-stiffness": ("export-matrix", "matrix = stiffness\n", 0, 0),
+}
 
 
-@pytest.mark.parametrize("command", sorted(_BUILT_ONCE))
+@pytest.mark.parametrize("case", sorted(_BUILT_ONCE))
 def test_each_part_of_an_instance_is_built_once(tmp_path, capsys, monkeypatch,
-                                                command):
+                                                case):
     calls = []
     names = ("build_mesh", "place_periodic", "place_random", "assign_epsilon",
              "assemble_stiffness", "_placement_blocks",
@@ -445,15 +449,15 @@ def test_each_part_of_an_instance_is_built_once(tmp_path, capsys, monkeypatch,
         for name in names:
             if hasattr(owner, name):
                 _count_calls(monkeypatch, name, calls, owner)
-    text, ha_setups = _BUILT_ONCE[command]
+    command, text, block_sets, ha_setups = _BUILT_ONCE[case]
     cfg = _write(tmp_path / "once.cfg", _EVERY_COMMAND + text)
     out = tmp_path / "out"
     assert main([command, "--config", cfg, "--out", str(out),
                  "--threads", "1"]) == EXIT_OK
-    # one mesh, two placements, four eps copies, and one A and one set of
-    # block matrices per placement
-    assert [calls.count(name) for name in names] == [1, 1, 1, 4, 2, 2,
-                                                     ha_setups]
+    # one mesh, two placements, four eps copies, and one A and at most one
+    # set of block matrices per placement
+    assert [calls.count(name) for name in names] == [1, 1, 1, 4, 2,
+                                                     block_sets, ha_setups]
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["ha_setups"] == (ha_setups or None)
     capsys.readouterr()
@@ -583,15 +587,18 @@ def test_contrast_sweep_csv_matches_the_benchmark_reference(tmp_path,
     workloads = importlib.import_module("bench.workloads")
     with open(os.path.join(ROOT, "bench", "reference", "contrast-sweep.json"),
               encoding="utf-8") as fh:
-        expected = json.load(fh)["0"]["outputs"]["solve_csv_sha256"]
+        reference = json.load(fh)
     cfg = _write(tmp_path / "contrast.cfg", workloads.CONTRAST_CONFIG.format(
         M=128, removal=512, delta=workloads.DELTA))
-    out = tmp_path / "out"
-    # the reference was recorded with one BLAS thread
-    _main_with_one_blas_thread("solve", "--config", cfg, "--out", str(out),
-                               "--seed", "0")
-    data = (out / "solve.csv").read_bytes()
-    assert hashlib.sha256(data).hexdigest() == expected
+    # the first and the last recorded seed; the reference was recorded with
+    # one BLAS thread
+    for seed in ("0", "31"):
+        out = tmp_path / f"out{seed}"
+        _main_with_one_blas_thread("solve", "--config", cfg,
+                                   "--out", str(out), "--seed", seed)
+        data = (out / "solve.csv").read_bytes()
+        assert (hashlib.sha256(data).hexdigest()
+                == reference[seed]["outputs"]["solve_csv_sha256"]), seed
 
 
 @pytest.mark.parametrize("command,output", [("solve", "solve.csv"),
@@ -718,20 +725,30 @@ def test_export_matrix_refuses_colliding_files(tmp_path, capsys, text):
      "config key ha: H_A kind 'exact' takes no options, got steps"),
     ("solve", "ha = cg\nha_steps = 0\n", "at least 1 step, got 0"),
     ("solve", "ha = cg\nha_fill_factor = 0\n",
-     "fill factor must be positive, got 0.0"),
+     "fill factor must be positive and finite, got 0.0"),
+    ("solve", "ha = cg\nha_fill_factor = nan\n",
+     "fill factor must be positive and finite, got nan"),
+    ("solve", "ha = cg\nha_fill_factor = inf\n",
+     "fill factor must be positive and finite, got inf"),
+    ("solve", "ha = cg\nha_drop_tol = -1\n",
+     "drop tolerance must be nonnegative and finite, got -1.0"),
+    ("solve", "ha = cg\nha_drop_tol = nan\n",
+     "drop tolerance must be nonnegative and finite, got nan"),
     ("solve", "ha = foo\n", "unknown ha 'foo'; use exact|cg|diagonal"),
     ("solve", "ha = cg\nha_base = ilu\n", "unknown config key(s) for solve: ha_base;"),
     ("spectrum", "ha = cg\n", "unknown ha 'cg'; use exact|diagonal"),
     ("cost", "pl_ha_steps = 4\n",
      "config key pl_ha: H_A kind 'exact' takes no options, got steps"),
-], ids=["exact-with-option", "cg-zero-steps", "cg-zero-fill", "unknown-kind",
+], ids=["exact-with-option", "cg-zero-steps", "cg-zero-fill", "cg-nan-fill",
+        "cg-inf-fill", "cg-negative-drop", "cg-nan-drop", "unknown-kind",
         "ha-base-gone", "spectrum-cg", "cost-option-on-exact"])
 def test_ha_config_refused_before_any_run(tmp_path, capsys, command, text,
                                           match):
     cfg = _write(tmp_path / "ha.cfg", "M = 8\n" + text)
     out = tmp_path / "out"
     assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_ERROR
-    assert match in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert match in err and err.count("error:") == 1
     assert not out.exists()
 
 

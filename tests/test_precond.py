@@ -183,6 +183,22 @@ def test_make_a_preconditioner_dispatch(prob8):
             make_a_preconditioner(prob8.A, "cg", base=base)
 
 
+@pytest.mark.parametrize("opts,match", [
+    ({"fill_factor": np.nan}, "fill factor must be positive and finite"),
+    ({"fill_factor": np.inf}, "fill factor must be positive and finite"),
+    ({"fill_factor": -1.0}, "fill factor must be positive and finite"),
+    ({"drop_tol": -1.0}, "drop tolerance must be nonnegative and finite"),
+    ({"drop_tol": np.nan}, "drop tolerance must be nonnegative and finite"),
+    ({"drop_tol": np.inf}, "drop tolerance must be nonnegative and finite"),
+], ids=["nan-fill", "inf-fill", "negative-fill", "negative-drop", "nan-drop",
+        "inf-drop"])
+def test_make_a_preconditioner_refuses_bad_ilu_options(prob8, opts, match):
+    with pytest.raises(ParameterError, match=match):
+        make_a_preconditioner(prob8.A, "cg", **opts)
+    with pytest.raises(ParameterError, match=match):
+        InnerCgAInverse(prob8.A, **opts)
+
+
 @pytest.mark.parametrize("kind", ["exact", "diagonal"])
 def test_make_a_preconditioner_refuses_options_it_would_drop(prob8, kind):
     with pytest.raises(ParameterError,

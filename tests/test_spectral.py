@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from saddleprec import (
     MU_HAT_1, MU_HAT_2, DENSE_LIMIT,
     mu_check_pair, sector_pair, dense_spectrum, schur_complement_dense,
-    complement_basis, measure_a0_b0, verify_intervals, lanczos_extremes,
-    make_hs_s0_operator, make_h_aeps_operator,
+    complement_basis, measure_a0_b0, verify_intervals,
     build_mesh, place_periodic, assign_epsilon, assemble_sigma_matrix,
-    build_problem,
+    build_problem, cg_solve, pu_solve, pl_solve, pcg_k_solve, random_guess,
     ParameterError, ContractViolationError,
 )
 
@@ -230,48 +230,99 @@ def test_verify_intervals_uniform_override(prob8):
 
 
 # ---------------------------------------------------------------------------
-# matrix-free extremes via Lanczos
+# extreme Ritz values from the solvers' own recurrences
 
 
 def test_lanczos_identity_operator():
-    rep = lanczos_extremes(lambda v: v, 40)
-    assert rep.converged and rep.steps <= 2
-    np.testing.assert_allclose((rep.lam_min, rep.lam_max), (1.0, 1.0),
-                               atol=1e-12)
+    eye = sp.identity(40, format="csr")
+    rep = cg_solve(eye, None, x0=random_guess(40, 0))
+    assert rep.iterations == 1
+    np.testing.assert_allclose(rep.ritz_extremes(), (1.0, 1.0), rtol=1e-15)
+    with pytest.raises(ParameterError, match="no Lanczos step"):
+        cg_solve(eye, None).ritz_extremes()       # zero start: no step
 
 
-def test_lanczos_euclidean_matches_dense(prob8):
-    A = prob8.A
-    dense = np.linalg.eigvalsh(A.toarray())
-    rep = lanczos_extremes(lambda v: A @ v, A.shape[0], budget=80)
-    assert rep.converged
-    np.testing.assert_allclose(rep.lam_min, dense[0], rtol=1e-8)
-    np.testing.assert_allclose(rep.lam_max, dense[-1], rtol=1e-8)
+def test_lanczos_euclidean_matches_dense(prob16):
+    # cg_solve's T_k belongs to the matrix itself: A and, with a condition
+    # number near 4e5, A_sigma
+    for A in (prob16.A, assemble_sigma_matrix(prob16.mesh, prob16.layout)):
+        dense = np.linalg.eigvalsh(A.toarray())
+        rep = cg_solve(A, None, x0=random_guess(A.shape[0], 0), delta=1e-10)
+        np.testing.assert_allclose(rep.ritz_extremes(),
+                                   (dense[0], dense[-1]), rtol=1e-8)
 
 
 def test_lanczos_budget_too_small(prob16):
+    # a short run's Ritz values lie strictly inside the spectrum
     A = prob16.A
-    rep = lanczos_extremes(lambda v: A @ v, A.shape[0], budget=5, tol=1e-12)
-    assert not rep.converged
-    assert rep.err_min > 1e-12 or rep.err_max > 1e-12
-
-
-def test_lanczos_schur_pencil_extremes(prob16):
-    apply_op, apply_gram = make_hs_s0_operator(prob16.A, prob16.blocks)
-    rep = lanczos_extremes(apply_op, prob16.blocks.n, apply_gram, budget=120)
-    assert rep.converged
-    np.testing.assert_allclose(rep.lam_min, 3.0 / 14.0, atol=1e-8)
-    np.testing.assert_allclose(rep.lam_max, 1.0, atol=1e-8)
-    assert rep.lam_max <= 1.0 + 1e-10
+    dense = np.linalg.eigvalsh(A.toarray())
+    rep = cg_solve(A, None, x0=random_guess(A.shape[0], 0), delta=0.5)
+    lo, hi = rep.ritz_extremes()
+    assert rep.iterations < 10
+    assert dense[0] * (1.0 + 1e-3) < lo <= hi < dense[-1] * (1.0 - 1e-3)
 
 
 def test_lanczos_saddle_pencil_matches_dense(prob16):
     pre = make_exact_precond(prob16)
-    apply_op, apply_gram = make_h_aeps_operator(prob16.op, pre)
-    rep = lanczos_extremes(apply_op, prob16.op.size, apply_gram, budget=150)
-    assert rep.converged
-    np.testing.assert_allclose(rep.lam_min, -1.0, atol=1e-8)
-    np.testing.assert_allclose(rep.lam_max, 1.618006350324, atol=1e-8)
+    rep = pl_solve(prob16.op, pre, z0=random_guess(prob16.op.size, 0),
+                   delta=1e-8)
+    dense = verify_intervals(prob16.layout)
+    np.testing.assert_allclose(rep.ritz_extremes(),
+                               (dense.lam_min, dense.lam_max), rtol=1e-8)
+    np.testing.assert_allclose(rep.ritz_extremes(), (-1.0, 1.618006350324),
+                               atol=1e-8)
+
+
+def test_lanczos_schur_pencil_extremes(prob16):
+    # for uniform eps, H_S S_eps has the spectrum 1 on ker B_D and eps + t
+    # off it, t in [a0, b0]; its low end is clustered (the two lowest
+    # values differ by 1.2 %), so the lowest Ritz value is still 2e-4 above
+    # a0 + eps when the iterate has converged to 1e-12
+    pre = make_exact_precond(prob16)
+    rep = pu_solve(prob16.op, pre, p0=random_guess(prob16.blocks.n, 0),
+                   delta=1e-12)
+    a0, b0 = measure_a0_b0(prob16.layout)
+    lo, hi = rep.ritz_extremes()
+    np.testing.assert_allclose(a0, 3.0 / 14.0, atol=1e-10)
+    np.testing.assert_allclose(hi, b0 + 1e-4, rtol=1e-8)
+    assert (a0 + 1e-4) * (1.0 - 1e-12) <= lo <= (a0 + 1e-4) * (1.0 + 1e-3)
+
+
+def test_pcg_k_ritz_extremes_approach_the_squared_spectrum(prob16):
+    # PCG-K's T_k belongs to (H A_eps)^2; its lowest value is the square of
+    # the negative-sector end nearest 0, again clustered (2 % apart)
+    pre = make_exact_precond(prob16)
+    rep = pcg_k_solve(prob16.op, pre, z0=random_guess(prob16.op.size, 0),
+                      delta=1e-12)
+    squares = np.sort(verify_intervals(prob16.layout).eigenvalues ** 2)
+    lo, hi = rep.ritz_extremes()
+    np.testing.assert_allclose(hi, squares[-1], rtol=1e-6)
+    assert squares[0] * (1.0 - 1e-12) <= lo <= squares[0] * (1.0 + 1e-3)
+
+
+def test_ritz_extremes_exhaust_a_small_krylov_space(single_inclusion16):
+    # one inclusion leaves H_S S_eps seven distinct eigenvalues, H A_eps
+    # fourteen and (H A_eps)^2 thirteen, so each run spans (nearly) its
+    # whole Krylov space and its extreme Ritz values are the extreme
+    # eigenvalues
+    prob = single_inclusion16
+    pre = make_exact_precond(prob)
+    a0, b0 = measure_a0_b0(prob.layout)
+    dense = verify_intervals(prob.layout)
+    squares = np.sort(dense.eigenvalues ** 2)
+    z0 = random_guess(prob.op.size, 0)
+    reports = {
+        "pu": pu_solve(prob.op, pre, p0=random_guess(prob.blocks.n, 0),
+                       delta=1e-10),
+        "pl": pl_solve(prob.op, pre, z0=z0, delta=1e-10),
+        "pcg_k": pcg_k_solve(prob.op, pre, z0=z0, delta=1e-10),
+    }
+    expected = {"pu": (a0 + 1e-4, b0 + 1e-4),
+                "pl": (dense.lam_min, dense.lam_max),
+                "pcg_k": (squares[0], squares[-1])}
+    for method, rep in reports.items():
+        np.testing.assert_allclose(rep.ritz_extremes(), expected[method],
+                                   rtol=1e-8, err_msg=method)
 
 
 def test_sigma_system_conditioning_grows_with_contrast():
