@@ -260,6 +260,11 @@ class SaddleOperator:
             counter.a += 1
         return np.concatenate((top, bottom))
 
+    def source_tags(self, source: np.ndarray):
+        """Tags (a, b) with lower(A_eps source) = B_D a + Q b."""
+        w = source[self.N:]
+        return source[:self.n] - self.blocks.eps_node * w, -w
+
     def to_sparse(self) -> sp.csr_matrix:
         """Explicit sparse form, mainly for export and dense oracles."""
         n, N = self.n, self.N

@@ -45,9 +45,8 @@ from .mesh import (MeshError, LayoutError, ParameterError, build_mesh,
                    assign_epsilon)
 from .assembly import (build_problem, assemble_load, assemble_sigma_matrix,
                        assemble_stiffness, write_matrix_market)
-from .precond import (A_KINDS, ContractViolationError, SchurPreconditioner,
-                      SolverBreakdownError, build_block_preconditioner,
-                      check_a_options)
+from .precond import (A_KINDS, ContractViolationError, SolverBreakdownError,
+                      build_block_preconditioner, check_a_options)
 from .solvers import (pu_solve, pl_solve, pcg_k_solve, random_guess,
                       OperatorContractError, MaxIterationsError)
 from .spectral import DENSE_LIMIT, verify_intervals
@@ -382,8 +381,8 @@ def _sweep(cfg, layouts, instances, threads):
 
 
 def _run_solve(cfg, lay, preconds, instance):
-    """One solve of the instance on its layout; preconds holds the H_A of
-    each (kind, options) built on the layout's placement so far."""
+    """One solve of the instance on its layout; preconds holds the H (eps
+    free) of each (kind, options) built on the layout's placement so far."""
     method, M, k, layout, eps_mode, eps_min, delta, seed = instance
     kind, opts = cfg.ha[method]
     ordering, A, blocks, op = build_problem(lay.mesh, lay)
@@ -391,8 +390,6 @@ def _run_solve(cfg, lay, preconds, instance):
         key = (kind, tuple(sorted(opts.items())))
         if key not in preconds:
             preconds[key] = build_block_preconditioner(A, blocks, kind, **opts)
-        precond = dataclasses.replace(preconds[key],
-                                      schur=SchurPreconditioner(blocks))
         if cfg.rhs == "one":
             kwargs = {"F": np.concatenate((assemble_load(
                 lay.mesh, 1.0, ordering=ordering), np.zeros(op.n)))}
@@ -400,7 +397,7 @@ def _run_solve(cfg, lay, preconds, instance):
             kwargs = {"p0": random_guess(op.n, seed)}
         else:
             kwargs = {"z0": random_guess(op.size, seed)}
-        report = _METHODS[method](op, precond, delta=delta,
+        report = _METHODS[method](op, preconds[key], delta=delta,
                                   max_iter=cfg.max_iter, **kwargs)
     except _SOLVER_ERRORS as exc:   # name the instance
         raise type(exc)(

@@ -255,20 +255,15 @@ def make_a_preconditioner(A: sp.csr_matrix, kind: str = "exact", **opts):
 class BlockPreconditioner:
     """H = diag(H_A, H_S) applied to images of the saddle operator.
 
-    apply_to_image computes H X for X = A_eps(source) - extra, where the
-    lower tags of X are derived from the known source vector (and optional
-    extra tags), keeping the Schur part at O(n).
+    apply_to_image computes H X for X = A_eps(source) - extra from the lower
+    tags of X (SaddleOperator.source_tags less those of extra), keeping the
+    Schur part at O(n).  H reads no eps: it serves every eps copy.
     """
 
     a_inv: object
     schur: SchurPreconditioner
     N: int
     n: int
-
-    def source_tags(self, source: np.ndarray):
-        """Tags (a, b) with lower(A_eps source) = B_D a + Q b."""
-        w = source[self.N:]
-        return source[:self.n] - self.schur.blocks.eps_node * w, -w
 
     def apply_to_image(self, image: np.ndarray, bd_pre: np.ndarray,
                        q_pre: np.ndarray,

@@ -10,6 +10,10 @@ Three methods, all preconditioned by H = diag(H_A, H_S):
   * pcg_k_solve-- CG on the squared operator K = A_eps H A_eps; two saddle
                   applies and two H applies per iteration.
 
+PU and PCG-K share one CG recurrence on two SPD operators (S_eps with H_S,
+K with H).  All four solvers, cg_solve included, stop once the stopping
+norm falls to delta times its start value.
+
 Each solver records its stopping-norm history, the operation counts that
 make up the cost tables and the Lanczos tridiagonal T_k that its own
 recurrence coefficients form (Saad, Iterative Methods for Sparse Linear
@@ -23,7 +27,6 @@ and PCG), so CG optimality makes the recorded sequences non-increasing.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import time
 
 import numpy as np
@@ -74,7 +77,8 @@ class SolverReport:
     stop_rule: str = ""
     # (diagonal, off-diagonal) of the Lanczos tridiagonal T_k of the
     # preconditioned operator: H_S S_eps for PU, H A_eps for PL,
-    # (H A_eps)^2 for PCG-K and M A for cg_solve with preconditioner M
+    # (H A_eps)^2 for PCG-K and M A for cg_solve with preconditioner M;
+    # NaN off the diagonal where a direction ratio was not positive
     tridiagonal: tuple = (np.empty(0), np.empty(0))
 
     @property
@@ -99,23 +103,71 @@ class SolverReport:
         on, the extremes of the part of it that the start residual excites;
         the dense spectrum is needed only to check them.  Steps taken after
         the residual reached rounding level (a delta near 1e-15) add noise
-        coefficients, which can put values outside the spectrum.
+        coefficients, which can put values outside the spectrum; a direction
+        ratio that is not positive raises ParameterError naming its step.
         """
         diag, off = self.tridiagonal
         if diag.size == 0:
             raise ParameterError(
                 f"{self.method} took no Lanczos step; its report has no "
                 "Ritz values")
+        bad = np.flatnonzero(np.isnan(off))
+        if bad.size:
+            # off[j] comes from the direction ratio of step j + 2 when T_k
+            # has a row per step (PL's last step adds none)
+            step = bad[0] + 2 + self.iterations - diag.size
+            raise ParameterError(
+                f"{self.method} direction ratio of step {step} is not "
+                "positive: the run went past the rounding floor")
         theta = sla.eigvalsh_tridiagonal(diag, off)
         return float(theta[0]), float(theta[-1])
 
 
-def _finish(method, norms, converged, iters, counter, t0, u=None, p=None,
-            stop_rule="", tridiagonal=SolverReport.tridiagonal):
-    return SolverReport(method=method, iterations=iters, converged=converged,
-                        norms=np.asarray(norms), a_applies=counter.a,
-                        ha_applies=counter.ha, wall_time=time.perf_counter() - t0,
-                        u=u, p=p, stop_rule=stop_rule, tridiagonal=tridiagonal)
+class _Run:
+    """Clock, operation counter and stopping-norm history of one solve.
+
+    Iterating yields k = 1, 2, ... while the last recorded norm exceeds
+    delta times the first, so a zero start takes no step, and raises
+    MaxIterationsError once max_iter steps leave it above; report() builds
+    the SolverReport of the run.
+    """
+
+    def __init__(self, method, stop_rule, delta, max_iter, counter):
+        self.t0 = time.perf_counter()
+        self.method, self.stop_rule = method, stop_rule
+        self.delta, self.max_iter = delta, max_iter
+        self.counter = counter if counter is not None else OpCounter()
+        self.norms = []
+        self.k = 0
+
+    def record(self, form: float) -> None:
+        """Append the stopping norm sqrt(form) of a quadratic form that
+        rounding may leave slightly negative, relative to the first."""
+        scale = self.norms[0] * self.norms[0] if self.norms else 1.0
+        self.norms.append(_guarded_sqrt(form, scale, self.stop_rule))
+
+    def __iter__(self):
+        while not self.norms[-1] <= self.delta * self.norms[0]:
+            if self.k == self.max_iter:
+                raise MaxIterationsError(
+                    f"{self.method.upper().replace('_', '-')} did not reach "
+                    f"{self.delta:g} within {self.max_iter} iterations "
+                    f"(ratio {self.norms[-1] / self.norms[0]:.3e})")
+            self.k += 1
+            yield self.k
+
+    def report(self, u, p, tridiagonal) -> SolverReport:
+        return SolverReport(
+            method=self.method, iterations=self.k, converged=True,
+            norms=np.asarray(self.norms), a_applies=self.counter.a,
+            ha_applies=self.counter.ha,
+            wall_time=time.perf_counter() - self.t0, u=u, p=p,
+            stop_rule=self.stop_rule, tridiagonal=tridiagonal)
+
+
+def _sqrt_ratios(b):
+    """sqrt(b), NaN without a warning where b is not positive."""
+    return np.sqrt(b, out=np.full_like(b, np.nan), where=b > 0.0)
 
 
 def _cg_tridiagonal(coeffs):
@@ -125,7 +177,37 @@ def _cg_tridiagonal(coeffs):
     a, b = np.reshape(coeffs, (-1, 2)).T
     diag = 1.0 / a
     diag[1:] += b[1:] / a[:-1]
-    return diag, np.sqrt(b[1:]) / a[:-1]
+    return diag, _sqrt_ratios(b[1:]) / a[:-1]
+
+
+def _conjugate_cg(run, start, precondition, images, form, breakdown):
+    """CG on an SPD operator K with the direction conjugated explicitly,
+    alpha = (z . K xi_prev) / (xi_prev . K xi_prev); returns T_k.
+
+    start() builds the state (x, r, ...) with r = K x - b at step 1, so a
+    converged start costs nothing; precondition(*state) gives z, images(xi)
+    (xi, K xi, ...) that each state entry moves along and form() the
+    stopping norm's quadratic form."""
+    coeffs = []
+    for k in run:
+        if k == 1:
+            state = start()
+            alpha, xi = 0.0, precondition(*state)
+        else:
+            z = precondition(*state)
+            alpha = (z @ kxi) / denom
+            xi = z - alpha * xi
+        moves = images(xi)
+        kxi = moves[1]
+        denom = kxi @ xi
+        if denom <= 0.0:
+            raise SolverBreakdownError(breakdown.format(k=k))
+        beta = (state[1] @ xi) / denom
+        coeffs.append((beta, -alpha))
+        for vec, move in zip(state, moves):
+            vec -= beta * move
+        run.record(form())
+    return _cg_tridiagonal(coeffs)
 
 
 def _split_rhs(op, F, g_tags):
@@ -166,12 +248,6 @@ def _schur_pre(op, a_inv, x, counter, fbar=None):
     return op.blocks.eps_node * x + w[:op.n]
 
 
-def _max_iter_error(name, delta, max_iter, norms):
-    return MaxIterationsError(
-        f"{name} did not reach {delta:g} within {max_iter} iterations "
-        f"(ratio {norms[-1] / norms[0]:.3e})")
-
-
 def pu_solve(op: SaddleOperator, precond: BlockPreconditioner, F=None,
              g_tags=None, p0=None, delta: float = 1e-6, max_iter: int = 1000,
              counter: OpCounter | None = None) -> SolverReport:
@@ -182,13 +258,13 @@ def pu_solve(op: SaddleOperator, precond: BlockPreconditioner, F=None,
     benchmark (F = 0) stops on the S_eps-norm of the iterate, which equals
     the error norm; otherwise the H_S-weighted residual norm is used.
     """
-    t0 = time.perf_counter()
-    counter = counter if counter is not None else OpCounter()
-    blocks = op.blocks
-    n = op.n
     fbar, gbar, g_tags = _split_rhs(op, F, g_tags)
     homogeneous = not (np.any(fbar) or np.any(gbar))
-    p = np.zeros(n) if p0 is None else np.asarray(p0, dtype=float).copy()
+    run = _Run("pu", "iterate-S-norm" if homogeneous
+               else "preconditioned-residual", delta, max_iter, counter)
+    counter = run.counter
+    blocks = op.blocks
+    p = np.zeros(op.n) if p0 is None else np.asarray(p0, dtype=float).copy()
 
     # r0 = S_eps p0 - (B H_A fbar - gbar) with tags r = B_D u_pre + Q q_pre
     # carried along the whole iteration
@@ -196,85 +272,46 @@ def pu_solve(op: SaddleOperator, precond: BlockPreconditioner, F=None,
     q_pre = p.copy()
     g = _gbar_tags(blocks, gbar, g_tags)
     if g is not None:
-        u_pre = u_pre + g[0]
-        q_pre = q_pre + g[1]
+        u_pre, q_pre = u_pre + g[0], q_pre + g[1]
     r = blocks.from_tags(u_pre, q_pre)
 
-    if homogeneous:
-        stop_rule = "iterate-S-norm"
-        norm0 = _guarded_sqrt(r @ p, 1.0, "initial S-norm")
-    else:
-        stop_rule = "preconditioned-residual"
-        hs_r = precond.schur.apply_tagged(u_pre, q_pre)
-        norm0 = _guarded_sqrt(r @ hs_r, 1.0, "initial residual norm")
-    norms = [norm0]
-    scale = norm0 * norm0
-
-    def current_norm():
+    def form():
         if homogeneous:
-            return _guarded_sqrt(r @ p, scale, "S-norm of iterate")
-        hs = precond.schur.apply_tagged(u_pre, q_pre)
-        return _guarded_sqrt(r @ hs, scale, "residual norm")
+            return r @ p
+        return r @ precond.schur.apply_tagged(u_pre, q_pre)
 
-    def recover_u():
-        rhs = fbar.copy()
-        rhs[:n] -= blocks.B_D @ p
-        return precond.a_inv.apply(rhs, counter)
-
-    if norm0 == 0.0:
-        return _finish("pu", norms, True, 0, counter, t0, recover_u(), p,
-                       stop_rule)
-
-    xi = np.zeros(n)
-    s = np.zeros(n)
-    s_denom = 1.0
-    alpha = 0.0
-    coeffs = []
-    for k in range(1, max_iter + 1):
-        hs_r = precond.schur.apply_tagged(u_pre, q_pre)
-        if k == 1:
-            xi = hs_r
-        else:
-            alpha = (hs_r @ s) / s_denom
-            xi = hs_r - alpha * xi
+    def images(xi):
         # S_eps xi with tags (s_u_pre, xi)
         s_u_pre = _schur_pre(op, precond.a_inv, xi, counter)
-        s = blocks.from_tags(s_u_pre, xi)
-        s_denom = s @ xi
-        if s_denom <= 0.0:
-            raise SolverBreakdownError(
-                f"Uzawa direction lost S-positivity at iteration {k}")
-        beta = (r @ xi) / s_denom
-        coeffs.append((beta, -alpha))
-        p -= beta * xi
-        r -= beta * s
-        u_pre -= beta * s_u_pre
-        q_pre -= beta * xi
-        norms.append(current_norm())
-        if norms[-1] <= delta * norm0:
-            return _finish("pu", norms, True, k, counter, t0, recover_u(), p,
-                           stop_rule, _cg_tridiagonal(coeffs))
-    raise _max_iter_error("PU", delta, max_iter, norms)
+        return xi, blocks.from_tags(s_u_pre, xi), s_u_pre, xi
+
+    run.record(form())
+    tridiagonal = _conjugate_cg(
+        run, lambda: (p, r, u_pre, q_pre),
+        lambda p, r, u_pre, q_pre: precond.schur.apply_tagged(u_pre, q_pre),
+        images, form, "Uzawa direction lost S-positivity at iteration {k}")
+    u = fbar.copy()
+    u[:op.n] -= blocks.B_D @ p
+    return run.report(precond.a_inv.apply(u, counter), p, tridiagonal)
 
 
-def _saddle_start(op, precond, F, g_tags, z0, counter):
-    """Shared PL/PCG-K start: z0, rho = A_eps z0 - F, v = H rho, K-norm.
-
-    The lower block of rho is tagged by the source tags of z0 minus the
-    tags of the constraint data gbar.
-    """
+def _saddle_start(op, precond, F, g_tags, z0, run):
+    """Shared PL/PCG-K start: z0, rho = A_eps z0 - F and v = H rho, and the
+    initial K-norm.  The lower block of rho is tagged by the source tags of
+    z0 minus the tags of the constraint data gbar."""
     z = (np.zeros(op.size) if z0 is None
          else np.asarray(z0, dtype=float).copy())
     fbar, gbar, g_tags = _split_rhs(op, F, g_tags)
-    rho = op.apply(z, counter)
+    rho = op.apply(z, run.counter)
     rho[:op.N] -= fbar
     rho[op.N:] -= gbar
-    bd0, q0 = precond.source_tags(z)
+    bd0, q0 = op.source_tags(z)
     g = _gbar_tags(op.blocks, gbar, g_tags)
     if g is not None:
         bd0, q0 = bd0 - g[0], q0 - g[1]
-    v = precond.apply_to_image(rho, bd0, q0, counter)
-    return z, rho, v, _guarded_sqrt(rho @ v, 1.0, "initial K-norm")
+    v = precond.apply_to_image(rho, bd0, q0, run.counter)
+    run.record(rho @ v)
+    return z, rho, v
 
 
 def pl_solve(op: SaddleOperator, precond: BlockPreconditioner, F=None,
@@ -287,29 +324,30 @@ def pl_solve(op: SaddleOperator, precond: BlockPreconditioner, F=None,
     costs one saddle apply (for w = A_eps u_{k-1}) and one H apply.
     Stopping norm: H-weighted residual, which equals the K-norm of the error.
     """
-    t0 = time.perf_counter()
-    counter = counter if counter is not None else OpCounter()
-    z, rho, v, norm0 = _saddle_start(op, precond, F, g_tags, z0, counter)
-    norms = [norm0]
-    scale = norm0 * norm0
-    if norm0 == 0.0:
-        return _finish("pl", norms, True, 0, counter, t0,
-                       z[:op.N], z[op.N:], "K-norm")
-
-    xi = v.copy()
-    t = op.apply(xi, counter)
-    bd, q = precond.source_tags(xi)
-    u = precond.apply_to_image(t, bd, q, counter)
-
-    xi_prev = np.zeros_like(xi)
-    t_prev = np.zeros_like(t)
-    u_prev = np.zeros_like(u)
-    tu_prev = 1.0
+    run = _Run("pl", "K-norm", delta, max_iter, counter)
+    z, rho, v = _saddle_start(op, precond, F, g_tags, z0, run)
     # T_{k-1} has diagonal alpha_j and off-diagonal sqrt(gamma_j): the
     # vectors xi_j are K-orthogonal with |xi_j|_K^2 / |xi_{j-1}|_K^2 = gamma_j
     alphas, gammas = [], []
-
-    for k in range(1, max_iter + 1):
+    for k in run:
+        if k == 1:
+            xi = v.copy()
+            t = op.apply(xi, run.counter)
+        else:
+            w = op.apply(u, run.counter)
+            alpha = (w @ u) / tu
+            alphas.append(alpha)
+            xi_next = u - alpha * xi
+            t_next = w - alpha * t
+            if k >= 3:
+                gamma = (w @ u_prev) / tu_prev
+                gammas.append(gamma)
+                xi_next -= gamma * xi_prev
+                t_next -= gamma * t_prev
+            xi_prev, xi = xi, xi_next
+            t_prev, t = t, t_next
+            u_prev, tu_prev = u, tu
+        u = precond.apply_to_image(t, *op.source_tags(xi), run.counter)
         tu = t @ u
         if tu <= 0.0:
             raise SolverBreakdownError(
@@ -318,29 +356,9 @@ def pl_solve(op: SaddleOperator, precond: BlockPreconditioner, F=None,
         z -= beta * xi
         rho -= beta * t
         v -= beta * u
-        norms.append(_guarded_sqrt(rho @ v, scale, "K-norm of residual"))
-        if norms[-1] <= delta * norm0:
-            return _finish("pl", norms, True, k, counter, t0,
-                           z[:op.N], z[op.N:], "K-norm",
-                           (np.array(alphas), np.sqrt(gammas)))
-
-        w = op.apply(u, counter)
-        alpha = (w @ u) / tu
-        alphas.append(alpha)
-        xi_next = u - alpha * xi
-        t_next = w - alpha * t
-        if k >= 2:
-            gamma = (w @ u_prev) / tu_prev
-            gammas.append(gamma)
-            xi_next -= gamma * xi_prev
-            t_next -= gamma * t_prev
-        xi_prev, xi = xi, xi_next
-        t_prev, t = t, t_next
-        u_prev = u
-        tu_prev = tu
-        bd, q = precond.source_tags(xi)
-        u = precond.apply_to_image(t, bd, q, counter)
-    raise _max_iter_error("PL", delta, max_iter, norms)
+        run.record(rho @ v)
+    return run.report(z[:op.N], z[op.N:],
+                      (np.array(alphas), _sqrt_ratios(np.array(gammas))))
 
 
 def pcg_k_solve(op: SaddleOperator, precond: BlockPreconditioner, F=None,
@@ -354,50 +372,23 @@ def pcg_k_solve(op: SaddleOperator, precond: BlockPreconditioner, F=None,
     sqrt(rho . v), is available at no extra cost and decreases monotonically
     by CG optimality.
     """
-    t0 = time.perf_counter()
-    counter = counter if counter is not None else OpCounter()
-    z, rho, v, norm0 = _saddle_start(op, precond, F, g_tags, z0, counter)
-    norms = [norm0]
-    scale = norm0 * norm0
-    if norm0 == 0.0:
-        return _finish("pcg_k", norms, True, 0, counter, t0,
-                       z[:op.N], z[op.N:], "K-norm")
+    run = _Run("pcg_k", "K-norm", delta, max_iter, counter)
+    z, rho, v = _saddle_start(op, precond, F, g_tags, z0, run)
 
-    # residual of the squared system: rK = K z - G = A_eps v
-    rK = op.apply(v, counter)
-    eta = precond.apply_to_image(rK, *precond.source_tags(v), counter)
+    def images(xi):
+        # K xi = A_eps s with s = H A_eps xi; rho and v move along t and s
+        t = op.apply(xi, run.counter)
+        s = precond.apply_to_image(t, *op.source_tags(xi), run.counter)
+        return xi, op.apply(s, run.counter), t, s
 
-    xi = np.zeros_like(z)
-    kxi = np.zeros_like(z)
-    kxi_denom = 1.0
-    alpha = 0.0
-    coeffs = []
-    for k in range(1, max_iter + 1):
-        if k == 1:
-            xi = eta
-        else:
-            alpha = (eta @ kxi) / kxi_denom
-            xi = eta - alpha * xi
-        t = op.apply(xi, counter)
-        s = precond.apply_to_image(t, *precond.source_tags(xi), counter)
-        kxi = op.apply(s, counter)
-        kxi_denom = kxi @ xi
-        if kxi_denom <= 0.0:
-            raise SolverBreakdownError(
-                f"PCG direction lost K-positivity at iteration {k}")
-        beta = (rK @ xi) / kxi_denom
-        coeffs.append((beta, -alpha))
-        z -= beta * xi
-        rK -= beta * kxi
-        rho -= beta * t
-        v -= beta * s
-        norms.append(_guarded_sqrt(rho @ v, scale, "K-norm of error"))
-        if norms[-1] <= delta * norm0:
-            return _finish("pcg_k", norms, True, k, counter, t0,
-                           z[:op.N], z[op.N:], "K-norm",
-                           _cg_tridiagonal(coeffs))
-        eta = precond.apply_to_image(rK, *precond.source_tags(v), counter)
-    raise _max_iter_error("PCG-K", delta, max_iter, norms)
+    # the residual of the squared system rK = K z - G = A_eps v
+    tridiagonal = _conjugate_cg(
+        run, lambda: (z, op.apply(v, run.counter), rho, v),
+        lambda z, rK, rho, v: precond.apply_to_image(
+            rK, *op.source_tags(v), run.counter),
+        images, lambda: rho @ v,
+        "PCG direction lost K-positivity at iteration {k}")
+    return run.report(z[:op.N], z[op.N:], tridiagonal)
 
 
 def cg_solve(A, b, precond=None, x0=None, delta: float = 1e-6,
@@ -408,41 +399,27 @@ def cg_solve(A, b, precond=None, x0=None, delta: float = 1e-6,
     Homogeneous systems (b = 0) stop on the A-norm of the iterate, which is
     the error norm; otherwise on the 2-norm of the residual relative to b.
     """
-    t0 = time.perf_counter()
-    counter = counter if counter is not None else OpCounter()
     b = np.zeros(A.shape[0]) if b is None else np.asarray(b, dtype=float)
+    homogeneous = not np.any(b)
+    run = _Run("cg", "iterate-A-norm" if homogeneous else "residual-2-norm",
+               delta, max_iter, counter)
     x = (np.zeros(A.shape[0]) if x0 is None
          else np.asarray(x0, dtype=float).copy())
-    apply_m = (lambda r: r) if precond is None else precond
-    homogeneous = not np.any(b)
-
     r = b - A @ x
-    counter.a += 1
-    if homogeneous:
-        stop_rule = "iterate-A-norm"
-        norm0 = _guarded_sqrt(-(x @ r), 1.0, "initial A-norm")
-    else:
-        stop_rule = "residual-2-norm"
-        norm0 = float(np.linalg.norm(r))
-    norms = [norm0]
-    scale = norm0 * norm0
-    if norm0 == 0.0:
-        return _finish("cg", norms, True, 0, counter, t0, x, None, stop_rule)
+    run.counter.a += 1
 
-    steps = pcg_steps(A, x, r, apply_m,
+    record = ((lambda: run.record(-(x @ r))) if homogeneous
+              else lambda: run.norms.append(float(np.linalg.norm(r))))
+    record()
+    steps = pcg_steps(A, x, r, (lambda r: r) if precond is None else precond,
                       "CG direction lost A-positivity at iteration {k}",
-                      counter)
+                      run.counter)
     coeffs = []
-    for k, step, ratio in itertools.islice(steps, max_iter):
+    for _ in run:
+        _, step, ratio = next(steps)
         coeffs.append((step, ratio))
-        if homogeneous:
-            norms.append(_guarded_sqrt(-(x @ r), scale, "A-norm of iterate"))
-        else:
-            norms.append(float(np.linalg.norm(r)))
-        if norms[-1] <= delta * norm0:
-            return _finish("cg", norms, True, k, counter, t0, x, None,
-                           stop_rule, _cg_tridiagonal(coeffs))
-    raise _max_iter_error("CG", delta, max_iter, norms)
+        record()
+    return run.report(x, None, _cg_tridiagonal(coeffs))
 
 
 def evaluate_norm(kind: str, vec: np.ndarray, A=None,
@@ -470,6 +447,6 @@ def evaluate_norm(kind: str, vec: np.ndarray, A=None,
         return _guarded_sqrt(v @ s, v @ v, "S-norm")
     if kind == "K":
         img = op.apply(v, counter)
-        hv = precond.apply_to_image(img, *precond.source_tags(v), counter)
+        hv = precond.apply_to_image(img, *op.source_tags(v), counter)
         return _guarded_sqrt(img @ hv, v @ v, "K-norm")
     raise ParameterError(f"unknown norm kind {kind!r}")

@@ -771,8 +771,9 @@ def test_shipped_config_runs(tmp_path, capsys, name):
     capsys.readouterr()
 
 
-# sha256 of the outputs of the shipped cost and export configs, recorded with
-# one BLAS thread; a change that means to keep every output byte keeps these
+# sha256 of the outputs of the shipped solve, cost and export configs,
+# recorded with one BLAS thread; a change that means to keep every output
+# byte keeps these
 _SHIPPED_BYTES = {
     "cost_table.cfg": (
         "cost.md",
@@ -780,7 +781,31 @@ _SHIPPED_BYTES = {
     "export_saddle.cfg": (
         "saddle_M16_k2_periodic_0.0001.mtx",
         "886b2ae515a0f03f8a71cb74992a985eb4764371d8bda0c94332d3bc2f2126b6"),
+    "solve_sweep.cfg": (
+        "solve.csv",
+        "c287d0d6c3eaa12451a2d6fe6ec4435d02fcd2339f1a224bafe9008b5cadb156"),
 }
+
+
+# sha256 of solve.csv for an rhs = one sweep per inexact H_A, recorded with
+# one BLAS thread: PU's preconditioned-residual stop (from a zero start
+# residual under diagonal H_A), the F paths of PL and PCG-K, and inner CG
+_RHS_ONE_BYTES = {
+    "cg": "0974d9b4893a5f3fe1104754cc1d3f7796b5e68411b51c90dc55d53f13a984e5",
+    "diagonal":
+        "731d46b140801e50eed68631bd2c71445d02c03f0e12a0f4d4846aa958ab91e0",
+}
+
+
+@pytest.mark.parametrize("ha", sorted(_RHS_ONE_BYTES))
+def test_rhs_one_sweep_keeps_its_bytes(tmp_path, ha):
+    cfg = _write(tmp_path / "rhs.cfg", "method = pu, pl, pcgk\nM = 32\n"
+                 "k = 2\nlayout = periodic, random\neps_min = 1e-2, 1e-6\n"
+                 f"rhs = one\nha = {ha}\n")
+    out = tmp_path / "out"
+    _main_with_one_blas_thread("solve", "--config", cfg, "--out", str(out))
+    data = (out / "solve.csv").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == _RHS_ONE_BYTES[ha]
 
 
 # sha256 of export-matrix outputs for a random layout with random contrasts,

@@ -106,15 +106,6 @@ def test_pu_max_iteration_error(prob8):
 # preconditioned Lanczos
 
 
-def test_pl_exact_start_returns_immediately(prob8):
-    pre = make_exact_precond(prob8)
-    z_star = random_guess(prob8.op.size, 5)
-    F = prob8.op.apply(z_star)
-    rep = pl_solve(prob8.op, pre, F=F, z0=z_star)
-    assert rep.iterations == 0 and rep.converged
-    assert rep.norms[0] == 0.0 and rep.final_ratio == 0.0
-
-
 def test_pl_matches_dense_saddle_solve(prob8):
     pre = make_exact_precond(prob8)
     F = _load_rhs(prob8)
@@ -152,7 +143,7 @@ def test_k_operator_is_symmetric(prob8):
 
     def apply_k(x):
         y = op.apply(x)
-        v = pre.apply_to_image(y, *pre.source_tags(x))
+        v = pre.apply_to_image(y, *op.source_tags(x))
         return op.apply(v)
 
     rng = np.random.default_rng(9)
@@ -253,17 +244,6 @@ def test_cg_homogeneous_stop_rule(prob8):
     assert rep.converged and rep.is_monotone()
 
 
-@pytest.mark.parametrize("max_iter", [0, 1])
-def test_cg_max_iteration_error(prob8, max_iter):
-    counter = OpCounter()
-    with pytest.raises(MaxIterationsError,
-                       match=f"CG did not reach 1e-06 within {max_iter} "
-                             "iterations"):
-        cg_solve(prob8.A, np.ones(prob8.A.shape[0]), max_iter=max_iter,
-                 counter=counter)
-    assert counter.a == 1 + max_iter     # residual plus one per step
-
-
 def test_cg_breakdown_on_negative_definite_matrix(prob8):
     with pytest.raises(SolverBreakdownError,
                        match="CG direction lost A-positivity at iteration 1$"):
@@ -287,7 +267,7 @@ def test_evaluate_norm_k_consistency(prob8):
     op = prob8.op
     z = random_guess(op.size, 13)
     rho = op.apply(z)
-    v = pre.apply_to_image(rho, *pre.source_tags(z))
+    v = pre.apply_to_image(rho, *op.source_tags(z))
     direct = np.sqrt(rho @ v)
     np.testing.assert_allclose(
         evaluate_norm("K", z, op=op, precond=pre), direct, rtol=1e-12)
@@ -330,3 +310,60 @@ def test_full_rhs_with_constraint_data_matches_sparse_solve(prob16, solver,
     z = np.concatenate([rep.u, rep.p])
     z_star = spla.spsolve(op.to_sparse().tocsc(), F)
     assert np.linalg.norm(z - z_star) <= 1e-11 * np.linalg.norm(z_star)
+
+
+# ---------------------------------------------------------------------------
+# the stopping rule all four solvers share
+
+
+def _solve(method, prob, exact, **kwargs):
+    """The solver of `method` on prob from an exact start (zero residual) or
+    from one that needs steps."""
+    op, A = prob.op, prob.A
+    if method == "cg":
+        x = random_guess(A.shape[0], 5)
+        return cg_solve(A, A @ x if exact else np.ones(A.shape[0]),
+                        x0=x if exact else None, **kwargs)
+    pre = make_exact_precond(prob)
+    if method == "pu":      # p = 0 solves the homogeneous system
+        return pu_solve(op, pre, p0=None if exact else random_guess(op.n, 7),
+                        **kwargs)
+    z = random_guess(op.size, 5 if exact else 7)
+    solver = {"pl": pl_solve, "pcg_k": pcg_k_solve}[method]
+    return solver(op, pre, F=op.apply(z) if exact else None, z0=z, **kwargs)
+
+
+# (A, H_A) applications of an exact start: the start residual, plus PU's
+# recovery of u through one H_A
+_EXACT_START_COUNTS = {"pu": (0, 2), "pl": (1, 1), "pcg_k": (1, 1),
+                       "cg": (1, 0)}
+
+
+@pytest.mark.parametrize("method", sorted(_EXACT_START_COUNTS))
+def test_exact_start_returns_immediately(prob8, method):
+    counter = OpCounter()
+    rep = _solve(method, prob8, exact=True, counter=counter)
+    assert rep.method == method
+    assert rep.iterations == 0 and rep.converged
+    assert rep.norms[0] == 0.0 and rep.final_ratio == 0.0
+    assert (rep.a_applies, rep.ha_applies) == _EXACT_START_COUNTS[method]
+    assert counter.snapshot() == _EXACT_START_COUNTS[method]
+
+
+# (A, H_A) applications when max_iter 0 and 1 run out: the start, then per
+# step what the step itself uses (no direction for a step never taken)
+_MAX_ITER_COUNTS = {"pu": [(0, 1), (0, 2)], "pl": [(1, 1), (2, 2)],
+                    "pcg_k": [(1, 1), (4, 3)], "cg": [(1, 0), (2, 0)]}
+
+
+@pytest.mark.parametrize("max_iter", [0, 1])
+@pytest.mark.parametrize("method", sorted(_MAX_ITER_COUNTS))
+def test_max_iteration_error(prob8, method, max_iter):
+    counter = OpCounter()
+    name = method.upper().replace("_", "-")
+    with pytest.raises(MaxIterationsError,
+                       match=f"^{name} did not reach 1e-06 within {max_iter} "
+                             "iterations"):
+        _solve(method, prob8, exact=False, max_iter=max_iter,
+               counter=counter)
+    assert counter.snapshot() == _MAX_ITER_COUNTS[method][max_iter]

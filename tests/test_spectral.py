@@ -325,6 +325,22 @@ def test_ritz_extremes_exhaust_a_small_krylov_space(single_inclusion16):
                                    rtol=1e-8, err_msg=method)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("seed,step", [(0, 27), (2, 26)])
+def test_ritz_extremes_refuse_a_run_past_the_rounding_floor(prob16, seed,
+                                                            step):
+    # at delta = 1e-15 PU steps on after its residual reached rounding
+    # level; the noise turns a direction ratio negative, which the solve
+    # passes without a warning and ritz_extremes names
+    pre = make_exact_precond(prob16)
+    rep = pu_solve(prob16.op, pre, p0=random_guess(prob16.blocks.n, seed),
+                   delta=1e-15)
+    assert rep.converged and rep.iterations == 27
+    with pytest.raises(ParameterError, match=f"^pu direction ratio of step "
+                                             f"{step} is not positive"):
+        rep.ritz_extremes()
+
+
 def test_sigma_system_conditioning_grows_with_contrast():
     # euclidean condition numbers of the untransformed system at M=16
     mesh = build_mesh(16)
