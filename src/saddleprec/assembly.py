@@ -149,14 +149,13 @@ class InclusionBlocks:
 
     Every inclusion of a layout has the same local geometry, so one Neumann
     stiffness block B_loc, one mass block M_loc and one weight vector serve
-    all of them; only eps varies per inclusion.
+    all of them.  Nothing here reads eps: the blocks depend only on the
+    placement, and every eps copy of it shares one set.
     """
 
     ns: int
     m: int
     d: float
-    eps: np.ndarray        # (m,); None in the copy a placement stores
-    eps_node: np.ndarray   # (n,) eps of the inclusion owning each node
     B_loc: np.ndarray      # (ns, ns) Neumann stiffness, kernel = constants
     M_loc: np.ndarray      # (ns, ns) consistent mass
     weights: np.ndarray    # (ns,) = M_loc @ 1
@@ -190,31 +189,9 @@ class InclusionBlocks:
                        format="csr")
 
 
-def _shared(mesh: StructuredMesh, layout: InclusionLayout):
-    """(ordering, A, blocks without eps) that build_problem stored for the
-    layout's placement, or None; only its own mesh object shares them."""
-    held = layout.slot.products
-    if held is None or held[0] is not mesh or held[1] is not layout.node_gids:
-        return None
-    return held[2:]
-
-
 def assemble_inclusion_blocks(mesh: StructuredMesh,
                               layout: InclusionLayout) -> InclusionBlocks:
-    """Neumann stiffness, mass and averaging data for every inclusion.
-
-    Once build_problem has assembled the placement, only eps and eps_node
-    are new; the matrices are the stored ones.
-    """
-    shared = _shared(mesh, layout)
-    base = shared[2] if shared is not None else _placement_blocks(mesh, layout)
-    eps = np.asarray(layout.eps, dtype=float).copy()
-    return dataclasses.replace(base, eps=eps, eps_node=np.repeat(eps, base.ns))
-
-
-def _placement_blocks(mesh: StructuredMesh,
-                      layout: InclusionLayout) -> InclusionBlocks:
-    """The blocks of the placement, with eps and eps_node left None."""
+    """Neumann stiffness, mass and averaging data for every inclusion."""
     if layout.m == 0:
         raise AssemblyError("layout has no inclusions")
     B_loc, M_loc = _assemble_local(layout.k, mesh.h)
@@ -226,18 +203,21 @@ def _placement_blocks(mesh: StructuredMesh,
     B_D = sp.kron(eye, sp.csr_matrix(B_loc), format="csr")
     M_D = sp.kron(eye, sp.csr_matrix(M_loc), format="csr")
     return InclusionBlocks(ns=layout.nodes_per_inclusion, m=layout.m, d=d,
-                           eps=None, eps_node=None, B_loc=B_loc, M_loc=M_loc,
-                           weights=weights, B_D=B_D, M_D=M_D)
+                           B_loc=B_loc, M_loc=M_loc, weights=weights,
+                           B_D=B_D, M_D=M_D)
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class SaddleOperator:
-    """Matrix-free application of the indefinite block operator."""
+    """Matrix-free application of the indefinite block operator, the only
+    part of a problem that reads eps: it enters through Sig B_D alone."""
 
     A: sp.csr_matrix
     blocks: InclusionBlocks
     N: int
     n: int
+    eps: np.ndarray        # (m,) eps of each inclusion
+    eps_node: np.ndarray   # (n,) eps of the inclusion owning each node
 
     @property
     def size(self) -> int:
@@ -254,7 +234,7 @@ class SaddleOperator:
         top = self.A @ v
         top[:self.n] += bw
         bottom = (self.blocks.B_D @ v[:self.n]
-                  - self.blocks.eps_node * bw
+                  - self.eps_node * bw
                   - self.blocks.apply_q(w))
         if counter is not None:
             counter.a += 1
@@ -263,51 +243,50 @@ class SaddleOperator:
     def source_tags(self, source: np.ndarray):
         """Tags (a, b) with lower(A_eps source) = B_D a + Q b."""
         w = source[self.N:]
-        return source[:self.n] - self.blocks.eps_node * w, -w
+        return source[:self.n] - self.eps_node * w, -w
 
     def to_sparse(self) -> sp.csr_matrix:
         """Explicit sparse form, mainly for export and dense oracles."""
         n, N = self.n, self.N
         B = sp.hstack([self.blocks.B_D,
                        sp.csr_matrix((n, N - n))], format="csr")
-        C = (self.blocks.B_D.multiply(self.blocks.eps_node[:, None])
+        C = (self.blocks.B_D.multiply(self.eps_node[:, None])
              + self.blocks.q_sparse())
         return sp.bmat([[self.A, B.T], [B, -C]], format="csr")
 
 
-def build_saddle_operator(A: sp.csr_matrix,
-                          blocks: InclusionBlocks) -> SaddleOperator:
+def build_saddle_operator(A: sp.csr_matrix, blocks: InclusionBlocks,
+                          eps) -> SaddleOperator:
     N = A.shape[0]
     n = blocks.n
     if n > N:
         raise AssemblyError("more inclusion nodes than interior nodes")
-    return SaddleOperator(A=A, blocks=blocks, N=N, n=n)
+    eps = np.array(eps, dtype=float)
+    if eps.shape != (blocks.m,):
+        raise AssemblyError(f"eps has shape {eps.shape}, expected ({blocks.m},)")
+    return SaddleOperator(A=A, blocks=blocks, N=N, n=n, eps=eps,
+                          eps_node=np.repeat(eps, blocks.ns))
 
 
 def build_problem(mesh: StructuredMesh, layout: InclusionLayout):
     """Convenience: ordering, stiffness, blocks and operator in one call.
 
-    The ordering, A and the block matrices depend only on the placement.
-    The first call with the layout's own mesh to finish stores them in its
-    slot, which every eps copy of it shares; a later call on any such copy
-    builds only the eps arrays and the operator.  A call never mixes two
-    builds: whenever its blocks are the stored ones, so are its ordering
-    and A.
+    The ordering, A and the blocks depend only on the placement.  With the
+    layout's own mesh they come from its slot, which every eps copy of it
+    shares; a miss builds them and keeps them there, and a call goes on
+    with whatever the slot holds then, so concurrent first builds all get
+    the first one to finish.  Only the operator is built per eps copy.
     """
-    if _shared(mesh, layout) is None:
+    own = mesh is layout.mesh
+    held = layout.slot.products if own else None
+    if held is None:
         ordering = build_ordering(layout)
-        A = assemble_stiffness(mesh, ordering)
-    blocks = assemble_inclusion_blocks(mesh, layout)
-    # the slot is written once, so stored products seen by the first read
-    # are the ones whose blocks come back here
-    shared = _shared(mesh, layout)
-    if shared is not None and shared[2].B_D is blocks.B_D:
-        ordering, A, _ = shared
-    elif mesh is layout.mesh:
-        layout.slot.keep((mesh, layout.node_gids, ordering, A,
-                          dataclasses.replace(blocks, eps=None,
-                                              eps_node=None)))
-    return ordering, A, blocks, build_saddle_operator(A, blocks)
+        held = (ordering, assemble_stiffness(mesh, ordering),
+                assemble_inclusion_blocks(mesh, layout))
+        if own:
+            held = layout.slot.keep(held)
+    ordering, A, blocks = held
+    return ordering, A, blocks, build_saddle_operator(A, blocks, layout.eps)
 
 
 def assemble_load(mesh: StructuredMesh, f,
@@ -339,14 +318,15 @@ def assemble_load(mesh: StructuredMesh, f,
     return out
 
 
-def recover_p_from_u(u: np.ndarray, blocks: InclusionBlocks) -> np.ndarray:
+def recover_p_from_u(u: np.ndarray, op: SaddleOperator) -> np.ndarray:
     """Per-inclusion pressure recovered from a converged primal solution.
 
     p_s = (u|_s - c_s)/eps_s with c_s the mass-weighted mean of u over the
     inclusion, so each block of p has zero weighted mean.
     """
+    blocks = op.blocks
     U = u[:blocks.n].reshape(blocks.m, blocks.ns)
-    P = (U - blocks.block_means(U)[:, None]) / blocks.eps[:, None]
+    P = (U - blocks.block_means(U)[:, None]) / op.eps[:, None]
     return P.ravel()
 
 

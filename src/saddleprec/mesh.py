@@ -126,9 +126,9 @@ class Inclusion:
 class PlacementSlot:
     """Holder of the eps-independent products of one placement.
 
-    assembly.build_problem stores them here as one tuple, once: the first
-    build to finish keeps its products and later ones are dropped, so a
-    reader sees either no products or one complete build of them, and
+    assembly.build_problem stores its (ordering, A, blocks) here, once: the
+    first build to finish keeps its products and later ones are dropped, so
+    a reader sees either no products or one complete build of them, and
     never a second one after the first.
     """
 
@@ -142,9 +142,10 @@ class PlacementSlot:
         return self._held.get("products")
 
     def keep(self, products):
-        """Store products unless some are stored already; dict.setdefault
-        makes the check and the store one step, also between threads."""
-        self._held.setdefault("products", products)
+        """Store products unless some are stored already, and return the
+        stored ones; dict.setdefault makes the check and the store one
+        step, also between threads."""
+        return self._held.setdefault("products", products)
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -156,8 +157,8 @@ class InclusionLayout:
     holds the stiffness parameter of each inclusion (sigma = 1 + 1/eps_s
     inside inclusion s); placement routines initialise it to 1.  The eps
     copies made by assign_epsilon and layout_from_manifest share the
-    placement's arrays and its slot, and with it the ordering, stiffness
-    and inclusion block matrices once build_problem has assembled them.
+    placement's arrays and its slot, and with it the eps-free ordering,
+    stiffness and inclusion blocks that build_problem assembles on its mesh.
     """
 
     mesh: StructuredMesh

@@ -229,9 +229,10 @@ def check_a_options(kind: str, opts: dict) -> None:
     if kind != InnerCgAInverse.kind and opts:
         raise ParameterError(
             f"H_A kind {kind!r} takes no options, got {', '.join(sorted(opts))}")
-    if opts.get("steps", 1) < 1:
+    steps = opts.get("steps", 1)
+    if not isinstance(steps, (int, np.integer)) or steps < 1:
         raise ParameterError(
-            f"inner CG needs at least 1 step, got {opts['steps']}")
+            f"inner CG steps: a whole number, at least 1 step, got {steps!r}")
     if opts.get("base", "ilu") != "ilu":
         raise ParameterError(
             f"unknown inner CG base {opts['base']!r}; only 'ilu' is supported")

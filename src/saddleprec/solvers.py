@@ -245,7 +245,7 @@ def _schur_pre(op, a_inv, x, counter, fbar=None):
     if fbar is not None:
         top -= fbar
     w = a_inv.apply(top, counter)
-    return op.blocks.eps_node * x + w[:op.n]
+    return op.eps_node * x + w[:op.n]
 
 
 def pu_solve(op: SaddleOperator, precond: BlockPreconditioner, F=None,
@@ -274,11 +274,14 @@ def pu_solve(op: SaddleOperator, precond: BlockPreconditioner, F=None,
     if g is not None:
         u_pre, q_pre = u_pre + g[0], q_pre + g[1]
     r = blocks.from_tags(u_pre, q_pre)
+    z = None        # H_S r of the last stopping norm, when it took one
 
     def form():
+        nonlocal z
         if homogeneous:
             return r @ p
-        return r @ precond.schur.apply_tagged(u_pre, q_pre)
+        z = precond.schur.apply_tagged(u_pre, q_pre)
+        return r @ z
 
     def images(xi):
         # S_eps xi with tags (s_u_pre, xi)
@@ -288,7 +291,8 @@ def pu_solve(op: SaddleOperator, precond: BlockPreconditioner, F=None,
     run.record(form())
     tridiagonal = _conjugate_cg(
         run, lambda: (p, r, u_pre, q_pre),
-        lambda p, r, u_pre, q_pre: precond.schur.apply_tagged(u_pre, q_pre),
+        lambda p, r, u_pre, q_pre: (precond.schur.apply_tagged(u_pre, q_pre)
+                                    if z is None else z),
         images, form, "Uzawa direction lost S-positivity at iteration {k}")
     u = fbar.copy()
     u[:op.n] -= blocks.B_D @ p

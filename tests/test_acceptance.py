@@ -199,7 +199,7 @@ def test_criterion_5_solution_equivalence(run_log):
     ref_a = evaluate_norm("A", u_direct, A=prob.A)
     u_ok = err_a <= 1e-7 * ref_a
 
-    p_from_u = recover_p_from_u(rep.u, prob.blocks)
+    p_from_u = recover_p_from_u(rep.u, prob.op)
     p_err = np.linalg.norm(p_from_u - rep.p) / np.linalg.norm(rep.p)
     p_ok = p_err <= 1e-6
     elapsed = time.time() - t0

@@ -13,7 +13,7 @@ from saddleprec import (
     assemble_stiffness, assemble_sigma_matrix, assemble_inclusion_blocks,
     assemble_load, recover_p_from_u, write_matrix_market,
     ParameterError, build_block_preconditioner, pu_solve, pl_solve,
-    pcg_k_solve, random_guess,
+    pcg_k_solve, random_guess, build_saddle_operator, AssemblyError,
 )
 
 from saddleprec.assembly import _element_batches, _scatter
@@ -138,12 +138,23 @@ def test_saddle_apply_of_zero_and_kernel_vector(tiny_problem):
     np.testing.assert_allclose(out[op.N:], -blocks.weights, atol=1e-15)
 
 
+def test_saddle_operator_takes_one_eps_per_inclusion(tiny_problem):
+    A, blocks = tiny_problem.A, tiny_problem.blocks
+    eps = tiny_problem.layout.eps
+    op = build_saddle_operator(A, blocks, eps)
+    np.testing.assert_array_equal(op.eps_node, np.repeat(eps, blocks.ns))
+    assert op.eps is not eps and op.blocks is blocks
+    for bad in (eps[0], eps[:-1], np.tile(eps, 2)):
+        with pytest.raises(AssemblyError, match="eps has shape"):
+            build_saddle_operator(A, blocks, bad)
+
+
 def test_saddle_apply_matches_explicit_block_matrix(tiny_problem):
     op, blocks, A = tiny_problem.op, tiny_problem.blocks, tiny_problem.A
     N, n = op.N, op.n
     B = sp.hstack([blocks.B_D, sp.csr_matrix((n, N - n))]).tocsr()
     Q = blocks.q_sparse().toarray()
-    C = np.diag(np.repeat(blocks.eps, blocks.ns)) @ blocks.B_D.toarray() + Q
+    C = np.diag(np.repeat(op.eps, blocks.ns)) @ blocks.B_D.toarray() + Q
     dense = np.zeros((op.size, op.size))
     dense[:N, :N] = A.toarray()
     dense[:N, N:] = B.T.toarray()
@@ -229,7 +240,7 @@ def test_recover_p_annihilates_constants(prob8):
     blocks = prob8.blocks
     u = np.zeros(prob8.op.N)
     u[:blocks.ns] = 3.7                     # constant on the first inclusion
-    p = recover_p_from_u(u, blocks)
+    p = recover_p_from_u(u, prob8.op)
     np.testing.assert_allclose(p, 0.0, atol=1e-11)
 
 
@@ -238,7 +249,7 @@ def test_recover_p_mean_removal_at_unit_eps():
     blocks = prob.blocks
     rng = np.random.default_rng(4)
     u = rng.standard_normal(prob.op.N)
-    p = recover_p_from_u(u, blocks)
+    p = recover_p_from_u(u, prob.op)
     U = u[:blocks.n].reshape(blocks.m, blocks.ns)
     means = U @ blocks.weights / blocks.d ** 2
     np.testing.assert_allclose(p.reshape(blocks.m, blocks.ns),
@@ -338,8 +349,7 @@ def test_eps_copies_share_the_placement_products(layout_mode, eps_mode):
     ordering, A, blocks, op = build_problem(mesh, layout)
     assert ordering is first[0] and A is first[1]
     assert blocks.B_D is first[2].B_D and blocks.M_D is first[2].M_D
-    assert assemble_inclusion_blocks(mesh, layout).B_D is first[2].B_D
-    np.testing.assert_array_equal(blocks.eps, layout.eps)
+    np.testing.assert_array_equal(op.eps, layout.eps)
     fresh_layout = _fresh_copy(layout)
     fresh = build_problem(fresh_layout.mesh, fresh_layout)
     for shared_part, fresh_part in zip((ordering, A, blocks, op), fresh):
@@ -431,13 +441,13 @@ def test_concurrent_first_builds_never_mix_products():
             triples = {(id(o), id(A), id(b.B_D)) for o, A, b, _ in results}
             for position in range(3):
                 assert len({t[position] for t in triples}) == len(triples)
-            _, _, ordering, A, blocks = placement.slot.products
+            ordering, A, blocks = placement.slot.products
             assert (id(ordering), id(A), id(blocks.B_D)) in triples
             for layout, (got_ordering, got_A, got_blocks, op) in zip(
                     copies, results):
                 assert op.A is got_A and op.blocks is got_blocks
                 _assert_identical(got_A, reference[1])
                 _assert_identical(got_ordering, reference[0])
-                np.testing.assert_array_equal(got_blocks.eps, layout.eps)
+                np.testing.assert_array_equal(op.eps, layout.eps)
     finally:
         sys.setswitchinterval(interval)

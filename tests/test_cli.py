@@ -442,7 +442,7 @@ def test_each_part_of_an_instance_is_built_once(tmp_path, capsys, monkeypatch,
                                                 case):
     calls = []
     names = ("build_mesh", "place_periodic", "place_random", "assign_epsilon",
-             "assemble_stiffness", "_placement_blocks",
+             "assemble_stiffness", "assemble_inclusion_blocks",
              "build_block_preconditioner")
     # every module that holds a name, so no build escapes the count
     for owner in (cli, mesh, assembly, precond, spectral):
@@ -771,19 +771,23 @@ def test_shipped_config_runs(tmp_path, capsys, name):
     capsys.readouterr()
 
 
-# sha256 of the outputs of the shipped solve, cost and export configs,
-# recorded with one BLAS thread; a change that means to keep every output
-# byte keeps these
+# sha256 of the outputs of every shipped config, recorded with one BLAS
+# thread; a change that means to keep every output byte keeps these
 _SHIPPED_BYTES = {
-    "cost_table.cfg": (
-        "cost.md",
-        "252c011aeccd85120af557e2088db47449567ad5470e2f67b4a6e8f44af10b82"),
-    "export_saddle.cfg": (
-        "saddle_M16_k2_periodic_0.0001.mtx",
-        "886b2ae515a0f03f8a71cb74992a985eb4764371d8bda0c94332d3bc2f2126b6"),
-    "solve_sweep.cfg": (
-        "solve.csv",
-        "c287d0d6c3eaa12451a2d6fe6ec4435d02fcd2339f1a224bafe9008b5cadb156"),
+    "cost_table.cfg": {
+        "cost.md":
+        "252c011aeccd85120af557e2088db47449567ad5470e2f67b4a6e8f44af10b82"},
+    "export_saddle.cfg": {
+        "saddle_M16_k2_periodic_0.0001.mtx":
+        "886b2ae515a0f03f8a71cb74992a985eb4764371d8bda0c94332d3bc2f2126b6"},
+    "solve_sweep.cfg": {
+        "solve.csv":
+        "c287d0d6c3eaa12451a2d6fe6ec4435d02fcd2339f1a224bafe9008b5cadb156"},
+    "spectrum_check.cfg": {
+        "spectrum.csv":
+        "4408811227c1873b46457592900674c72316d9526dedd34923fd25fd28a2ff46",
+        "spectrum_eigs.csv":
+        "5d3cd544e4b3ed828260a7651f8792f270485799ffdd2b04ad0792a0f22f242b"},
 }
 
 
@@ -848,10 +852,10 @@ def test_export_matrix_builds_only_what_it_writes(tmp_path, capsys,
 
 @pytest.mark.parametrize("name", sorted(_SHIPPED_BYTES))
 def test_shipped_config_outputs_keep_their_bytes(tmp_path, name):
-    output, expected = _SHIPPED_BYTES[name]
     out = tmp_path / "out"
     _main_with_one_blas_thread(_SHIPPED[name], "--config",
                                os.path.join(_CONFIG_DIR, name),
                                "--out", str(out))
-    data = (out / output).read_bytes()
-    assert hashlib.sha256(data).hexdigest() == expected
+    for output, expected in _SHIPPED_BYTES[name].items():
+        data = (out / output).read_bytes()
+        assert hashlib.sha256(data).hexdigest() == expected, output

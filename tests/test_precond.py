@@ -190,8 +190,10 @@ def test_make_a_preconditioner_dispatch(prob8):
     ({"drop_tol": -1.0}, "drop tolerance must be nonnegative and finite"),
     ({"drop_tol": np.nan}, "drop tolerance must be nonnegative and finite"),
     ({"drop_tol": np.inf}, "drop tolerance must be nonnegative and finite"),
+    ({"steps": 2.5}, "steps: a whole number, at least 1 step, got 2.5"),
+    ({"steps": 0}, "steps: a whole number, at least 1 step, got 0"),
 ], ids=["nan-fill", "inf-fill", "negative-fill", "negative-drop", "nan-drop",
-        "inf-drop"])
+        "inf-drop", "fractional-steps", "zero-steps"])
 def test_make_a_preconditioner_refuses_bad_ilu_options(prob8, opts, match):
     with pytest.raises(ParameterError, match=match):
         make_a_preconditioner(prob8.A, "cg", **opts)

@@ -30,7 +30,7 @@ def _dense_schur(prob):
     n, N = prob.op.n, prob.op.N
     B = np.zeros((n, N))
     B[:, :n] = blocks.B_D.toarray()
-    Sig = np.diag(blocks.eps_node)
+    Sig = np.diag(prob.op.eps_node)
     S = Sig @ blocks.B_D.toarray() + blocks.q_sparse().toarray() \
         + B @ np.linalg.solve(A, B.T)
     return S, B, A
@@ -83,6 +83,23 @@ def test_pu_operation_accounting(prob16):
     # setup H_A + one per iteration + one recovery solve; no raw A applies
     assert rep.ha_applies == rep.iterations + 2
     assert rep.a_applies == 0
+
+
+@pytest.mark.parametrize("rhs", ["load", "homogeneous"])
+def test_pu_applies_h_s_once_per_step(prob16, monkeypatch, rhs):
+    # a nonzero right-hand side takes one more for the start's stopping norm
+    # and hands each stopping norm's H_S r on to the next direction
+    pre = make_exact_precond(prob16)
+    calls = []
+    tagged = pre.schur.apply_tagged
+    monkeypatch.setattr(pre.schur, "apply_tagged",
+                        lambda *tags: calls.append(1) or tagged(*tags))
+    if rhs == "load":
+        rep = pu_solve(prob16.op, pre, F=_load_rhs(prob16))
+    else:
+        rep = pu_solve(prob16.op, pre, p0=random_guess(prob16.op.n, 101))
+    assert rep.iterations > 5
+    assert len(calls) == rep.iterations + (rhs == "load")
 
 
 def test_pu_iteration_count_is_contrast_robust():
