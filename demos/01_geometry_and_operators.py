@@ -14,7 +14,7 @@ from saddleprec import (
 M, k = 16, 2
 mesh = build_mesh(M)
 print(f"mesh: {M}x{M} cells, h = {mesh.h:g}, "
-      f"{mesh.n_interior} interior nodes, {len(mesh.triangles)} triangles")
+      f"{mesh.n_interior} interior nodes, {2 * M * M} triangles")
 
 layout = assign_epsilon(place_periodic(mesh, k), "uniform", epsilon=1e-4)
 print(f"layout: {layout.m} inclusions of {k}x{k} cells "

@@ -16,6 +16,7 @@ given by an OrderingMap (inclusion nodes first, grouped per inclusion).
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 import numpy as np
 import scipy.io
@@ -111,8 +112,8 @@ def assemble_stiffness(mesh: StructuredMesh, ordering: OrderingMap | None = None
     """
     if cell_weights is None:
         return _stencil_stiffness(mesh.M, ordering)
-    tri = mesh.triangles
-    w = np.asarray(cell_weights, dtype=float)[mesh.tri_cells]
+    tri, cells = triangulate(mesh.M)
+    w = np.asarray(cell_weights, dtype=float)[cells]
     K = _element_batches(tri.shape[0]) * w[:, None, None]
 
     idx = mesh.interior_index[tri]                      # (nt, 3), -1 on boundary
@@ -143,6 +144,12 @@ def _assemble_local(k: int, h: float):
             _scatter(tri, mass, ns).toarray())
 
 
+def _block_diagonal(m: int, local: np.ndarray) -> sp.csr_matrix:
+    """Block diagonal of m copies of the dense block local."""
+    return sp.kron(sp.identity(m, format="csr"), sp.csr_matrix(local),
+                   format="csr")
+
+
 @dataclasses.dataclass(frozen=True, eq=False)
 class InclusionBlocks:
     """Shared per-inclusion matrices in system ordering.
@@ -150,7 +157,8 @@ class InclusionBlocks:
     Every inclusion of a layout has the same local geometry, so one Neumann
     stiffness block B_loc, one mass block M_loc and one weight vector serve
     all of them.  Nothing here reads eps: the blocks depend only on the
-    placement, and every eps copy of it shares one set.
+    placement, and every eps copy of it shares one set.  No solve reads
+    the block diagonal mass M_D, so it is built on first access.
     """
 
     ns: int
@@ -160,11 +168,15 @@ class InclusionBlocks:
     M_loc: np.ndarray      # (ns, ns) consistent mass
     weights: np.ndarray    # (ns,) = M_loc @ 1
     B_D: sp.csr_matrix     # (n, n) block diagonal of B_loc
-    M_D: sp.csr_matrix     # (n, n) block diagonal of M_loc
 
     @property
     def n(self) -> int:
         return self.m * self.ns
+
+    @functools.cached_property
+    def M_D(self) -> sp.csr_matrix:
+        """(n, n) block diagonal of M_loc."""
+        return _block_diagonal(self.m, self.M_loc)
 
     def block_means(self, w: np.ndarray) -> np.ndarray:
         """Mass-weighted mean of w over each inclusion, shape (m,)."""
@@ -185,8 +197,7 @@ class InclusionBlocks:
 
     def q_sparse(self) -> sp.csr_matrix:
         q = np.outer(self.weights, self.weights) / (self.d * self.d)
-        return sp.kron(sp.identity(self.m, format="csr"), sp.csr_matrix(q),
-                       format="csr")
+        return _block_diagonal(self.m, q)
 
 
 def assemble_inclusion_blocks(mesh: StructuredMesh,
@@ -199,12 +210,9 @@ def assemble_inclusion_blocks(mesh: StructuredMesh,
     d = layout.d
     if not np.isclose(weights.sum(), d * d, rtol=1e-12):
         raise AssemblyError("mass weights do not sum to the inclusion area")
-    eye = sp.identity(layout.m, format="csr")
-    B_D = sp.kron(eye, sp.csr_matrix(B_loc), format="csr")
-    M_D = sp.kron(eye, sp.csr_matrix(M_loc), format="csr")
     return InclusionBlocks(ns=layout.nodes_per_inclusion, m=layout.m, d=d,
                            B_loc=B_loc, M_loc=M_loc, weights=weights,
-                           B_D=B_D, M_D=M_D)
+                           B_D=_block_diagonal(layout.m, B_loc))
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -295,7 +303,7 @@ def assemble_load(mesh: StructuredMesh, f,
 
     f may be a number or a callable f(x, y) accepting arrays.
     """
-    tri = mesh.triangles
+    tri, _ = triangulate(mesh.M)
     if callable(f):
         coords = mesh.node_coords(tri.ravel()).reshape(tri.shape[0], 3, 2)
         bary = coords.mean(axis=1)

@@ -34,16 +34,15 @@ class ParameterError(ValueError):
 class StructuredMesh:
     """Uniform triangulation of (0,1)^2.
 
+    The triangles are not stored: triangulate(M) returns them, and their
+    owning cells, to the assembly routines that read them.
+
     Attributes
     ----------
     M : int
         Cells per side; the mesh step is h = 1/M.
     h : float
         Mesh step.
-    triangles : ndarray, shape (2*M*M, 3)
-        Global node ids of each triangle, counterclockwise.
-    tri_cells : ndarray, shape (2*M*M,)
-        Owning cell id (cy*M + cx) of each triangle.
     interior_index : ndarray, shape ((M+1)**2,)
         Global node id -> interior index in row-major order, -1 on the
         boundary.
@@ -53,8 +52,6 @@ class StructuredMesh:
 
     M: int
     h: float
-    triangles: np.ndarray
-    tri_cells: np.ndarray
     interior_index: np.ndarray
     interior_ids: np.ndarray
 
@@ -97,7 +94,6 @@ def build_mesh(M: int) -> StructuredMesh:
         raise MeshError(f"mesh resolution must be an integer >= 2, got {M!r}")
     M = int(M)
     side = M + 1
-    tris, cells = triangulate(M)
 
     ix = np.arange(side * side) % side
     iy = np.arange(side * side) // side
@@ -106,8 +102,7 @@ def build_mesh(M: int) -> StructuredMesh:
     interior_ids = np.flatnonzero(interior)
     interior_index[interior_ids] = np.arange(interior_ids.size)
 
-    return StructuredMesh(M=M, h=1.0 / M, triangles=tris, tri_cells=cells,
-                          interior_index=interior_index,
+    return StructuredMesh(M=M, h=1.0 / M, interior_index=interior_index,
                           interior_ids=interior_ids)
 
 

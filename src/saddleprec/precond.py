@@ -13,6 +13,9 @@ identity tests and handles untagged right-hand sides during setup.
 
 H_A is pluggable: exact sparse LU, a fixed number of inner CG steps
 preconditioned by a symmetrized incomplete LU, or plain diagonal scaling.
+The two factorizing kinds hand SuperLU the transpose view of a CSR A,
+which is A's own CSC form only because A is symmetric; they probe that
+symmetry first and refuse an A that fails the probe.
 """
 
 from __future__ import annotations
@@ -138,13 +141,39 @@ def pcg_steps(A, x, r, apply_m, breakdown: str,
         rz = rz_new
 
 
+# relative bound on |x.Ay - y.Ax| / (|x| |Ay|) in the symmetry probe; the
+# rounding of a symmetric A stays near sqrt(N) times the machine epsilon
+_SYMMETRY_RTOL = 1e-10
+
+
+def _symmetric_csc(A: sp.spmatrix, kind: str) -> sp.csc_matrix:
+    """CSC form of the symmetric A for SuperLU: the transpose view of a CSR
+    A, which shares its arrays, or a conversion of any other format.
+
+    The view stands for A only if A is symmetric, so a seeded two-matvec
+    probe checks that first: if x.Ay and y.Ax differ by more than
+    _SYMMETRY_RTOL |x| |Ay|, ContractViolationError names the H_A kind.
+    """
+    x, y = np.random.default_rng(0).standard_normal((2, A.shape[0]))
+    Ay = A @ y
+    scale = np.linalg.norm(x) * np.linalg.norm(Ay)
+    gap = x @ Ay
+    del Ay      # at most three vectors of length N live at once
+    gap -= y @ (A @ x)
+    if abs(gap) > _SYMMETRY_RTOL * scale:
+        raise ContractViolationError(
+            f"H_A kind {kind!r} needs a symmetric A; the probe found "
+            f"x.Ay - y.Ax = {gap:.3e} against |x| |Ay| = {scale:.3e}")
+    return A.T if A.format == "csr" else A.tocsc()
+
+
 class ExactAInverse:
-    """H_A = A^{-1} through a sparse LU factorization."""
+    """H_A = A^{-1} through a sparse LU factorization of the symmetric A."""
 
     kind = "exact"
 
     def __init__(self, A: sp.csr_matrix):
-        self._lu = spla.splu(A.tocsc())
+        self._lu = spla.splu(_symmetric_csc(A, self.kind))
 
     def apply(self, r: np.ndarray, counter: OpCounter | None = None) -> np.ndarray:
         if counter is not None:
@@ -178,7 +207,8 @@ class InnerCgAInverse:
     The base preconditioner is the symmetrized incomplete LU
     0.5 (M^{-1} + M^{-T}): SuperLU's symmetric mode keeps the factors close
     to an incomplete Cholesky, and the explicit symmetrization removes the
-    leftover asymmetry so the inner CG sees a symmetric operator.
+    leftover asymmetry so the inner CG sees a symmetric operator.  A
+    must be symmetric, as for ExactAInverse.
     """
 
     kind = "cg"
@@ -190,8 +220,8 @@ class InnerCgAInverse:
                                     "fill_factor": fill_factor})
         self.A = A.tocsr()
         self.steps = steps
-        self._ilu = spla.spilu(A.tocsc(), drop_tol=drop_tol,
-                               fill_factor=fill_factor,
+        self._ilu = spla.spilu(_symmetric_csc(A, self.kind),
+                               drop_tol=drop_tol, fill_factor=fill_factor,
                                diag_pivot_thresh=0.0,
                                permc_spec="MMD_AT_PLUS_A",
                                options=dict(SymmetricMode=True))
@@ -221,6 +251,9 @@ A_KINDS = {cls.kind: cls
            for cls in (ExactAInverse, InnerCgAInverse, DiagonalAInverse)}
 
 
+_CG_OPTIONS = ("steps", "base", "drop_tol", "fill_factor")
+
+
 def check_a_options(kind: str, opts: dict) -> None:
     """Raise ParameterError, naming the kind or the option, for an H_A
     configuration make_a_preconditioner refuses; only kind cg takes options."""
@@ -229,6 +262,14 @@ def check_a_options(kind: str, opts: dict) -> None:
     if kind != InnerCgAInverse.kind and opts:
         raise ParameterError(
             f"H_A kind {kind!r} takes no options, got {', '.join(sorted(opts))}")
+    unknown = sorted(set(opts) - set(_CG_OPTIONS))
+    if unknown:
+        raise ParameterError(f"unknown inner CG option {unknown[0]!r}; "
+                             f"options are {', '.join(_CG_OPTIONS)}")
+    for name in ("steps", "drop_tol", "fill_factor"):
+        if isinstance(opts.get(name), (bool, np.bool_)):
+            raise ParameterError(
+                f"inner CG option {name!r} takes a number, got {opts[name]!r}")
     steps = opts.get("steps", 1)
     if not isinstance(steps, (int, np.integer)) or steps < 1:
         raise ParameterError(

@@ -208,7 +208,8 @@ def test_load_vector_zero_and_total_mass():
                                   np.zeros(mesh.n_interior))
     f = assemble_load(mesh, 1.0)
     tri_area = 0.5 * mesh.h ** 2
-    n_interior_vertices = (mesh.interior_index[mesh.triangles] >= 0).sum()
+    tri, _ = triangulate(mesh.M)
+    n_interior_vertices = (mesh.interior_index[tri] >= 0).sum()
     np.testing.assert_allclose(f.sum(), tri_area / 3.0 * n_interior_vertices)
 
 
@@ -327,6 +328,16 @@ def _assert_identical(a, b):
             _assert_identical(getattr(a, field.name), getattr(b, field.name))
     else:
         assert a == b
+
+
+def test_block_mass_is_built_on_first_read():
+    mesh = build_mesh(16)
+    blocks = build_problem(mesh, place_periodic(mesh, 2))[2]
+    assert "M_D" not in vars(blocks)
+    M_D = blocks.M_D
+    assert vars(blocks)["M_D"] is M_D and blocks.M_D is M_D
+    np.testing.assert_array_equal(
+        M_D.toarray(), np.kron(np.eye(blocks.m), blocks.M_loc))
 
 
 def _solves(op, A, blocks, seed=3):

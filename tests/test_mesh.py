@@ -9,6 +9,7 @@ from saddleprec import (
     build_mesh, place_periodic, place_random, layout_from_cells,
     assign_epsilon, build_ordering, layout_manifest, layout_from_manifest,
 )
+from saddleprec.mesh import triangulate
 
 
 def test_mesh_rejects_degenerate_resolution():
@@ -31,7 +32,8 @@ def test_interior_count_matches_square_law():
 
 def test_every_triangle_has_area_half_h_squared():
     mesh = build_mesh(8)
-    coords = mesh.node_coords(mesh.triangles.ravel()).reshape(-1, 3, 2)
+    tri, _ = triangulate(mesh.M)
+    coords = mesh.node_coords(tri.ravel()).reshape(-1, 3, 2)
     d1 = coords[:, 1] - coords[:, 0]
     d2 = coords[:, 2] - coords[:, 0]
     areas = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
@@ -51,7 +53,7 @@ def test_interior_node_touches_six_triangles():
     # seven stiffness entries: the 5-point stencil plus explicit zeros to
     # its SW and NE neighbours along the diagonals
     mesh = build_mesh(64)
-    counts = np.bincount(mesh.triangles.ravel(),
+    counts = np.bincount(triangulate(mesh.M)[0].ravel(),
                          minlength=(mesh.M + 1) ** 2)
     assert np.all(counts[mesh.interior_ids] == 6)
 

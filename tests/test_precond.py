@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from saddleprec import (
     SchurPreconditioner, ReferenceSchurSolver, ExactAInverse,
@@ -169,6 +173,61 @@ def test_inner_cg_breakdown_on_negative_definite_matrix(prob8):
         ha.apply(np.ones(prob8.A.shape[0]))
 
 
+# ---------------------------------------------------------------------------
+# the factorizing kinds read A's own arrays: symmetry, bits and memory
+
+_ILU_OPTIONS = dict(drop_tol=5e-4, fill_factor=12.0, diag_pivot_thresh=0.0,
+                    permc_spec="MMD_AT_PLUS_A",
+                    options=dict(SymmetricMode=True))
+
+
+@pytest.mark.parametrize("fmt", ["csr", "csc", "coo"])
+@pytest.mark.parametrize("kind", ["exact", "cg"])
+def test_factorizing_kinds_refuse_an_asymmetric_a(prob8, kind, fmt):
+    A = (prob8.A + 0.1 * sp.triu(prob8.A, k=1)).asformat(fmt)
+    with pytest.raises(ContractViolationError,
+                       match=f"^H_A kind '{kind}' needs a symmetric A"):
+        make_a_preconditioner(A, kind)
+
+
+@pytest.mark.parametrize("fmt", ["csc", "coo"])
+@pytest.mark.parametrize("kind", ["exact", "cg"])
+def test_factorizing_kinds_give_the_same_bits_for_every_format(prob8, kind,
+                                                               fmt):
+    r = np.random.default_rng(4).standard_normal(prob8.A.shape[0])
+    np.testing.assert_array_equal(
+        make_a_preconditioner(prob8.A.asformat(fmt), kind).apply(r),
+        make_a_preconditioner(prob8.A, kind).apply(r))
+
+
+@pytest.mark.parametrize("layout_mode", ["periodic", "random"])
+def test_factorizing_kinds_keep_the_bits_of_a_csc_copy(layout_mode):
+    A = make_problem(32, 2, layout_mode=layout_mode, removal=7).A
+    R = np.random.default_rng(6).standard_normal((A.shape[0], 3))
+    np.testing.assert_array_equal(ExactAInverse(A).apply(R),
+                                  spla.splu(A.tocsc()).solve(R))
+    ha, copied = InnerCgAInverse(A), InnerCgAInverse(A)
+    copied._ilu = spla.spilu(A.tocsc(), **_ILU_OPTIONS)
+    np.testing.assert_array_equal(ha.apply(R[:, 0]), copied.apply(R[:, 0]))
+
+
+@pytest.mark.parametrize("cls", [ExactAInverse, InnerCgAInverse])
+def test_factorizing_kinds_allocate_no_copy_of_a(cls):
+    # tracemalloc sees numpy arrays, not SuperLU's own factor storage; a
+    # CSC copy of A alone would exceed A's bytes, the symmetry probe's
+    # three vectors of length N stay near 0.3 of them
+    from saddleprec import assemble_stiffness
+    A = assemble_stiffness(build_mesh(64))
+    a_bytes = A.data.nbytes + A.indices.nbytes + A.indptr.nbytes
+    tracemalloc.start()
+    try:
+        cls(A)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < a_bytes / 2
+
+
 def test_make_a_preconditioner_dispatch(prob8):
     assert make_a_preconditioner(prob8.A, "exact").kind == "exact"
     assert make_a_preconditioner(prob8.A, "diagonal").kind == "diagonal"
@@ -192,13 +251,25 @@ def test_make_a_preconditioner_dispatch(prob8):
     ({"drop_tol": np.inf}, "drop tolerance must be nonnegative and finite"),
     ({"steps": 2.5}, "steps: a whole number, at least 1 step, got 2.5"),
     ({"steps": 0}, "steps: a whole number, at least 1 step, got 0"),
+    ({"steps": True}, "option 'steps' takes a number, got True"),
+    ({"fill_factor": True}, "option 'fill_factor' takes a number, got True"),
+    ({"drop_tol": np.False_},
+     "option 'drop_tol' takes a number, got np.False_"),
 ], ids=["nan-fill", "inf-fill", "negative-fill", "negative-drop", "nan-drop",
-        "inf-drop", "fractional-steps", "zero-steps"])
+        "inf-drop", "fractional-steps", "zero-steps", "bool-steps",
+        "bool-fill", "bool-drop"])
 def test_make_a_preconditioner_refuses_bad_ilu_options(prob8, opts, match):
     with pytest.raises(ParameterError, match=match):
         make_a_preconditioner(prob8.A, "cg", **opts)
     with pytest.raises(ParameterError, match=match):
         InnerCgAInverse(prob8.A, **opts)
+
+
+def test_make_a_preconditioner_refuses_unknown_cg_options(prob8):
+    with pytest.raises(ParameterError,
+                       match="^unknown inner CG option 'foo'; options are "
+                             "steps, base, drop_tol, fill_factor$"):
+        make_a_preconditioner(prob8.A, "cg", foo=1, steps=3)
 
 
 @pytest.mark.parametrize("kind", ["exact", "diagonal"])
