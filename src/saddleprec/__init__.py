@@ -18,7 +18,7 @@ from .mesh import (
     StructuredMesh, build_mesh,
     Inclusion, InclusionLayout, layout_from_cells, place_periodic,
     place_random, assign_epsilon,
-    OrderingMap, build_ordering, layout_manifest, layout_from_manifest,
+    OrderingMap, build_ordering,
 )
 from .assembly import (
     AssemblyError,

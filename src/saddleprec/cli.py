@@ -9,7 +9,8 @@ Subcommands
                  {A, H_A}-application totals pivoted into a Markdown table:
                  one row per axes tuple, labelled by eps_min and by every
                  other axis that takes more than one value
-  export-matrix  assembled operators in Matrix Market ASCII
+  export-matrix  assembled operators in Matrix Market ASCII: stiffness and
+                 saddle in system order, sigma in mesh interior order
 
 Configs are flat key = value text files; list-valued keys take commas.
 Every axis combination is validated before any run starts by building its
@@ -42,7 +43,7 @@ import scipy
 from . import __version__
 from .mesh import (MeshError, LayoutError, ParameterError, build_mesh,
                    build_ordering, place_periodic, place_random,
-                   assign_epsilon)
+                   assign_epsilon, _periodic_corners)
 from .assembly import (build_problem, assemble_load, assemble_sigma_matrix,
                        assemble_stiffness, write_matrix_market)
 from .precond import (A_KINDS, ContractViolationError, SolverBreakdownError,
@@ -283,7 +284,7 @@ def _place(cfg, mesh, k, layout, seed):
     if layout == "periodic":
         return place_periodic(mesh, k)
     count = (cfg.removal if cfg.removal is not None
-             else place_periodic(mesh, k).m // 2)
+             else len(_periodic_corners(mesh, k)) // 2)
     return place_random(mesh, k, count, seed=seed + _LAYOUT_SEED_OFFSET)
 
 

@@ -13,7 +13,6 @@ data and from one another.
 from __future__ import annotations
 
 import dataclasses
-import json
 
 import numpy as np
 
@@ -151,9 +150,9 @@ class InclusionLayout:
     the row-major closure nodes node_gids[s] and cells cell_ids[s].  eps
     holds the stiffness parameter of each inclusion (sigma = 1 + 1/eps_s
     inside inclusion s); placement routines initialise it to 1.  The eps
-    copies made by assign_epsilon and layout_from_manifest share the
-    placement's arrays and its slot, and with it the eps-free ordering,
-    stiffness and inclusion blocks that build_problem assembles on its mesh.
+    copies made by assign_epsilon share the placement's arrays and its
+    slot, and with it the eps-free ordering, stiffness and inclusion blocks
+    that build_problem assembles on its mesh.
     """
 
     mesh: StructuredMesh
@@ -181,10 +180,6 @@ class InclusionLayout:
     def n(self) -> int:
         """Total number of inclusion nodes."""
         return self.m * self.nodes_per_inclusion
-
-    @property
-    def n_exterior(self) -> int:
-        return self.mesh.n_interior - self.n
 
     @property
     def d(self) -> float:
@@ -331,8 +326,6 @@ class OrderingMap:
 
     perm: np.ndarray      # interior index -> system index
     inv: np.ndarray       # system index -> interior index
-    n: int
-    n_exterior: int
 
     def to_system(self, v: np.ndarray) -> np.ndarray:
         out = np.empty_like(v)
@@ -355,37 +348,5 @@ def build_ordering(layout: InclusionLayout) -> OrderingMap:
     inv = np.concatenate((lead, np.flatnonzero(~taken)))
     perm = np.empty(N, dtype=np.int64)
     perm[inv] = np.arange(N)
-    return OrderingMap(perm=perm, inv=inv, n=lead.size,
-                       n_exterior=N - lead.size)
+    return OrderingMap(perm=perm, inv=inv)
 
-
-def layout_manifest(layout: InclusionLayout) -> dict:
-    """JSON-able description sufficient to rebuild the layout."""
-    return {
-        "M": layout.mesh.M,
-        "k": layout.k,
-        "m": layout.m,
-        "mode": layout.mode,
-        "seed": layout.seed,
-        "removal_count": layout.removal_count,
-        "corners": layout.corners.tolist(),
-        "eps": [float(e) for e in layout.eps],
-    }
-
-
-def layout_from_manifest(data: dict | str) -> InclusionLayout:
-    """Rebuild a layout from layout_manifest output (dict or JSON text)."""
-    if isinstance(data, str):
-        data = json.loads(data)
-    mesh = build_mesh(int(data["M"]))
-    layout = layout_from_cells(mesh, int(data["k"]),
-                               [tuple(c) for c in data["corners"]],
-                               mode=data.get("mode", "custom"),
-                               seed=data.get("seed"),
-                               removal_count=int(data.get("removal_count", 0)))
-    eps = np.asarray(data["eps"], dtype=float)
-    if eps.shape != (layout.m,):
-        raise ParameterError("manifest eps length does not match inclusion count")
-    if np.any(eps <= 0.0) or np.any(eps > 1.0):
-        raise ParameterError("manifest eps values must lie in (0, 1]")
-    return dataclasses.replace(layout, eps=eps)

@@ -51,13 +51,6 @@ class OpCounter:
     a: int = 0
     ha: int = 0
 
-    @property
-    def total(self) -> int:
-        return self.a + self.ha
-
-    def snapshot(self):
-        return (self.a, self.ha)
-
 
 class SchurPreconditioner:
     """Exact application of (B_D + Q)^{-1} at O(n) cost via tags."""
@@ -74,21 +67,13 @@ class SchurPreconditioner:
         untagged right-hand sides.
         """
         raise ContractViolationError(
-            "H_S received an untagged operand; apply_tagged/apply_bd_image/"
-            "apply_q_image carry the image structure, or use "
-            "ReferenceSchurSolver for a direct solve")
+            "H_S received an untagged operand; apply_tagged carries the "
+            "image structure, or use ReferenceSchurSolver for a direct "
+            "solve")
 
     def apply_tagged(self, bd_pre: np.ndarray, q_pre: np.ndarray) -> np.ndarray:
         """H_S (B_D a + Q b) for tag vectors a = bd_pre, b = q_pre."""
         return bd_pre + self.blocks.apply_projector(q_pre - bd_pre)
-
-    def apply_bd_image(self, a: np.ndarray) -> np.ndarray:
-        """H_S B_D a = (I - P) a."""
-        return a - self.blocks.apply_projector(a)
-
-    def apply_q_image(self, b: np.ndarray) -> np.ndarray:
-        """H_S Q b = P b."""
-        return self.blocks.apply_projector(b)
 
 
 class ReferenceSchurSolver:

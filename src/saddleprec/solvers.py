@@ -91,9 +91,11 @@ class SolverReport:
             return 0.0
         return float(self.norms[-1] / self.norms[0])
 
-    def is_monotone(self, rel_tol: float = NORM_GUARD) -> bool:
+    def is_monotone(self) -> bool:
+        """No norm rises by more than NORM_GUARD times max(norms[0], 1)."""
         scale = self.norms[0]
-        return bool(np.all(np.diff(self.norms) <= rel_tol * max(scale, 1.0)))
+        return bool(np.all(np.diff(self.norms)
+                           <= NORM_GUARD * max(scale, 1.0)))
 
     def ritz_extremes(self) -> tuple[float, float]:
         """Smallest and largest eigenvalue of T_k, computed on request.
@@ -210,28 +212,26 @@ def _conjugate_cg(run, start, precondition, images, form, breakdown):
     return _cg_tridiagonal(coeffs)
 
 
-def _split_rhs(op, F, g_tags):
-    """Normalize right-hand side input to (fbar, gbar, g_tags)."""
+def _split_rhs(op, F):
+    """Normalize right-hand side input to (fbar, gbar)."""
     if F is None:
-        return np.zeros(op.N), np.zeros(op.n), None
+        return np.zeros(op.N), np.zeros(op.n)
     F = np.asarray(F, dtype=float)
     if F.shape != (op.size,):
         raise ParameterError(f"right-hand side must have length {op.size}")
-    return F[:op.N], F[op.N:], g_tags
+    return F[:op.N], F[op.N:]
 
 
-def _gbar_tags(blocks, gbar, g_tags):
+def _gbar_tags(blocks, gbar):
     """Tags (a, b) with B_D a + Q b = gbar, or None when gbar vanishes.
 
-    With (B_D + Q) x = gbar, the pair (x, x) tags gbar exactly, so untagged
+    With (B_D + Q) x = gbar, the pair (x, x) tags gbar exactly, so
     constraint data costs one reference solve at setup.
     """
     if not np.any(gbar):
         return None
-    if g_tags is None:
-        x = ReferenceSchurSolver(blocks).solve(gbar)
-        return x, x
-    return g_tags
+    x = ReferenceSchurSolver(blocks).solve(gbar)
+    return x, x
 
 
 def _schur_pre(op, a_inv, x, counter, fbar=None):
@@ -249,7 +249,7 @@ def _schur_pre(op, a_inv, x, counter, fbar=None):
 
 
 def pu_solve(op: SaddleOperator, precond: BlockPreconditioner, F=None,
-             g_tags=None, p0=None, delta: float = 1e-6, max_iter: int = 1000,
+             p0=None, delta: float = 1e-6, max_iter: int = 1000,
              counter: OpCounter | None = None) -> SolverReport:
     """Preconditioned Uzawa: CG on S_eps p = B H_A fbar - gbar.
 
@@ -258,7 +258,7 @@ def pu_solve(op: SaddleOperator, precond: BlockPreconditioner, F=None,
     benchmark (F = 0) stops on the S_eps-norm of the iterate, which equals
     the error norm; otherwise the H_S-weighted residual norm is used.
     """
-    fbar, gbar, g_tags = _split_rhs(op, F, g_tags)
+    fbar, gbar = _split_rhs(op, F)
     homogeneous = not (np.any(fbar) or np.any(gbar))
     run = _Run("pu", "iterate-S-norm" if homogeneous
                else "preconditioned-residual", delta, max_iter, counter)
@@ -270,7 +270,7 @@ def pu_solve(op: SaddleOperator, precond: BlockPreconditioner, F=None,
     # carried along the whole iteration
     u_pre = _schur_pre(op, precond.a_inv, p, counter, fbar)
     q_pre = p.copy()
-    g = _gbar_tags(blocks, gbar, g_tags)
+    g = _gbar_tags(blocks, gbar)
     if g is not None:
         u_pre, q_pre = u_pre + g[0], q_pre + g[1]
     r = blocks.from_tags(u_pre, q_pre)
@@ -299,18 +299,18 @@ def pu_solve(op: SaddleOperator, precond: BlockPreconditioner, F=None,
     return run.report(precond.a_inv.apply(u, counter), p, tridiagonal)
 
 
-def _saddle_start(op, precond, F, g_tags, z0, run):
+def _saddle_start(op, precond, F, z0, run):
     """Shared PL/PCG-K start: z0, rho = A_eps z0 - F and v = H rho, and the
     initial K-norm.  The lower block of rho is tagged by the source tags of
     z0 minus the tags of the constraint data gbar."""
     z = (np.zeros(op.size) if z0 is None
          else np.asarray(z0, dtype=float).copy())
-    fbar, gbar, g_tags = _split_rhs(op, F, g_tags)
+    fbar, gbar = _split_rhs(op, F)
     rho = op.apply(z, run.counter)
     rho[:op.N] -= fbar
     rho[op.N:] -= gbar
     bd0, q0 = op.source_tags(z)
-    g = _gbar_tags(op.blocks, gbar, g_tags)
+    g = _gbar_tags(op.blocks, gbar)
     if g is not None:
         bd0, q0 = bd0 - g[0], q0 - g[1]
     v = precond.apply_to_image(rho, bd0, q0, run.counter)
@@ -319,7 +319,7 @@ def _saddle_start(op, precond, F, g_tags, z0, run):
 
 
 def pl_solve(op: SaddleOperator, precond: BlockPreconditioner, F=None,
-             g_tags=None, z0=None, delta: float = 1e-6, max_iter: int = 2000,
+             z0=None, delta: float = 1e-6, max_iter: int = 2000,
              counter: OpCounter | None = None) -> SolverReport:
     """Preconditioned Lanczos on the indefinite saddle system.
 
@@ -329,7 +329,7 @@ def pl_solve(op: SaddleOperator, precond: BlockPreconditioner, F=None,
     Stopping norm: H-weighted residual, which equals the K-norm of the error.
     """
     run = _Run("pl", "K-norm", delta, max_iter, counter)
-    z, rho, v = _saddle_start(op, precond, F, g_tags, z0, run)
+    z, rho, v = _saddle_start(op, precond, F, z0, run)
     # T_{k-1} has diagonal alpha_j and off-diagonal sqrt(gamma_j): the
     # vectors xi_j are K-orthogonal with |xi_j|_K^2 / |xi_{j-1}|_K^2 = gamma_j
     alphas, gammas = [], []
@@ -366,8 +366,7 @@ def pl_solve(op: SaddleOperator, precond: BlockPreconditioner, F=None,
 
 
 def pcg_k_solve(op: SaddleOperator, precond: BlockPreconditioner, F=None,
-                g_tags=None, z0=None, delta: float = 1e-6,
-                max_iter: int = 2000,
+                z0=None, delta: float = 1e-6, max_iter: int = 2000,
                 counter: OpCounter | None = None) -> SolverReport:
     """CG on the squared operator K = A_eps H A_eps, right side A_eps H F.
 
@@ -377,7 +376,7 @@ def pcg_k_solve(op: SaddleOperator, precond: BlockPreconditioner, F=None,
     by CG optimality.
     """
     run = _Run("pcg_k", "K-norm", delta, max_iter, counter)
-    z, rho, v = _saddle_start(op, precond, F, g_tags, z0, run)
+    z, rho, v = _saddle_start(op, precond, F, z0, run)
 
     def images(xi):
         # K xi = A_eps s with s = H A_eps xi; rho and v move along t and s

@@ -59,31 +59,32 @@ def sector_pair(t, eps):
     return ((1.0 - eps) - disc) / 2.0, ((1.0 - eps) + disc) / 2.0
 
 
-def dense_spectrum(op_mat, gram_mat=None, limit: int = DENSE_LIMIT,
-                   return_vectors: bool = False):
+def dense_spectrum(op_mat, gram_mat=None, limit: int = DENSE_LIMIT):
     """Sorted generalized eigenvalues of Op x = mu Gram x, dense and symmetric.
 
     gram_mat None means the identity.  The Gram factor must be SPD; a failed
     Cholesky raises ContractViolationError.  Instances above `limit` rows are
-    refused; there the ritz_extremes of a solver report estimate the
-    extreme eigenvalues.
+    refused from their shape, before a sparse input is made dense; there the
+    ritz_extremes of a solver report estimate the extreme eigenvalues.
     """
-    op = op_mat.toarray() if sp.issparse(op_mat) else np.asarray(op_mat, float)
+    op = op_mat if sp.issparse(op_mat) else np.asarray(op_mat, float)
     if op.shape[0] != op.shape[1]:
         raise ParameterError(f"operator must be square, got {op.shape}")
     if op.shape[0] > limit:
         raise ParameterError(
             f"dense spectrum refused at dimension {op.shape[0]} > {limit}; "
             "use the ritz_extremes of a solver report for large instances")
+    op = op.toarray() if sp.issparse(op) else op
     if not np.allclose(op, op.T, rtol=0.0, atol=1e-10 * _scale(op)):
         raise ContractViolationError("operator block is not symmetric")
     gram = None
     if gram_mat is not None:
-        gram = (gram_mat.toarray() if sp.issparse(gram_mat)
+        gram = (gram_mat if sp.issparse(gram_mat)
                 else np.asarray(gram_mat, float))
         if gram.shape != op.shape:
             raise ParameterError(
                 f"operator and Gram shapes differ: {op.shape} vs {gram.shape}")
+        gram = gram.toarray() if sp.issparse(gram) else gram
         if not np.allclose(gram, gram.T, rtol=0.0, atol=1e-10 * _scale(gram)):
             raise ContractViolationError("Gram block is not symmetric")
         try:
@@ -91,7 +92,7 @@ def dense_spectrum(op_mat, gram_mat=None, limit: int = DENSE_LIMIT,
         except sla.LinAlgError as exc:
             raise ContractViolationError(
                 "Gram block is not positive definite") from exc
-    return sla.eigh(op, gram, eigvals_only=not return_vectors)
+    return sla.eigh(op, gram, eigvals_only=True)
 
 
 def _scale(mat):

@@ -53,7 +53,7 @@ def _permutation_ordering(mesh):
     inv = np.random.default_rng(mesh.M).permutation(mesh.n_interior)
     perm = np.empty_like(inv)
     perm[inv] = np.arange(inv.size)
-    return OrderingMap(perm=perm, inv=inv, n=0, n_exterior=inv.size)
+    return OrderingMap(perm=perm, inv=inv)
 
 
 # system orderings the stencil must reproduce, by the smallest M they fit

@@ -1,4 +1,3 @@
-import json
 import re
 
 import numpy as np
@@ -7,7 +6,7 @@ import pytest
 from saddleprec import (
     MeshError, LayoutError, ParameterError,
     build_mesh, place_periodic, place_random, layout_from_cells,
-    assign_epsilon, build_ordering, layout_manifest, layout_from_manifest,
+    assign_epsilon, build_ordering,
 )
 from saddleprec.mesh import triangulate
 
@@ -131,7 +130,6 @@ def test_empty_corner_list_gives_an_empty_layout():
     assert layout.inclusion_cells().dtype == np.int64
     assert layout.inclusion_cells().size == 0
     ordering = build_ordering(layout)
-    assert ordering.n == 0
     np.testing.assert_array_equal(ordering.inv, np.arange(mesh.n_interior))
 
 
@@ -141,8 +139,7 @@ def test_numpy_corners_give_python_ints_and_stacked_views():
     layout = layout_from_cells(mesh, np.int64(2), corners)
     assert [(type(i.cell_x), type(i.cell_y), type(i.k))
             for i in layout.inclusions] == [(int, int, int)] * 2
-    data = json.loads(json.dumps(layout_manifest(layout)))
-    assert data["corners"] == [[1, 1], [5, 9]]
+    assert layout.corners.tolist() == [[1, 1], [5, 9]]
     for s, inc in enumerate(layout.inclusions):
         assert np.shares_memory(inc.node_gids, layout.node_gids)
         np.testing.assert_array_equal(inc.node_gids, layout.node_gids[s])
@@ -214,8 +211,7 @@ def test_ordering_groups_inclusion_nodes_first():
         idx = mesh.interior_index[inc.node_gids]
         np.testing.assert_array_equal(ordering.perm[idx],
                                       np.arange(s * ns, (s + 1) * ns))
-    assert ordering.n == layout.n
-    assert ordering.n_exterior == mesh.n_interior - layout.n
+    assert ordering.perm.size == mesh.n_interior
 
 
 def test_ordering_round_trip():
@@ -226,15 +222,3 @@ def test_ordering_round_trip():
         ordering.to_interior(ordering.to_system(v)), v)
     np.testing.assert_array_equal(
         ordering.to_system(ordering.to_interior(v)), v)
-
-
-def test_layout_manifest_round_trip():
-    mesh = build_mesh(16)
-    layout = assign_epsilon(place_random(mesh, 2, 5, seed=9), "random",
-                            eps_min=1e-5, seed=2)
-    data = layout_manifest(layout)
-    rebuilt = layout_from_manifest(data)
-    assert rebuilt.m == layout.m
-    assert [(i.cell_x, i.cell_y) for i in rebuilt.inclusions] == \
-           [(i.cell_x, i.cell_y) for i in layout.inclusions]
-    np.testing.assert_allclose(rebuilt.eps, layout.eps)

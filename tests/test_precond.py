@@ -10,7 +10,7 @@ from saddleprec import (
     DiagonalAInverse, InnerCgAInverse, make_a_preconditioner,
     build_block_preconditioner, OpCounter,
     build_mesh, ContractViolationError, ParameterError,
-    SolverBreakdownError,
+    SolverBreakdownError, pl_solve, random_guess,
 )
 
 from saddle_problems import make_problem, make_exact_precond
@@ -85,8 +85,10 @@ def test_block_constant_images(prob8):
     schur = SchurPreconditioner(blocks)
     e = np.zeros(blocks.n)
     e[:blocks.ns] = 1.0
-    np.testing.assert_allclose(schur.apply_bd_image(e), 0.0, atol=1e-14)
-    np.testing.assert_allclose(schur.apply_q_image(e), e, atol=1e-14)
+    zero = np.zeros(blocks.n)
+    # H_S B_D e = (I - P) e = 0 and H_S Q e = P e = e
+    np.testing.assert_allclose(schur.apply_tagged(e, zero), 0.0, atol=1e-14)
+    np.testing.assert_allclose(schur.apply_tagged(zero, e), e, atol=1e-14)
 
 
 def test_untagged_apply_is_rejected(prob8):
@@ -280,14 +282,16 @@ def test_make_a_preconditioner_refuses_options_it_would_drop(prob8, kind):
         make_a_preconditioner(prob8.A, kind, steps=3, drop_tol=1e-2)
 
 
-def test_op_counter_totals():
-    c = OpCounter()
-    c.a += 3
-    c.ha += 2
-    assert c.total == 5
-    snap = c.snapshot()
-    c.a += 1
-    assert snap == (3, 2) and c.total == 6
+def test_op_counter_totals(prob8):
+    # a report's counts are the totals of the counter it ran on, counts made
+    # before the solve included: PL's start and each step take one A_eps and
+    # one H apply
+    c = OpCounter(a=3, ha=2)
+    rep = pl_solve(prob8.op, make_exact_precond(prob8),
+                   z0=random_guess(prob8.op.size, 1), counter=c)
+    assert (c.a, c.ha) == (4 + rep.iterations, 3 + rep.iterations)
+    assert (rep.a_applies, rep.ha_applies) == (c.a, c.ha)
+    assert rep.total_applies == c.a + c.ha
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -72,11 +74,27 @@ def test_dense_spectrum_of_gram_against_itself(prob8):
 
 def test_dense_spectrum_kernel_of_neumann_block(tiny_problem):
     blocks = tiny_problem.blocks
-    eigs, vecs = dense_spectrum(blocks.B_loc, blocks.M_loc,
-                                return_vectors=True)
+    eigs = dense_spectrum(blocks.B_loc, blocks.M_loc)
+    # one zero eigenvalue, whose eigenvector is the constant
     np.testing.assert_allclose(eigs[0], 0.0, atol=1e-12)
-    v = vecs[:, 0]
-    np.testing.assert_allclose(v / v[0], np.ones(blocks.ns), atol=1e-10)
+    assert eigs[1] > 1e-6
+    np.testing.assert_allclose(blocks.B_loc @ np.ones(blocks.ns), 0.0,
+                               atol=1e-12)
+
+
+def test_dense_spectrum_refuses_a_large_sparse_input_before_densifying():
+    # the dense copy of a 2001-row identity would take 30.6 MiB
+    big = sp.identity(DENSE_LIMIT + 1, format="csr")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParameterError, match="dense spectrum refused"):
+            dense_spectrum(big)
+        with pytest.raises(ParameterError, match="shapes differ"):
+            dense_spectrum(sp.identity(4), big)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 def test_dense_spectrum_input_contracts(prob8):
