@@ -36,6 +36,7 @@ import json
 import os
 import sys
 import time
+import types
 
 import numpy as np
 import scipy
@@ -361,44 +362,55 @@ def validate_instances(cfg: ExperimentConfig) -> dict:
 # workers
 
 def _sweep(cfg, layouts, instances, threads):
-    """(_run_solve row per instance in order, H_A set-ups) of instances
-    (method, M, k, layout, eps_mode, eps_min, delta, seed).
+    """(_run_solve row per instance in the given order, H_A set-ups) of
+    instances (method, M, k, layout, eps_mode, eps_min, delta, seed).
 
-    Each maximal run of consecutive instances with one operator key is one
-    worker task holding one H_A per (kind, options), freed when the task
-    returns, so the set-ups do not depend on the thread count.
+    The instances of one operator key and H_A setting (kind, options),
+    wherever they sit, form one worker task; tasks run in order of first
+    appearance.  A task's first instance builds its eps-free H, which the
+    task frees when it returns: one set-up per (placement, H_A setting) and
+    one H_A per worker, whatever the thread count.  A failing sweep raises
+    the first failure in this execution order.
     """
-    def task(run):
-        preconds = {}
-        return ([_run_solve(cfg, layouts[_layout_key(instance[1:])],
-                            preconds, instance) for instance in run],
-                len(preconds))
+    tasks = {}      # (operator key, kind, options) -> instance indices
+    for i, (method, *ax) in enumerate(instances):
+        kind, opts = cfg.ha[method]
+        key = _operator_key(ax), kind, tuple(sorted(opts.items()))
+        tasks.setdefault(key, []).append(i)
+    groups = list(tasks.values())
 
-    runs = [list(group) for _, group in itertools.groupby(
-        instances, lambda instance: _operator_key(instance[1:]))]
-    done = _pool_map(task, runs, threads)
-    return ([result for results, _ in done for result in results],
-            sum(setups for _, setups in done))
+    def task(indices):
+        shared = types.SimpleNamespace(H=None, F=None)
+        return [_run_solve(cfg, layouts[_layout_key(instances[i][1:])],
+                           shared, instances[i]) for i in indices]
+
+    rows = [None] * len(instances)
+    for indices, results in zip(groups, _pool_map(task, groups, threads)):
+        for i, row in zip(indices, results):
+            rows[i] = row
+    return rows, len(groups)
 
 
-def _run_solve(cfg, lay, preconds, instance):
-    """One solve of the instance on its layout; preconds holds the H (eps
-    free) of each (kind, options) built on the layout's placement so far."""
+def _run_solve(cfg, lay, shared, instance):
+    """One solve of the instance on its layout.  shared holds what the
+    instances of one task share, built by the first that needs it: the H
+    (eps free) and, with rhs = one, the right-hand side."""
     method, M, k, layout, eps_mode, eps_min, delta, seed = instance
     kind, opts = cfg.ha[method]
     ordering, A, blocks, op = build_problem(lay.mesh, lay)
     try:
-        key = (kind, tuple(sorted(opts.items())))
-        if key not in preconds:
-            preconds[key] = build_block_preconditioner(A, blocks, kind, **opts)
+        if shared.H is None:
+            shared.H = build_block_preconditioner(A, blocks, kind, **opts)
         if cfg.rhs == "one":
-            kwargs = {"F": np.concatenate((assemble_load(
-                lay.mesh, 1.0, ordering=ordering), np.zeros(op.n)))}
+            if shared.F is None:
+                shared.F = np.concatenate((assemble_load(
+                    lay.mesh, 1.0, ordering=ordering), np.zeros(op.n)))
+            kwargs = {"F": shared.F}
         elif method == "pu":    # random guess: p0 on the inclusions for PU
             kwargs = {"p0": random_guess(op.n, seed)}
         else:
             kwargs = {"z0": random_guess(op.size, seed)}
-        report = _METHODS[method](op, preconds[key], delta=delta,
+        report = _METHODS[method](op, shared.H, delta=delta,
                                   max_iter=cfg.max_iter, **kwargs)
     except _SOLVER_ERRORS as exc:   # name the instance
         raise type(exc)(

@@ -404,7 +404,8 @@ max_iter = 1
 # operators shared across the instances of a sweep
 
 # three methods x two layouts x three contrasts: 18 solve instances on two
-# layouts, which the sorted order visits as six runs of one operator key
+# placements; every method runs an exact H_A, so they form two tasks, one
+# per placement
 _CONTRAST = """
 method = pu, pl, pcgk
 M = 16
@@ -429,7 +430,7 @@ def _count_calls(monkeypatch, name, calls, owner=cli):
 _EVERY_COMMAND = ("M = 8\nlayout = periodic, random\nremoval = 2\n"
                   "eps_min = 1e-2, 1e-4\n")
 _BUILT_ONCE = {
-    "solve": ("solve", "method = pu, pl, pcgk\n", 2, 6),
+    "solve": ("solve", "method = pu, pl, pcgk\n", 2, 2),
     "cost": ("cost", "method = pu, pl, pcgk\n", 2, 4),
     "spectrum": ("spectrum", "pencil = preconditioner, ideal\n", 2, 0),
     "export-matrix": ("export-matrix", "", 2, 0),
@@ -530,8 +531,8 @@ delta = 1e-6
 """)
     out = tmp_path / "out"
     assert main(["cost", "--config", cfg, "--out", str(out)]) == EXIT_OK
-    # one run of one key: one inner-CG H_A for PU, one exact LU for both
-    # Krylov methods, whatever the contrast
+    # one placement: one inner-CG H_A for PU, one exact LU for both Krylov
+    # methods, whatever the contrast
     assert sorted(kinds) == ["cg", "exact"]
     assert used["pl"] == used["pcgk"] and len(used["pl"]) == 1
     assert used["pu"].isdisjoint(used["pl"]) and len(used["pu"]) == 1
@@ -540,8 +541,9 @@ delta = 1e-6
     capsys.readouterr()
 
 
-def test_sweep_holds_at_most_one_ha_and_frees_it(tmp_path, capsys,
-                                                 monkeypatch):
+def _run_tracking_ha(tmp_path, monkeypatch, command):
+    """Run command over _CONTRAST on one thread; weak references to each
+    H_A and A it built, and the H_A alive at each H_A build."""
     ha_refs, a_refs, alive_at_build = [], [], []
     original = cli.build_block_preconditioner
     original_stiffness = assembly.assemble_stiffness
@@ -560,16 +562,64 @@ def test_sweep_holds_at_most_one_ha_and_frees_it(tmp_path, capsys,
     monkeypatch.setattr(cli, "build_block_preconditioner", tracked)
     monkeypatch.setattr(assembly, "assemble_stiffness", stiffness)
     cfg = _write(tmp_path / "contrast.cfg", _CONTRAST)
-    out = tmp_path / "out"
-    assert main(["solve", "--config", cfg, "--out", str(out),
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out"),
                  "--threads", "1"]) == EXIT_OK
-    # a run's H_A is freed before the next run builds its own
-    assert len(ha_refs) == 6 and alive_at_build == [0] * 6
+    return ha_refs, a_refs, alive_at_build
+
+
+def test_sweep_holds_at_most_one_ha_and_frees_it(tmp_path, capsys,
+                                                 monkeypatch):
+    ha_refs, a_refs, alive_at_build = _run_tracking_ha(tmp_path, monkeypatch,
+                                                       "solve")
+    # a task's H_A is freed before the next task builds its own
+    assert len(ha_refs) == 2 and alive_at_build == [0] * 2
     # the layouts keep one A per placement until main returns, and nothing
     # outlives main
     assert len(a_refs) == 2
     assert all(ref() is None for ref in ha_refs + a_refs)
     capsys.readouterr()
+
+
+def test_cost_never_holds_two_ha_at_once(tmp_path, capsys, monkeypatch):
+    ha_refs, _, alive_at_build = _run_tracking_ha(tmp_path, monkeypatch,
+                                                  "cost")
+    # PU's inner-CG H_A and the Krylov methods' exact LU of a placement are
+    # two tasks, so the LU is built only after the inner CG is freed
+    assert len(ha_refs) == 4 and alive_at_build == [0] * 4
+    assert all(ref() is None for ref in ha_refs)
+    capsys.readouterr()
+
+
+def test_rhs_one_builds_the_load_once_per_task(tmp_path, capsys, monkeypatch):
+    calls = []
+    _count_calls(monkeypatch, "assemble_load", calls)
+    # one placement, one exact H_A: three methods x two contrasts, one task
+    cfg = _write(tmp_path / "rhs.cfg", "method = pu, pl, pcgk\nM = 8\n"
+                 "eps_min = 1e-2, 1e-6\nrhs = one\n")
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    assert len(_read_rows(out / "solve.csv")[1]) == 6
+    assert calls == ["assemble_load"]
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("command,named", [
+    ("solve", "[method=pcgk M=8 k=2 periodic"),
+    ("cost", "[method=pu M=8 k=2 periodic"),
+])
+def test_failing_sweep_names_the_same_instance_at_any_thread_count(
+        tmp_path, capsys, command, named):
+    # every solve fails, in every task of both placements: the error names
+    # the first failure in execution order, whatever the worker count
+    cfg = _write(tmp_path / "fail.cfg", "method = pu, pl, pcgk\nM = 8\n"
+                 "layout = periodic, random\nremoval = 2\nmax_iter = 1\n")
+    errors = []
+    for threads in ("1", "4"):
+        assert main([command, "--config", cfg, "--threads", threads,
+                     "--out", str(tmp_path / threads)]) == EXIT_ERROR
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1]
+    assert errors[0].startswith("solver error: ") and named in errors[0]
 
 
 def test_failing_ha_build_names_its_instance(tmp_path, capsys, monkeypatch):
@@ -640,9 +690,9 @@ seed = 0, 1
         manifest = json.loads((out / "manifest.json").read_text())
         ha_setups.append(manifest["ha_setups"])
     assert outputs[0] == outputs[1] == outputs[2]
-    # solve: per method one periodic run and four random runs, since the
-    # seed sorts last (3 x 5 H_A); cost: five runs with a cg and an exact H_A
-    assert ha_setups == [{"solve": 15, "cost": 10}[command]] * 3
+    # three placements (one periodic, one random per seed), each with one
+    # exact H_A for solve and a cg and an exact H_A for cost
+    assert ha_setups == [{"solve": 3, "cost": 6}[command]] * 3
     capsys.readouterr()
 
 
