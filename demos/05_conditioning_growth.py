@@ -27,7 +27,7 @@ print(f"{'eps_min':>8s} {'cond(A_sigma)':>14s} {'CG iters':>9s} "
 for eps_min in (1e-1, 1e-2, 1e-3, 1e-4):
     layout = assign_epsilon(base, "random", eps_min=eps_min, eps_max=eps_max,
                             seed=5)
-    A_sig = assemble_sigma_matrix(mesh, layout)
+    A_sig = assemble_sigma_matrix(layout)
 
     # plain CG on the direct system, homogeneous benchmark; the extreme
     # Ritz values of its recurrence give the condition number

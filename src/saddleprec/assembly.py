@@ -92,6 +92,14 @@ def _stencil_stiffness(M: int, ordering: OrderingMap | None) -> sp.csr_matrix:
                          shape=csc.shape).tocsr()
 
 
+def _check_ordering(mesh: StructuredMesh, ordering: OrderingMap | None):
+    """Refuse an ordering made for a mesh with another node count."""
+    if ordering is not None and ordering.perm.size != mesh.n_interior:
+        raise ParameterError(
+            f"ordering has {ordering.perm.size} nodes, the mesh with M = "
+            f"{mesh.M} has {mesh.n_interior} interior nodes")
+
+
 def assemble_stiffness(mesh: StructuredMesh, ordering: OrderingMap | None = None,
                        cell_weights: np.ndarray | None = None) -> sp.csr_matrix:
     """Dirichlet P1 stiffness matrix on the interior nodes.
@@ -110,6 +118,7 @@ def assemble_stiffness(mesh: StructuredMesh, ordering: OrderingMap | None = None
     -------
     csr_matrix, shape (N, N) with N = (M-1)**2.
     """
+    _check_ordering(mesh, ordering)
     if cell_weights is None:
         return _stencil_stiffness(mesh.M, ordering)
     tri, cells = triangulate(mesh.M)
@@ -124,10 +133,11 @@ def assemble_stiffness(mesh: StructuredMesh, ordering: OrderingMap | None = None
     return _scatter(sysmap, K, mesh.n_interior)
 
 
-def assemble_sigma_matrix(mesh: StructuredMesh, layout: InclusionLayout,
+def assemble_sigma_matrix(layout: InclusionLayout,
                           ordering: OrderingMap | None = None) -> sp.csr_matrix:
-    """Stiffness matrix of the original problem with sigma = 1 + 1/eps_s
-    inside inclusion s and sigma = 1 elsewhere."""
+    """Stiffness matrix of the original problem on the layout's mesh, with
+    sigma = 1 + 1/eps_s inside inclusion s and sigma = 1 elsewhere."""
+    mesh = layout.mesh
     weights = np.ones(mesh.M * mesh.M)
     weights[layout.inclusion_cells()] = np.repeat(1.0 + 1.0 / layout.eps,
                                                   layout.k * layout.k)
@@ -200,12 +210,11 @@ class InclusionBlocks:
         return _block_diagonal(self.m, q)
 
 
-def assemble_inclusion_blocks(mesh: StructuredMesh,
-                              layout: InclusionLayout) -> InclusionBlocks:
+def assemble_inclusion_blocks(layout: InclusionLayout) -> InclusionBlocks:
     """Neumann stiffness, mass and averaging data for every inclusion."""
     if layout.m == 0:
         raise AssemblyError("layout has no inclusions")
-    B_loc, M_loc = _assemble_local(layout.k, mesh.h)
+    B_loc, M_loc = _assemble_local(layout.k, layout.mesh.h)
     weights = M_loc @ np.ones(M_loc.shape[0])
     d = layout.d
     if not np.isclose(weights.sum(), d * d, rtol=1e-12):
@@ -279,20 +288,22 @@ def build_saddle_operator(A: sp.csr_matrix, blocks: InclusionBlocks,
 def build_problem(mesh: StructuredMesh, layout: InclusionLayout):
     """Convenience: ordering, stiffness, blocks and operator in one call.
 
-    The ordering, A and the blocks depend only on the placement.  With the
-    layout's own mesh they come from its slot, which every eps copy of it
-    shares; a miss builds them and keeps them there, and a call goes on
-    with whatever the slot holds then, so concurrent first builds all get
-    the first one to finish.  Only the operator is built per eps copy.
+    The ordering, A and the blocks depend only on the placement: they are
+    built on layout.mesh and kept in its slot, which every eps copy shares,
+    and a call goes on with whatever the slot holds after its own build, so
+    concurrent first builds all get the first one to finish.  Only the
+    operator is built per eps copy.  mesh must have layout.mesh.M.
     """
-    own = mesh is layout.mesh
-    held = layout.slot.products if own else None
+    if mesh.M != layout.mesh.M:
+        raise ParameterError(
+            f"mesh has M = {mesh.M}, the layout is placed on M = "
+            f"{layout.mesh.M}")
+    held = layout.slot.products
     if held is None:
         ordering = build_ordering(layout)
-        held = (ordering, assemble_stiffness(mesh, ordering),
-                assemble_inclusion_blocks(mesh, layout))
-        if own:
-            held = layout.slot.keep(held)
+        held = layout.slot.keep((ordering,
+                                 assemble_stiffness(layout.mesh, ordering),
+                                 assemble_inclusion_blocks(layout)))
     ordering, A, blocks = held
     return ordering, A, blocks, build_saddle_operator(A, blocks, layout.eps)
 
@@ -303,6 +314,7 @@ def assemble_load(mesh: StructuredMesh, f,
 
     f may be a number or a callable f(x, y) accepting arrays.
     """
+    _check_ordering(mesh, ordering)
     tri, _ = triangulate(mesh.M)
     if callable(f):
         coords = mesh.node_coords(tri.ravel()).reshape(tri.shape[0], 3, 2)

@@ -21,8 +21,8 @@ Results are emitted in sorted order regardless of worker scheduling, and CSV
 content is a pure function of the config, the seed arguments and the BLAS
 thread count, which moves the last digits of solve.csv's final_ratio;
 --threads does not change it.  Timestamps and the BLAS thread variables live
-only in the run manifest.  Exit status: 0 success, 1 solver or configuration
-error, 2 verification failure.
+only in the run manifest.  Exit status: 0 success, 1 solver, configuration
+or I/O error, 2 verification failure.
 """
 
 from __future__ import annotations
@@ -83,7 +83,7 @@ def parse_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
     for lineno, line in enumerate(lines, 1):
         text = line.split("#", 1)[0].strip()
@@ -612,7 +612,7 @@ def cmd_export_matrix(cfg: ExperimentConfig, layouts: dict, out_dir: str,
         M, k, layout, eps_mode, eps_min, seed = ax
         lay = layouts[ax]
         if cfg.matrix == "sigma":
-            mat = assemble_sigma_matrix(lay.mesh, lay)
+            mat = assemble_sigma_matrix(lay)
         elif cfg.matrix == "stiffness":
             if lay.slot not in stiffness:
                 stiffness[lay.slot] = assemble_stiffness(lay.mesh,
@@ -677,7 +677,8 @@ def main(argv=None) -> int:
         os.makedirs(args.out, exist_ok=True)
         return _DISPATCH[args.command](cfg, layouts, args.out,
                                        max(1, args.threads), args.seed)
-    except (ConfigError, MeshError, LayoutError, ParameterError) as exc:
+    except (ConfigError, MeshError, LayoutError, ParameterError,
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except _SOLVER_ERRORS as exc:

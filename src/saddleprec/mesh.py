@@ -13,6 +13,7 @@ data and from one another.
 from __future__ import annotations
 
 import dataclasses
+import typing
 
 import numpy as np
 
@@ -105,16 +106,12 @@ def build_mesh(M: int) -> StructuredMesh:
                           interior_ids=interior_ids)
 
 
-@dataclasses.dataclass(frozen=True, eq=False)
-class Inclusion:
-    """One square inclusion: k x k cells anchored at cell (cell_x, cell_y);
-    its arrays are rows of the layout's stacked arrays."""
+class Inclusion(typing.NamedTuple):
+    """Anchor cell (lower-left) of one inclusion; its nodes and cells are
+    the matching rows of the layout's node_gids and cell_ids."""
 
     cell_x: int
     cell_y: int
-    k: int
-    node_gids: np.ndarray   # (k+1)**2 closure nodes, row-major
-    cell_ids: np.ndarray    # k*k owning cells
 
 
 class PlacementSlot:
@@ -160,7 +157,7 @@ class InclusionLayout:
     corners: np.ndarray     # (m, 2) anchor cells
     node_gids: np.ndarray   # (m, (k+1)**2)
     cell_ids: np.ndarray    # (m, k*k)
-    inclusions: tuple       # Inclusion views of the rows above
+    inclusions: tuple       # Inclusion anchor of each row of corners
     eps: np.ndarray
     mode: str = "custom"
     seed: int | None = None
@@ -235,8 +232,7 @@ def layout_from_cells(mesh: StructuredMesh, k: int, corners,
         raise LayoutError(f"{where} shares nodes with another inclusion; "
                           "closures must be disjoint")
     cells = _block_ids(cx, cy, k, M)
-    incs = tuple(Inclusion(cell_x=x, cell_y=y, k=k, node_gids=g, cell_ids=c)
-                 for (x, y), g, c in zip(corners.tolist(), gids, cells))
+    incs = tuple(map(Inclusion._make, corners.tolist()))
     return InclusionLayout(mesh=mesh, k=k, corners=corners, node_gids=gids,
                            cell_ids=cells, inclusions=incs,
                            eps=np.ones(len(corners)), mode=mode, seed=seed,

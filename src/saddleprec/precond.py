@@ -290,7 +290,6 @@ class BlockPreconditioner:
     a_inv: object
     schur: SchurPreconditioner
     N: int
-    n: int
 
     def apply_to_image(self, image: np.ndarray, bd_pre: np.ndarray,
                        q_pre: np.ndarray,
@@ -305,4 +304,4 @@ def build_block_preconditioner(A: sp.csr_matrix, blocks: InclusionBlocks,
                                **ha_opts) -> BlockPreconditioner:
     return BlockPreconditioner(a_inv=make_a_preconditioner(A, ha_kind, **ha_opts),
                                schur=SchurPreconditioner(blocks),
-                               N=A.shape[0], n=blocks.n)
+                               N=A.shape[0])

@@ -27,7 +27,6 @@ and PCG), so CG optimality makes the recorded sequences non-increasing.
 from __future__ import annotations
 
 import dataclasses
-import time
 
 import numpy as np
 import scipy.linalg as sla
@@ -71,7 +70,6 @@ class SolverReport:
     norms: np.ndarray          # stopping-norm history, norms[0] at k=0
     a_applies: int
     ha_applies: int
-    wall_time: float
     u: np.ndarray | None = None
     p: np.ndarray | None = None
     stop_rule: str = ""
@@ -126,7 +124,7 @@ class SolverReport:
 
 
 class _Run:
-    """Clock, operation counter and stopping-norm history of one solve.
+    """Operation counter and stopping-norm history of one solve.
 
     Iterating yields k = 1, 2, ... while the last recorded norm exceeds
     delta times the first, so a zero start takes no step, and raises
@@ -135,7 +133,6 @@ class _Run:
     """
 
     def __init__(self, method, stop_rule, delta, max_iter, counter):
-        self.t0 = time.perf_counter()
         self.method, self.stop_rule = method, stop_rule
         self.delta, self.max_iter = delta, max_iter
         self.counter = counter if counter is not None else OpCounter()
@@ -162,8 +159,7 @@ class _Run:
         return SolverReport(
             method=self.method, iterations=self.k, converged=True,
             norms=np.asarray(self.norms), a_applies=self.counter.a,
-            ha_applies=self.counter.ha,
-            wall_time=time.perf_counter() - self.t0, u=u, p=p,
+            ha_applies=self.counter.ha, u=u, p=p,
             stop_rule=self.stop_rule, tridiagonal=tridiagonal)
 
 

@@ -22,7 +22,7 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from .mesh import InclusionLayout, ParameterError, assign_epsilon
+from .mesh import InclusionLayout, ParameterError
 from .assembly import InclusionBlocks, build_problem
 from .precond import ContractViolationError, ExactAInverse
 
@@ -160,7 +160,6 @@ def _schur_pencil(A: sp.csr_matrix, blocks: InclusionBlocks):
 class SpectrumReport:
     """Dense-spectrum verdict for one preconditioned saddle instance."""
 
-    pencil: str                 # "preconditioner" (B_D + Q) or "ideal" (S0)
     eigenvalues: np.ndarray
     lam_min: float
     lam_max: float
@@ -173,7 +172,6 @@ class SpectrumReport:
     mu_check2: float
     mu_hat1: float
     mu_hat2: float
-    tol: float
     in_stated: np.ndarray       # per-eigenvalue membership, literal interval set
     in_envelope: np.ndarray     # per-eigenvalue membership, measured envelope
     stated_ok: bool
@@ -216,20 +214,18 @@ def envelope_membership(eigs, pencil, eps_min, eps_max, a0, b0, tol):
     return on_minus_one | in_neg | in_pos
 
 
-def verify_intervals(layout: InclusionLayout, eps=None, ha_kind: str = "exact",
+def verify_intervals(layout: InclusionLayout, ha_kind: str = "exact",
                      pencil: str = "preconditioner", tol: float = 1e-8,
                      corrupt_q: bool = False) -> SpectrumReport:
     """Dense spectrum of H A_eps with interval classification.
 
-    eps as a scalar assigns a uniform contrast to a copy of the layout; None
-    keeps the values already stored on it.  ha_kind "exact" uses the A block
-    itself as the Gram factor (alpha = 1); "diagonal" substitutes diag(A).
-    The inner-CG variant has no symmetric inverse matrix and is refused.
+    The contrast is the eps stored on the layout; an assign_epsilon copy
+    of it gives another one.  ha_kind "exact" uses the A block itself as
+    the Gram factor (alpha = 1); "diagonal" substitutes diag(A).  The
+    inner-CG variant has no symmetric inverse matrix and is refused.
     corrupt_q zeroes the rank-one coupling inside the saddle operator, a
     deliberate defect that must land eigenvalues outside both interval sets.
     """
-    if eps is not None:
-        layout = assign_epsilon(layout, "uniform", epsilon=float(eps))
     if layout.mesh.n_interior + layout.n > DENSE_LIMIT:
         raise ParameterError(
             f"instance dimension {layout.mesh.n_interior + layout.n} exceeds "
@@ -265,7 +261,6 @@ def verify_intervals(layout: InclusionLayout, eps=None, ha_kind: str = "exact",
     in_stated = stated_set_membership(eigs, r_max, tol)
     in_env = envelope_membership(eigs, pencil, eps_min, eps_max, a0, b0, tol)
     return SpectrumReport(
-        pencil=pencil,
         eigenvalues=eigs,
         lam_min=float(eigs[0]),
         lam_max=float(eigs[-1]),
@@ -278,7 +273,6 @@ def verify_intervals(layout: InclusionLayout, eps=None, ha_kind: str = "exact",
         mu_check2=float(mc2),
         mu_hat1=MU_HAT_1,
         mu_hat2=MU_HAT_2,
-        tol=tol,
         in_stated=in_stated,
         in_envelope=in_env,
         stated_ok=bool(in_stated.all()),

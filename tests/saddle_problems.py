@@ -71,4 +71,4 @@ def make_exact_precond(problem: Problem) -> BlockPreconditioner:
     assert A.shape == problem.A.shape
     return BlockPreconditioner(a_inv=a_inv,
                                schur=SchurPreconditioner(problem.blocks),
-                               N=problem.op.N, n=problem.op.n)
+                               N=problem.op.N)

@@ -193,7 +193,7 @@ def test_criterion_5_solution_equivalence(run_log):
     rep = pl_solve(prob.op, pre, F=F, delta=1e-12)
     run_log.append((5, "pl", rep))
 
-    A_sig = assemble_sigma_matrix(prob.mesh, prob.layout, prob.ordering)
+    A_sig = assemble_sigma_matrix(prob.layout, prob.ordering)
     u_direct = np.linalg.solve(A_sig.toarray(), F[:prob.op.N])
     err_a = evaluate_norm("A", rep.u - u_direct, A=prob.A)
     ref_a = evaluate_norm("A", u_direct, A=prob.A)
@@ -259,7 +259,7 @@ def test_criterion_7_condition_growth():
     for eps in (1e-1, 1e-2, 1e-3):
         layout = assign_epsilon(base, "uniform", epsilon=eps)
         conds.append(np.linalg.cond(
-            assemble_sigma_matrix(mesh, layout).toarray()))
+            assemble_sigma_matrix(layout).toarray()))
     growth = [hi / lo for lo, hi in zip(conds, conds[1:])]
     elapsed = time.time() - t0
     ok = all(5.0 <= g <= 20.0 for g in growth)

@@ -1,4 +1,6 @@
 import dataclasses
+import os
+import subprocess
 import sys
 import threading
 
@@ -10,7 +12,7 @@ from saddleprec import (
     build_mesh, layout_from_cells, place_periodic, place_random,
     assign_epsilon,
     build_ordering, build_problem,
-    assemble_stiffness, assemble_sigma_matrix, assemble_inclusion_blocks,
+    assemble_stiffness, assemble_sigma_matrix,
     assemble_load, recover_p_from_u, write_matrix_market,
     ParameterError, build_block_preconditioner, pu_solve, pl_solve,
     pcg_k_solve, random_guess, build_saddle_operator, AssemblyError,
@@ -177,7 +179,7 @@ def test_saddle_apply_rejects_wrong_length(prob8):
 def test_sigma_matrix_reduces_to_plain_stiffness_without_inclusions():
     mesh = build_mesh(8)
     empty = layout_from_cells(mesh, 2, [])
-    A_sig = assemble_sigma_matrix(mesh, empty)
+    A_sig = assemble_sigma_matrix(empty)
     np.testing.assert_allclose(A_sig.toarray(),
                                assemble_stiffness(mesh).toarray())
 
@@ -186,7 +188,7 @@ def test_sigma_matrix_at_unit_eps_is_double_weight_inside():
     mesh = build_mesh(8)
     layout = assign_epsilon(layout_from_cells(mesh, 2, [(3, 3)]),
                             "uniform", epsilon=1.0)
-    A_sig = assemble_sigma_matrix(mesh, layout)
+    A_sig = assemble_sigma_matrix(layout)
     weights = np.ones(mesh.M * mesh.M)      # one weight per cell
     weights[layout.inclusion_cells()] = 2.0
     direct = assemble_stiffness(mesh, cell_weights=weights)
@@ -197,7 +199,7 @@ def test_sigma_conditioning_degrades_with_contrast(tiny_problem):
     mesh = tiny_problem.mesh
     layout = tiny_problem.layout          # eps = 1e-2
     A = assemble_stiffness(mesh).toarray()
-    A_sig = assemble_sigma_matrix(mesh, layout).toarray()
+    A_sig = assemble_sigma_matrix(layout).toarray()
     conds = [np.linalg.cond(mat) for mat in (A, A_sig)]
     assert conds[1] >= 10 * conds[0]
 
@@ -265,14 +267,14 @@ def test_ordering_consistency_between_blocks_and_stiffness(prob8):
     # inclusion changes A u only around that inclusion's closure
     mesh, layout, ordering = prob8.mesh, prob8.layout, prob8.ordering
     blocks, A = prob8.blocks, prob8.A
-    inc = layout.inclusions[0]
-    idx_sys = ordering.perm[mesh.interior_index[inc.node_gids]]
+    closure_gids = layout.node_gids[0]
+    idx_sys = ordering.perm[mesh.interior_index[closure_gids]]
     np.testing.assert_array_equal(np.sort(idx_sys), np.arange(blocks.ns))
     u = np.zeros(prob8.op.N)
     u[idx_sys] = 1.0
     touched = np.flatnonzero(A @ u)
     gids_touched = set(mesh.interior_ids[ordering.inv[touched]].tolist())
-    closure = set(inc.node_gids.tolist())
+    closure = set(closure_gids.tolist())
     # the energy footprint stays within one mesh layer of the closure
     coords_t = mesh.node_coords(np.fromiter(gids_touched, dtype=np.int64))
     coords_c = mesh.node_coords(np.fromiter(closure, dtype=np.int64))
@@ -374,18 +376,59 @@ def test_eps_copies_share_the_placement_products(layout_mode, eps_mode):
 
 
 @pytest.mark.parametrize("layout_mode,eps_mode", _SHARING)
-def test_another_mesh_object_does_not_share(layout_mode, eps_mode):
+def test_another_mesh_object_of_the_same_size_shares(layout_mode, eps_mode):
     mesh = build_mesh(16)
     layout = _eps_copy(_placement(mesh, layout_mode), eps_mode, 0)
-    _, A, blocks, _ = build_problem(mesh, layout)
-    other = build_mesh(16)
-    _, A_other, blocks_other, _ = build_problem(other, layout)
-    assert A_other is not A and blocks_other.B_D is not blocks.B_D
-    assert assemble_inclusion_blocks(other, layout).B_D is not blocks.B_D
-    _assert_identical(A_other, A)
-    # the placement keeps the products of its own mesh
-    assert build_problem(mesh, _eps_copy(layout, eps_mode, 1))[1] is A
-    assert build_problem(other, layout)[1] is not A_other
+    # a first build through another mesh object fills the slot as well
+    _, A, blocks, _ = build_problem(build_mesh(16), layout)
+    held = layout.slot.products
+    assert held[1] is A and held[2] is blocks
+    _, A_own, blocks_own, _ = build_problem(mesh, layout)
+    assert A_own is A and blocks_own is blocks
+    _, A_copy, blocks_copy, _ = build_problem(build_mesh(16),
+                                              _eps_copy(layout, eps_mode, 1))
+    assert A_copy is A and blocks_copy is blocks
+
+
+def test_a_mesh_of_another_size_is_refused():
+    layout = place_periodic(build_mesh(8), 2)
+    with pytest.raises(ParameterError,
+                       match=r"mesh has M = 16, the layout is placed on M = 8"):
+        build_problem(build_mesh(16), layout)
+    assert layout.slot.products is None
+
+
+# scipy crashes the interpreter (SIGSEGV) when it compresses a matrix whose
+# indices a smaller mesh cannot hold, so the calls run in a child process
+_MISMATCHED_SIZES = """
+from saddleprec import (ParameterError, assemble_load, assemble_stiffness,
+                        build_mesh, build_ordering, build_problem,
+                        place_periodic)
+layout = place_periodic(build_mesh(8), 2)
+ordering, small = build_ordering(layout), build_mesh(4)
+for call in (lambda: assemble_stiffness(small, ordering),
+             lambda: assemble_load(small, 1.0, ordering=ordering),
+             lambda: build_problem(small, layout)):
+    try:
+        call()
+    except ParameterError as exc:
+        print(exc)
+"""
+
+
+def test_mismatched_sizes_raise_in_place_of_a_crash():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    path = [os.path.join(root, "src")] + [
+        p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    done = subprocess.run([sys.executable, "-c", _MISMATCHED_SIZES], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [
+        "ordering has 49 nodes, the mesh with M = 4 has 9 interior nodes",
+        "ordering has 49 nodes, the mesh with M = 4 has 9 interior nodes",
+        "mesh has M = 4, the layout is placed on M = 8",
+    ]
 
 
 @pytest.mark.parametrize("layout_mode,eps_mode", _SHARING)

@@ -89,6 +89,35 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def _config_not_utf8(tmp_path):
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes("M = 8\n# gr\u00f6\u00dfe\n".encode("latin-1"))
+    return str(cfg), tmp_path / "out"
+
+
+def _out_is_a_file(tmp_path):
+    out = tmp_path / "out"
+    out.write_text("not a directory\n", encoding="utf-8")
+    return _write(tmp_path / "a.cfg", "method = pl\nM = 8\n"), out
+
+
+def _csv_is_a_directory(tmp_path):
+    out = tmp_path / "out"
+    (out / "solve.csv").mkdir(parents=True)
+    return _write(tmp_path / "a.cfg", "method = pl\nM = 8\n"), out
+
+
+@pytest.mark.parametrize("setup", [_config_not_utf8, _out_is_a_file,
+                                   _csv_is_a_directory],
+                         ids=["config-not-utf8", "out-is-a-file",
+                              "csv-is-a-directory"])
+def test_io_failure_is_an_error_line(tmp_path, capsys, setup):
+    cfg, out = setup(tmp_path)
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("text,args,err", [
     ("seed = 0, -1\n", [], "error: config key 'seed' must be >= 0, got -1\n"),
     ("", ["--seed", "-1"], "error: --seed must be >= 0, got -1\n"),

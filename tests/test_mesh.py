@@ -6,7 +6,7 @@ import pytest
 from saddleprec import (
     MeshError, LayoutError, ParameterError,
     build_mesh, place_periodic, place_random, layout_from_cells,
-    assign_epsilon, build_ordering,
+    assign_epsilon, build_ordering, Inclusion,
 )
 from saddleprec.mesh import triangulate
 
@@ -82,8 +82,8 @@ def test_periodic_rejects_incompatible_sizes():
 def test_inclusion_closures_are_disjoint_and_interior():
     layout = place_periodic(build_mesh(16), 2)
     seen = set()
-    for inc in layout.inclusions:
-        nodes = set(inc.node_gids.tolist())
+    for gids in layout.node_gids:
+        nodes = set(gids.tolist())
         assert not (seen & nodes)
         seen |= nodes
     coords = layout.mesh.node_coords(np.fromiter(seen, dtype=np.int64))
@@ -137,13 +137,20 @@ def test_numpy_corners_give_python_ints_and_stacked_views():
     mesh = build_mesh(16)
     corners = np.array([[1, 1], [5, 9]], dtype=np.int32)
     layout = layout_from_cells(mesh, np.int64(2), corners)
-    assert [(type(i.cell_x), type(i.cell_y), type(i.k))
-            for i in layout.inclusions] == [(int, int, int)] * 2
+    assert Inclusion._fields == ("cell_x", "cell_y")
+    assert layout.inclusions == (Inclusion(1, 1), Inclusion(5, 9))
+    assert [(type(i.cell_x), type(i.cell_y)) for i in layout.inclusions] \
+        == [(int, int)] * 2 and type(layout.k) is int
     assert layout.corners.tolist() == [[1, 1], [5, 9]]
-    for s, inc in enumerate(layout.inclusions):
-        assert np.shares_memory(inc.node_gids, layout.node_gids)
-        np.testing.assert_array_equal(inc.node_gids, layout.node_gids[s])
-        np.testing.assert_array_equal(inc.cell_ids, layout.cell_ids[s])
+    # row s of the stacked arrays is inclusion s, row-major inside it
+    for s, (x, y) in enumerate(layout.corners.tolist()):
+        for rows, width, stride in ((layout.node_gids, 3, mesh.M + 1),
+                                    (layout.cell_ids, 2, mesh.M)):
+            xs, ys = np.meshgrid(x + np.arange(width), y + np.arange(width))
+            np.testing.assert_array_equal(rows[s], (ys * stride + xs).ravel())
+    # one tuple per placement, shared by its eps copies
+    assert assign_epsilon(layout, "uniform",
+                          epsilon=1e-3).inclusions is layout.inclusions
     cells = layout.inclusion_cells()
     assert cells.dtype == np.int64
     np.testing.assert_array_equal(cells[:4], [17, 18, 33, 34])
@@ -207,8 +214,8 @@ def test_ordering_groups_inclusion_nodes_first():
     ordering = build_ordering(layout)
     mesh = layout.mesh
     ns = layout.nodes_per_inclusion
-    for s, inc in enumerate(layout.inclusions):
-        idx = mesh.interior_index[inc.node_gids]
+    for s, gids in enumerate(layout.node_gids):
+        idx = mesh.interior_index[gids]
         np.testing.assert_array_equal(ordering.perm[idx],
                                       np.arange(s * ns, (s + 1) * ns))
     assert ordering.perm.size == mesh.n_interior

@@ -300,7 +300,7 @@ def test_op_counter_totals(prob8):
 
 def test_block_preconditioner_wiring(prob8):
     pre = build_block_preconditioner(prob8.A, prob8.blocks)
-    assert pre.N == prob8.op.N and pre.n == prob8.op.n
+    assert pre.N == prob8.op.N
     assert pre.a_inv.kind == "exact"
     pre_cg = build_block_preconditioner(prob8.A, prob8.blocks, ha_kind="cg",
                                         steps=4)

@@ -242,7 +242,8 @@ def test_verify_intervals_parameter_contracts(prob8):
 
 
 def test_verify_intervals_uniform_override(prob8):
-    rep = verify_intervals(prob8.layout, eps=1e-6)
+    rep = verify_intervals(assign_epsilon(prob8.layout, "uniform",
+                                          epsilon=1e-6))
     assert rep.eps_min == rep.eps_max == 1e-6
     assert rep.envelope_ok
 
@@ -263,7 +264,7 @@ def test_lanczos_identity_operator():
 def test_lanczos_euclidean_matches_dense(prob16):
     # cg_solve's T_k belongs to the matrix itself: A and, with a condition
     # number near 4e5, A_sigma
-    for A in (prob16.A, assemble_sigma_matrix(prob16.mesh, prob16.layout)):
+    for A in (prob16.A, assemble_sigma_matrix(prob16.layout)):
         dense = np.linalg.eigvalsh(A.toarray())
         rep = cg_solve(A, None, x0=random_guess(A.shape[0], 0), delta=1e-10)
         np.testing.assert_allclose(rep.ritz_extremes(),
@@ -366,7 +367,7 @@ def test_sigma_system_conditioning_grows_with_contrast():
     conds = []
     for eps in (1e-2, 1e-3, 1e-4):
         layout = assign_epsilon(base, "uniform", epsilon=eps)
-        A_sig = assemble_sigma_matrix(mesh, layout).toarray()
+        A_sig = assemble_sigma_matrix(layout).toarray()
         conds.append(np.linalg.cond(A_sig))
     np.testing.assert_allclose(conds, [3840.18, 37479.6, 373870.0], rtol=1e-3)
     for lo, hi in zip(conds, conds[1:]):
