@@ -12,11 +12,15 @@ Subcommands
   export-matrix  assembled operators in Matrix Market ASCII: stiffness and
                  saddle in system order, sigma in mesh interior order
 
-Configs are flat key = value text files; list-valued keys take commas.
-Every axis combination is validated before any run starts by building its
-layout, even when the method axis is empty: one mesh per M, one placement
-per operator key, one eps copy per axes tuple.  Runs build only from these
-layouts, whose placements keep ordering, A and blocks for the invocation.
+Configs are flat key = value text files; list-valued keys take commas and
+refuse a repeated value.  Every key is declared once, in _KEYS, with its
+converter, default, admissible values and subcommands.  Every axis
+combination is validated before any run starts by building its layout, even
+when the method axis is empty: one mesh per M, one placement per operator
+key, one eps copy per axes tuple.  Runs build only from these layouts, whose
+placements keep ordering, A and blocks for the invocation.  The CSV,
+Markdown and manifest outputs are opened before the first run and removed if
+a run fails.
 Results are emitted in sorted order regardless of worker scheduling, and CSV
 content is a pure function of the config, the seed arguments and the BLAS
 thread count, which moves the last digits of solve.csv's final_ratio;
@@ -28,8 +32,9 @@ or I/O error, 2 verification failure.
 from __future__ import annotations
 
 import argparse
+import collections
 import concurrent.futures
-import dataclasses
+import contextlib
 import hashlib
 import itertools
 import json
@@ -47,11 +52,12 @@ from .mesh import (MeshError, LayoutError, ParameterError, build_mesh,
                    assign_epsilon, _periodic_corners)
 from .assembly import (build_problem, assemble_load, assemble_sigma_matrix,
                        assemble_stiffness, write_matrix_market)
-from .precond import (A_KINDS, ContractViolationError, SolverBreakdownError,
-                      build_block_preconditioner, check_a_options)
+from .precond import (A_KINDS, INNER_CG_OPTIONS, ContractViolationError,
+                      SolverBreakdownError, build_block_preconditioner,
+                      check_a_options)
 from .solvers import (pu_solve, pl_solve, pcg_k_solve, random_guess,
                       OperatorContractError, MaxIterationsError)
-from .spectral import DENSE_LIMIT, verify_intervals
+from .spectral import GRAM_KINDS, check_dense_size, verify_intervals
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -102,42 +108,6 @@ def parse_config(path: str) -> dict:
     return raw
 
 
-def _as_list(value: str) -> list:
-    return [tok.strip() for tok in value.split(",") if tok.strip()]
-
-
-def _typed_list(raw, key, conv, default):
-    if key not in raw:
-        return list(default)
-    try:
-        return [conv(tok) for tok in _as_list(raw[key])]
-    except ValueError as exc:
-        raise ConfigError(f"config key {key!r}: {exc}") from exc
-
-
-def _typed_scalar(raw, key, conv, default):
-    if key not in raw:
-        return default
-    try:
-        return conv(raw[key])
-    except ValueError as exc:
-        raise ConfigError(f"config key {key!r}: {exc}") from exc
-
-
-def _choices(key, values, allowed):
-    for value in values:
-        if value not in allowed:
-            raise ConfigError(
-                f"unknown {key} {value!r}; use {'|'.join(allowed)}")
-    return values
-
-
-def _in_range(name, values, ok, need):
-    for value in values:
-        if not ok(value):
-            raise ConfigError(f"{name} must be {need}, got {value!r}")
-
-
 def _bool(tok: str) -> bool:
     low = tok.strip().lower()
     if low in ("true", "yes", "1", "on"):
@@ -147,46 +117,52 @@ def _bool(tok: str) -> bool:
     raise ValueError(f"expected a boolean, got {tok!r}")
 
 
-_COMMON_KEYS = {"M", "k", "layout", "removal", "eps_mode", "eps_min",
-                "eps_max", "seed"}
-# inner-CG H_A options: config key ha_<name> -> keyword <name> of
-# make_a_preconditioner, with its type
-_HA_OPTS = {"steps": int, "drop_tol": float, "fill_factor": float}
-_HA_KEYS = {"ha"} | {f"ha_{name}" for name in _HA_OPTS}
-_ALLOWED_KEYS = {
-    "solve": _COMMON_KEYS | _HA_KEYS | {"method", "delta", "rhs", "max_iter"},
-    "spectrum": _COMMON_KEYS | {"ha", "pencil", "tol", "corrupt_q"},
-    "cost": _COMMON_KEYS | {"method", "delta", "max_iter"} | {
-        f"{m}_{k}" for m in _METHODS for k in _HA_KEYS},
-    "export-matrix": _COMMON_KEYS | {"matrix", "name"},
+# one row per config key: its converter, its default (a list default makes
+# the key a comma list), its admissible values (a tuple of choices, a _Range
+# test with what it tests, or None for any) and the subcommands accepting it
+_Key = collections.namedtuple("_Key", "conv default admit commands")
+_Range = collections.namedtuple("_Range", "ok need")
+_ALL = ("solve", "spectrum", "cost", "export-matrix")
+_SWEEPS = ("solve", "cost")
+_NONNEG = _Range(lambda v: v >= 0, ">= 0")
+_KEYS = {
+    "method": _Key(str, list(_METHODS), tuple(_METHODS), _SWEEPS),
+    "M": _Key(int, [16], None, _ALL),
+    "k": _Key(int, [2], None, _ALL),
+    "layout": _Key(str, ["periodic"], ("periodic", "random"), _ALL),
+    "removal": _Key(int, None, None, _ALL),
+    "eps_mode": _Key(str, ["uniform"], ("uniform", "random"), _ALL),
+    "eps_min": _Key(float, [1e-4], None, _ALL),
+    "eps_max": _Key(float, 1e-2, None, _ALL),
+    "delta": _Key(float, [1e-6], _Range(lambda d: 0 < d < 1, "in (0, 1)"),
+                  _SWEEPS),
+    "seed": _Key(int, [0], _NONNEG, _ALL),
+    "rhs": _Key(str, "zero", ("zero", "one"), ("solve",)),
+    "max_iter": _Key(int, 2000, _Range(lambda n: n >= 1, ">= 1"), _SWEEPS),
+    "pencil": _Key(str, ["preconditioner"], ("preconditioner", "ideal"),
+                   ("spectrum",)),
+    "tol": _Key(float, 1e-8, _NONNEG, ("spectrum",)),
+    "corrupt_q": _Key(_bool, False, None, ("spectrum",)),
+    "matrix": _Key(str, "saddle", ("saddle", "stiffness", "sigma"),
+                   ("export-matrix",)),
+    "name": _Key(str, None, None, ("export-matrix",)),
 }
 
+# per subcommand: the H_A kinds its ha keys accept and the prefixes of those
+# keys, <prefix>ha and, where kind cg is accepted, <prefix>ha_<option>;
+# export-matrix builds no H_A and has no ha key
+_HA_KEYS = {"solve": (tuple(A_KINDS), ("",)),
+            "spectrum": (GRAM_KINDS, ("",)),
+            "cost": (tuple(A_KINDS), tuple(f"{m}_" for m in _METHODS)),
+            "export-matrix": (tuple(A_KINDS), ())}
 
-@dataclasses.dataclass
-class ExperimentConfig:
-    """Validated sweep axes shared by the subcommands."""
 
-    command: str
-    methods: list
-    Ms: list
-    ks: list
-    layouts: list
-    removal: int | None
-    eps_modes: list
-    eps_mins: list
-    eps_max: float
-    deltas: list
-    seeds: list
-    rhs: str
-    max_iter: int
-    ha: dict                # method -> (H_A kind, options)
-    pencils: list
-    tol: float
-    corrupt_q: bool
-    matrix: str
-    name: str | None
-    config_sha: str
-
+def _allowed_keys(command):
+    """The _KEYS keys command accepts and its generated H_A keys."""
+    kinds, prefixes = _HA_KEYS[command]
+    options = [f"_{name}" for name in INNER_CG_OPTIONS if "cg" in kinds]
+    return ({key for key, row in _KEYS.items() if command in row.commands}
+            | {p + "ha" + o for p in prefixes for o in ["", *options]})
 
 # per-method H_A of the cost table; defaults mirror the benchmark: PU runs an
 # inner-CG H_A, the Krylov methods an exact one
@@ -197,16 +173,34 @@ _COST_HA = {
 }
 
 
+def _convert(key, conv, text):
+    try:
+        return conv(text)
+    except ValueError as exc:
+        raise ConfigError(f"config key {key!r}: {exc}") from exc
+
+
+def _admit(key, value, admit, label=None):
+    """Refuse a value of key outside admit; label names the value's source
+    in a range error (default: the config key)."""
+    if isinstance(admit, _Range):
+        if not admit.ok(value):
+            label = label or f"config key {key!r}"
+            raise ConfigError(f"{label} must be {admit.need}, got {value!r}")
+    elif admit is not None and value not in admit:
+        raise ConfigError(f"unknown {key} {value!r}; use {'|'.join(admit)}")
+
+
 def _ha_config(raw, prefix, kinds, kind, opts):
     """(kind, opts) of one H_A: a <prefix>ha key replaces the default kind
     and options, <prefix>ha_<option> keys override options of kind cg."""
     if prefix + "ha" in raw:
         kind, opts = raw[prefix + "ha"], {}
-    _choices(prefix + "ha", [kind], kinds)
-    opts = {**opts, **{name: _typed_scalar(raw, f"{prefix}ha_{name}", conv,
-                                           None)
-                       for name, conv in _HA_OPTS.items()
-                       if f"{prefix}ha_{name}" in raw}}
+    _admit(prefix + "ha", kind, kinds)
+    for name, conv in INNER_CG_OPTIONS.items():
+        key = f"{prefix}ha_{name}"
+        if key in raw:
+            opts = {**opts, name: _convert(key, conv, raw[key])}
     try:
         check_a_options(kind, opts)
     except ParameterError as exc:
@@ -215,66 +209,44 @@ def _ha_config(raw, prefix, kinds, kind, opts):
 
 
 def build_config(command: str, raw: dict, path: str,
-                 seed_override: int | None = None) -> ExperimentConfig:
-    allowed = _ALLOWED_KEYS[command]
+                 seed_override: int | None = None) -> types.SimpleNamespace:
+    """The validated config: one attribute per key of _KEYS, a list for a
+    list key, plus command, seed_override, ha (method -> (H_A kind,
+    options)) and config_sha."""
+    allowed = _allowed_keys(command)
     unknown = sorted(set(raw) - allowed)
     if unknown:
         raise ConfigError(
             f"unknown config key(s) for {command}: {', '.join(unknown)}; "
             f"allowed: {', '.join(sorted(allowed))}")
 
-    methods = _typed_list(raw, "method", str, ["pu", "pl", "pcgk"])
-    for m in methods:
-        if m not in _METHODS:
-            raise ConfigError(f"unknown method {m!r}; choose from "
-                              f"{', '.join(sorted(_METHODS))}")
-    Ms = _typed_list(raw, "M", int, [16])
-    ks = _typed_list(raw, "k", int, [2])
-    layouts = _choices("layout", _typed_list(raw, "layout", str, ["periodic"]),
-                       ("periodic", "random"))
-    removal = _typed_scalar(raw, "removal", int, None)
-    eps_modes = _choices("eps_mode",
-                         _typed_list(raw, "eps_mode", str, ["uniform"]),
-                         ("uniform", "random"))
-    eps_mins = _typed_list(raw, "eps_min", float, [1e-4])
-    eps_max = _typed_scalar(raw, "eps_max", float, 1e-2)
-    deltas = _typed_list(raw, "delta", float, [1e-6])
-    _in_range("config key 'delta'", deltas, lambda d: 0 < d < 1, "in (0, 1)")
-    seeds = _typed_list(raw, "seed", int, [0])
-    _in_range("config key 'seed'", seeds, lambda s: s >= 0, ">= 0")
+    cfg = types.SimpleNamespace(command=command, seed_override=seed_override)
+    for key, (conv, default, admit, _) in _KEYS.items():
+        listed = isinstance(default, list)
+        if key not in raw:
+            setattr(cfg, key, list(default) if listed else default)
+            continue
+        values = ([_convert(key, conv, tok.strip())
+                   for tok in raw[key].split(",") if tok.strip()]
+                  if listed else [_convert(key, conv, raw[key])])
+        for i, value in enumerate(values):
+            if value in values[:i]:
+                raise ConfigError(f"config key {key!r} repeats {value!r}")
+            _admit(key, value, admit)
+        setattr(cfg, key, values if listed else values[0])
     if seed_override is not None:
-        _in_range("--seed", [seed_override], lambda s: s >= 0, ">= 0")
-        seeds = [seed_override]
-    rhs = _typed_scalar(raw, "rhs", str, "zero")
-    _choices("rhs", [rhs], ("zero", "one"))
-    max_iter = _typed_scalar(raw, "max_iter", int, 2000)
-    _in_range("config key 'max_iter'", [max_iter], lambda n: n >= 1, ">= 1")
+        _admit("seed", seed_override, _KEYS["seed"].admit, "--seed")
+        cfg.seed = [seed_override]
+    kinds = _HA_KEYS[command][0]
     if command == "cost":       # <method>_ha keys over _COST_HA
-        ha = {m: _ha_config(raw, f"{m}_", A_KINDS, *_COST_HA[m])
-              for m in _METHODS}
+        cfg.ha = {m: _ha_config(raw, f"{m}_", kinds, *_COST_HA[m])
+                  for m in _METHODS}
     else:                       # the one ha key for every method
-        ha = dict.fromkeys(_METHODS, _ha_config(
-            raw, "", ("exact", "diagonal") if command == "spectrum"
-            else A_KINDS, "exact", {}))
-    pencils = _choices("pencil",
-                       _typed_list(raw, "pencil", str, ["preconditioner"]),
-                       ("preconditioner", "ideal"))
-    tol = _typed_scalar(raw, "tol", float, 1e-8)
-    _in_range("config key 'tol'", [tol], lambda t: t >= 0, ">= 0")
-    corrupt_q = _typed_scalar(raw, "corrupt_q", _bool, False)
-    matrix = _typed_scalar(raw, "matrix", str, "saddle")
-    _choices("matrix", [matrix], ("saddle", "stiffness", "sigma"))
-    name = _typed_scalar(raw, "name", str, None)
-
+        cfg.ha = dict.fromkeys(_METHODS, _ha_config(raw, "", kinds, "exact",
+                                                    {}))
     with open(path, "rb") as fh:
-        sha = hashlib.sha256(fh.read()).hexdigest()
-
-    return ExperimentConfig(
-        command=command, methods=methods, Ms=Ms, ks=ks, layouts=layouts,
-        removal=removal, eps_modes=eps_modes, eps_mins=eps_mins,
-        eps_max=eps_max, deltas=deltas, seeds=seeds, rhs=rhs,
-        max_iter=max_iter, ha=ha, pencils=pencils, tol=tol,
-        corrupt_q=corrupt_q, matrix=matrix, name=name, config_sha=sha)
+        cfg.config_sha = hashlib.sha256(fh.read()).hexdigest()
+    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -298,9 +270,8 @@ def _assign(cfg, lay, eps_mode, eps_min, seed):
 
 def _axes(cfg, *extra):
     """Sorted tuples (M, k, layout, eps_mode, eps_min, *extra, seed)."""
-    return sorted(itertools.product(cfg.Ms, cfg.ks, cfg.layouts,
-                                    cfg.eps_modes, cfg.eps_mins, *extra,
-                                    cfg.seeds))
+    return sorted(itertools.product(cfg.M, cfg.k, cfg.layout, cfg.eps_mode,
+                                    cfg.eps_min, *extra, cfg.seed))
 
 
 def _operator_key(ax):
@@ -320,7 +291,7 @@ def _export_stem(cfg, ax):
     return cfg.name or f"{cfg.matrix}_M{M}_k{k}_{layout}_{eps_min:g}"
 
 
-def validate_instances(cfg: ExperimentConfig) -> dict:
+def validate_instances(cfg: types.SimpleNamespace) -> dict:
     """Fail fast: refuse sweeps whose exports would overwrite each other and
     construct every distinct layout of the sweep before any run, whatever
     the method axis: one mesh per M, one placement per operator key and
@@ -340,7 +311,7 @@ def validate_instances(cfg: ExperimentConfig) -> dict:
                     f"({hint})")
             owners[stem] = label
     meshes, placed, layouts = {}, {}, {}
-    for ax in sorted(set(_axes(cfg))):
+    for ax in _axes(cfg):
         M, k, layout, eps_mode, eps_min, seed = ax
         if M not in meshes:
             meshes[M] = build_mesh(M)
@@ -348,13 +319,8 @@ def validate_instances(cfg: ExperimentConfig) -> dict:
         if key not in placed:
             placed[key] = _place(cfg, meshes[M], k, layout, seed)
         lay = layouts[ax] = _assign(cfg, placed[key], eps_mode, eps_min, seed)
-        dim = meshes[M].n_interior + lay.n
-        if cfg.command == "spectrum" and dim > DENSE_LIMIT:
-            raise ConfigError(
-                f"spectrum instance M={M} k={k} has dimension {dim} > "
-                f"{DENSE_LIMIT}; dense verification is desk-scale only, "
-                "use smaller M (or the ritz_extremes of a solver report "
-                "for extreme eigenvalue estimates)")
+        if cfg.command == "spectrum":
+            check_dense_size(lay)
     return layouts
 
 
@@ -466,26 +432,46 @@ def _run_spectrum(cfg, lay, axes):
 # ---------------------------------------------------------------------------
 # output
 
-def _write_csv(path, schema, fieldnames, rows):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(f"# schema={schema}\n")
-        fh.write(",".join(fieldnames) + "\n")
-        for row in rows:
-            fh.write(",".join(str(row[f]) for f in fieldnames) + "\n")
+@contextlib.contextmanager
+def _open_outputs(out_dir, *names):
+    """Open the named output files for writing before any instance runs, so
+    that one which cannot be written fails at once.  If the body raises, the
+    files are closed and removed: no partial file looks like an output."""
+    paths = [os.path.join(out_dir, name) for name in names]
+    handles = []
+    try:
+        for path in paths:
+            handles.append(open(path, "w", encoding="utf-8", newline=""))
+        yield handles
+    except BaseException:
+        for fh, path in zip(handles, paths):
+            fh.close()
+            os.remove(path)
+        raise
+    finally:
+        for fh in handles:
+            fh.close()
 
 
-def write_manifest(out_dir, command, cfg, args_seed, n_instances,
-                   ha_setups=None):
-    """Run record beside the CSVs: environment (BLAS thread variables as
-    strings, None when unset), timestamp and the H_A set-ups of a solve or
-    cost sweep (None for the other subcommands)."""
+def _write_csv(fh, schema, fieldnames, rows):
+    fh.write(f"# schema={schema}\n")
+    fh.write(",".join(fieldnames) + "\n")
+    for row in rows:
+        fh.write(",".join(str(row[f]) for f in fieldnames) + "\n")
+
+
+def write_manifest(fh, cfg, n_instances, ha_setups=None):
+    """Run record beside the CSVs, written to the open manifest.json fh:
+    environment (BLAS thread variables as strings, None when unset),
+    timestamp and the H_A set-ups of a solve or cost sweep (None for the
+    other subcommands)."""
     manifest = {
         "schema": "saddleprec.manifest.v1",
-        "command": command,
+        "command": cfg.command,
         "config_sha256": cfg.config_sha,
         "version": __version__,
-        "seeds": list(cfg.seeds),
-        "seed_override": args_seed,
+        "seeds": list(cfg.seed),
+        "seed_override": cfg.seed_override,
         "instances": n_instances,
         "ha_setups": ha_setups,
         "numpy": np.__version__,
@@ -495,11 +481,8 @@ def write_manifest(out_dir, command, cfg, args_seed, n_instances,
             "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")},
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
     }
-    path = os.path.join(out_dir, "manifest.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
+    json.dump(manifest, fh, indent=2, sort_keys=True)
+    fh.write("\n")
 
 
 def _pool_map(worker, items, threads):
@@ -512,44 +495,41 @@ def _pool_map(worker, items, threads):
 # ---------------------------------------------------------------------------
 # subcommand drivers
 
-def cmd_solve(cfg: ExperimentConfig, layouts: dict, out_dir: str,
-              threads: int, args_seed) -> int:
-    instances = sorted((method, *ax) for method in cfg.methods
-                       for ax in _axes(cfg, cfg.deltas))
-    rows, ha_setups = _sweep(cfg, layouts, instances, threads)
+def cmd_solve(cfg, layouts: dict, out_dir: str, threads: int) -> int:
+    instances = sorted((method, *ax) for method in cfg.method
+                       for ax in _axes(cfg, cfg.delta))
     fields = ["method", "M", "k", "layout", "removal", "eps_mode", "eps_min",
               "eps_max", "delta", "ha", "seed", "iterations", "converged",
               "stop_rule", "a_applies", "ha_applies", "total_applies",
               "final_ratio", "monotone"]
-    path = os.path.join(out_dir, "solve.csv")
-    _write_csv(path, SOLVE_SCHEMA, fields, rows)
-    write_manifest(out_dir, "solve", cfg, args_seed, len(instances),
-                   ha_setups)
-    print(f"solve: {len(rows)} runs -> {path}")
+    with _open_outputs(out_dir, "solve.csv", "manifest.json") as (fh, man):
+        rows, ha_setups = _sweep(cfg, layouts, instances, threads)
+        _write_csv(fh, SOLVE_SCHEMA, fields, rows)
+        write_manifest(man, cfg, len(instances), ha_setups)
+    print(f"solve: {len(rows)} runs -> {fh.name}")
     return EXIT_OK
 
 
-def cmd_spectrum(cfg: ExperimentConfig, layouts: dict, out_dir: str,
-                 threads: int, args_seed) -> int:
-    axes = _axes(cfg, cfg.pencils)
-    results = _pool_map(lambda ax: _run_spectrum(cfg, layouts[_layout_key(ax)],
-                                                 ax), axes, threads)
-    rows = [r for r, _ in results]
-    eig_rows = [er for _, ers in results for er in ers]
+def cmd_spectrum(cfg, layouts: dict, out_dir: str, threads: int) -> int:
+    axes = _axes(cfg, cfg.pencil)
     fields = ["M", "k", "layout", "eps_mode", "eps_min", "eps_max", "pencil",
               "ha", "seed", "dim", "a0", "b0", "r_max", "mu_check1",
               "mu_hat1", "mu_check2", "mu_hat2", "lam_min", "lam_max",
               "n_minus_one", "n_plus_one", "n_viol_strict", "verdict_strict",
               "n_viol", "verdict"]
-    path = os.path.join(out_dir, "spectrum.csv")
-    _write_csv(path, SPECTRUM_SCHEMA, fields, rows)
     eig_fields = ["M", "k", "layout", "eps_mode", "eps_min", "pencil", "seed",
                   "index", "eigenvalue", "in_stated", "in_envelope"]
-    eig_path = os.path.join(out_dir, "spectrum_eigs.csv")
-    _write_csv(eig_path, EIGS_SCHEMA, eig_fields, eig_rows)
-    write_manifest(out_dir, "spectrum", cfg, args_seed, len(axes))
+    with _open_outputs(out_dir, "spectrum.csv", "spectrum_eigs.csv",
+                       "manifest.json") as (fh, eig_fh, man):
+        results = _pool_map(lambda ax: _run_spectrum(
+            cfg, layouts[_layout_key(ax)], ax), axes, threads)
+        rows = [r for r, _ in results]
+        _write_csv(fh, SPECTRUM_SCHEMA, fields, rows)
+        _write_csv(eig_fh, EIGS_SCHEMA, eig_fields,
+                   [er for _, ers in results for er in ers])
+        write_manifest(man, cfg, len(axes))
 
-    print(f"spectrum: {len(rows)} instances -> {path}")
+    print(f"spectrum: {len(rows)} instances -> {fh.name}")
     failed = 0
     for row in rows:
         mark = "PASS" if row["verdict"] == "PASS" else "FAIL"
@@ -566,67 +546,64 @@ def cmd_spectrum(cfg: ExperimentConfig, layouts: dict, out_dir: str,
     return EXIT_OK
 
 
-def cmd_cost(cfg: ExperimentConfig, layouts: dict, out_dir: str,
-             threads: int, args_seed) -> int:
-    axes = _axes(cfg, cfg.deltas)
+def cmd_cost(cfg, layouts: dict, out_dir: str, threads: int) -> int:
+    axes = _axes(cfg, cfg.delta)
     # the solve runs with methods inside each axes tuple, one row per tuple
-    instances = [(m, *ax) for ax in axes for m in cfg.methods]
-    results, ha_setups = _sweep(cfg, layouts, instances, threads)
+    instances = [(m, *ax) for ax in axes for m in cfg.method]
     # eps_min first, then every other axis that varies, in _axes order
     labels = [4] + [i for i, values in enumerate(zip(*axes))
                     if i != 4 and len(set(values)) > 1]
     header = [("M", "k", "layout", "eps_mode", "eps_min", "delta", "seed")[i]
               for i in labels]
-    for m in cfg.methods:
+    for m in cfg.method:
         header.append(f"{m.upper()} iters (H_A={cfg.ha[m][0]})")
         header.append(f"{m.upper()} A+H_A")
     lines = ["| " + " | ".join(header) + " |",
              "|" + "|".join(" --- " for _ in header) + "|"]
-    rows = iter(results)
-    for ax in axes:
-        cells = [f"{ax[i]:g}" if isinstance(ax[i], float) else str(ax[i])
-                 for i in labels]
-        for row in itertools.islice(rows, len(cfg.methods)):
-            cells.append(str(row["iterations"]))
-            cells.append(f"{row['total_applies']} "
-                         f"({row['a_applies']}+{row['ha_applies']})")
-        lines.append("| " + " | ".join(cells) + " |")
-    table = "\n".join(lines)
-
-    path = os.path.join(out_dir, "cost.md")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# Application counts (M={cfg.Ms}, k={cfg.ks}, "
-                 f"delta={cfg.deltas})\n\n")
+    with _open_outputs(out_dir, "cost.md", "manifest.json") as (fh, man):
+        results, ha_setups = _sweep(cfg, layouts, instances, threads)
+        rows = iter(results)
+        for ax in axes:
+            cells = [f"{ax[i]:g}" if isinstance(ax[i], float) else str(ax[i])
+                     for i in labels]
+            for row in itertools.islice(rows, len(cfg.method)):
+                cells.append(str(row["iterations"]))
+                cells.append(f"{row['total_applies']} "
+                             f"({row['a_applies']}+{row['ha_applies']})")
+            lines.append("| " + " | ".join(cells) + " |")
+        table = "\n".join(lines)
+        fh.write(f"# Application counts (M={cfg.M}, k={cfg.k}, "
+                 f"delta={cfg.delta})\n\n")
         fh.write(table + "\n")
-    write_manifest(out_dir, "cost", cfg, args_seed, len(axes), ha_setups)
+        write_manifest(man, cfg, len(axes), ha_setups)
     print(table)
-    print(f"cost: {len(axes)} instance(s) -> {path}")
+    print(f"cost: {len(axes)} instance(s) -> {fh.name}")
     return EXIT_OK
 
 
-def cmd_export_matrix(cfg: ExperimentConfig, layouts: dict, out_dir: str,
-                      threads: int, args_seed) -> int:
+def cmd_export_matrix(cfg, layouts: dict, out_dir: str, threads: int) -> int:
     axes = _axes(cfg)
     stiffness = {}                      # A per placement, keyed by its slot
-    for ax in axes:
-        M, k, layout, eps_mode, eps_min, seed = ax
-        lay = layouts[ax]
-        if cfg.matrix == "sigma":
-            mat = assemble_sigma_matrix(lay)
-        elif cfg.matrix == "stiffness":
-            if lay.slot not in stiffness:
-                stiffness[lay.slot] = assemble_stiffness(lay.mesh,
-                                                         build_ordering(lay))
-            mat = stiffness[lay.slot]
-        else:
-            mat = build_problem(lay.mesh, lay)[3].to_sparse()
-        path = os.path.join(out_dir, _export_stem(cfg, ax) + ".mtx")
-        write_matrix_market(path, mat,
-                            comment=f"{cfg.matrix} M={M} k={k} {layout} "
-                                    f"eps_min={eps_min:g} seed={seed}")
-        print(f"export: {mat.shape[0]}x{mat.shape[1]}, "
-              f"{mat.nnz} stored entries -> {path}")
-    write_manifest(out_dir, "export-matrix", cfg, args_seed, len(axes))
+    with _open_outputs(out_dir, "manifest.json") as (man,):
+        for ax in axes:
+            M, k, layout, eps_mode, eps_min, seed = ax
+            lay = layouts[ax]
+            if cfg.matrix == "sigma":
+                mat = assemble_sigma_matrix(lay)
+            elif cfg.matrix == "stiffness":
+                if lay.slot not in stiffness:
+                    stiffness[lay.slot] = assemble_stiffness(
+                        lay.mesh, build_ordering(lay))
+                mat = stiffness[lay.slot]
+            else:
+                mat = build_problem(lay.mesh, lay)[3].to_sparse()
+            path = os.path.join(out_dir, _export_stem(cfg, ax) + ".mtx")
+            write_matrix_market(path, mat,
+                                comment=f"{cfg.matrix} M={M} k={k} {layout} "
+                                        f"eps_min={eps_min:g} seed={seed}")
+            print(f"export: {mat.shape[0]}x{mat.shape[1]}, "
+                  f"{mat.nnz} stored entries -> {path}")
+        write_manifest(man, cfg, len(axes))
     return EXIT_OK
 
 
@@ -676,7 +653,7 @@ def main(argv=None) -> int:
         layouts = validate_instances(cfg)
         os.makedirs(args.out, exist_ok=True)
         return _DISPATCH[args.command](cfg, layouts, args.out,
-                                       max(1, args.threads), args.seed)
+                                       max(1, args.threads))
     except (ConfigError, MeshError, LayoutError, ParameterError,
             OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

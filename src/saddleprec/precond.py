@@ -237,6 +237,8 @@ A_KINDS = {cls.kind: cls
 
 
 _CG_OPTIONS = ("steps", "base", "drop_tol", "fill_factor")
+# the number-valued inner-CG options a config may set, with their types
+INNER_CG_OPTIONS = {"steps": int, "drop_tol": float, "fill_factor": float}
 
 
 def check_a_options(kind: str, opts: dict) -> None:
@@ -251,7 +253,7 @@ def check_a_options(kind: str, opts: dict) -> None:
     if unknown:
         raise ParameterError(f"unknown inner CG option {unknown[0]!r}; "
                              f"options are {', '.join(_CG_OPTIONS)}")
-    for name in ("steps", "drop_tol", "fill_factor"):
+    for name in INNER_CG_OPTIONS:
         if isinstance(opts.get(name), (bool, np.bool_)):
             raise ParameterError(
                 f"inner CG option {name!r} takes a number, got {opts[name]!r}")

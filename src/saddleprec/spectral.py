@@ -32,6 +32,22 @@ MU_HAT_2 = (1.0 + np.sqrt(5.0)) / 2.0
 # Largest total dimension (N + n) accepted by the dense eigensolvers.
 DENSE_LIMIT = 2000
 
+# the H_A kinds dense verification accepts, each with the Gram block it puts
+# on the A rows: the matrix whose inverse H_A applies (inner CG has none)
+_GRAM_BLOCKS = {"exact": lambda A: A.toarray(),
+                "diagonal": lambda A: np.diag(A.diagonal())}
+GRAM_KINDS = tuple(_GRAM_BLOCKS)
+
+
+def check_dense_size(layout: InclusionLayout) -> None:
+    """ParameterError if the instance's dimension N + n exceeds DENSE_LIMIT."""
+    dim = layout.mesh.n_interior + layout.n
+    if dim > DENSE_LIMIT:
+        raise ParameterError(
+            f"instance M={layout.mesh.M} k={layout.k} has dimension {dim} > "
+            f"{DENSE_LIMIT}; dense verification is desk-scale only, use "
+            "smaller M (or the ritz_extremes of a solver report)")
+
 
 def mu_check_pair(r):
     """Roots of mu^2 + (r - 1) mu - (1 + r) = 0.
@@ -226,11 +242,7 @@ def verify_intervals(layout: InclusionLayout, ha_kind: str = "exact",
     corrupt_q zeroes the rank-one coupling inside the saddle operator, a
     deliberate defect that must land eigenvalues outside both interval sets.
     """
-    if layout.mesh.n_interior + layout.n > DENSE_LIMIT:
-        raise ParameterError(
-            f"instance dimension {layout.mesh.n_interior + layout.n} exceeds "
-            f"the dense limit {DENSE_LIMIT}; use the ritz_extremes of a "
-            "solver report instead")
+    check_dense_size(layout)
     _, A, blocks, op = build_problem(layout.mesh, layout)
     N, n = op.N, op.n
 
@@ -238,15 +250,13 @@ def verify_intervals(layout: InclusionLayout, ha_kind: str = "exact",
     if corrupt_q:
         K[N:, N:] += blocks.q_sparse().toarray()   # strips -Q from the C block
 
-    gram = np.zeros_like(K)
-    if ha_kind == "exact":
-        gram[:N, :N] = A.toarray()
-    elif ha_kind == "diagonal":
-        gram[:N, :N] = np.diag(A.diagonal())
-    else:
+    if ha_kind not in _GRAM_BLOCKS:
         raise ParameterError(
             f"ha_kind {ha_kind!r} has no symmetric inverse matrix to use as "
-            "a Gram factor; dense verification supports 'exact' and 'diagonal'")
+            "a Gram factor; dense verification supports "
+            f"{' and '.join(map(repr, GRAM_KINDS))}")
+    gram = np.zeros_like(K)
+    gram[:N, :N] = _GRAM_BLOCKS[ha_kind](A)
     if pencil not in ("preconditioner", "ideal"):
         raise ParameterError(f"unknown pencil {pencil!r}")
     S0, BDQ, a0, b0 = _schur_pencil(A, blocks)

@@ -2,6 +2,7 @@ import hashlib
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 import weakref
@@ -68,14 +69,52 @@ def test_build_config_rejects_unknown_keys(tmp_path):
 
 
 def test_build_config_validates_values(tmp_path):
-    for text, match in [("method = sor\n", "unknown method"),
+    for text, match in [("method = sor\n",
+                         "unknown method 'sor'; use pu|pl|pcgk"),
                         ("layout = spiral\n", "unknown layout"),
                         ("eps_mode = banded\n", "unknown eps_mode"),
                         ("rhs = two\n", "unknown rhs"),
-                        ("M = eight\n", "config key 'M'")]:
+                        ("M = eight\n", "config key 'M'"),
+                        ("M = 8, 8\n", "config key 'M' repeats 8"),
+                        ("eps_min = 1e-2, 0.01\n",
+                         "config key 'eps_min' repeats 0.01"),
+                        ("method = pl, pu, pl\n",
+                         "config key 'method' repeats 'pl'")]:
         cfg = _write(tmp_path / "bad.cfg", text)
-        with pytest.raises(ConfigError, match=match):
+        with pytest.raises(ConfigError, match=re.escape(match)):
             build_config("solve", parse_config(cfg), cfg)
+
+
+def test_key_table_is_the_only_source_of_keys():
+    accepted = set().union(*map(cli._allowed_keys, cli._ALL))
+    # every table key is accepted somewhere
+    assert set(cli._KEYS) <= accepted
+    # every other accepted key is a generated H_A key
+    ha = re.compile(r"((%s)_)?ha(_(%s))?" % (
+        "|".join(cli._METHODS), "|".join(precond.INNER_CG_OPTIONS)))
+    assert all(ha.fullmatch(key) for key in accepted - set(cli._KEYS))
+    assert cli._allowed_keys("spectrum") - set(cli._KEYS) == {"ha"}
+    assert "ha" not in cli._allowed_keys("export-matrix")
+
+
+def _backticked_keys(text):
+    """Backticked names of text outside parenthesized value lists."""
+    return re.findall(r"`([^`]+)`", re.sub(r"\([^()]*\)", "", text))
+
+
+def test_readme_names_only_keys_the_subcommand_accepts():
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        readme = fh.read()
+    # the subcommand table: | `command` | output | keys |
+    rows = re.findall(r"^\| `([a-z-]+)` \| .* \| (.*) \|$", readme, re.M)
+    assert sorted(command for command, _ in rows) == sorted(cli._ALL)
+    for command, keys in rows:
+        named = _backticked_keys(keys)
+        assert named and set(named) <= cli._allowed_keys(command), command
+    common = re.search(r"^Common axes: (.*?)\. ", readme, re.M | re.S)
+    named = _backticked_keys(common.group(1))
+    assert named and all(set(named) <= cli._allowed_keys(command)
+                         for command in cli._ALL)
 
 
 def test_cli_error_exit_codes(tmp_path, capsys):
@@ -107,15 +146,33 @@ def _csv_is_a_directory(tmp_path):
     return _write(tmp_path / "a.cfg", "method = pl\nM = 8\n"), out
 
 
+def _manifest_is_a_directory(tmp_path):
+    out = tmp_path / "out"
+    (out / "manifest.json").mkdir(parents=True)
+    return _write(tmp_path / "a.cfg", "method = pl\nM = 8\n"), out
+
+
 @pytest.mark.parametrize("setup", [_config_not_utf8, _out_is_a_file,
-                                   _csv_is_a_directory],
+                                   _csv_is_a_directory,
+                                   _manifest_is_a_directory],
                          ids=["config-not-utf8", "out-is-a-file",
-                              "csv-is-a-directory"])
-def test_io_failure_is_an_error_line(tmp_path, capsys, setup):
+                              "csv-is-a-directory",
+                              "manifest-is-a-directory"])
+def test_io_failure_is_an_error_line(tmp_path, capsys, monkeypatch, setup):
+    solves = []
+    for method, solver in list(cli._METHODS.items()):
+        def spy(*args, _solver=solver, **kwargs):
+            solves.append(1)
+            return _solver(*args, **kwargs)
+        monkeypatch.setitem(cli._METHODS, method, spy)
     cfg, out = setup(tmp_path)
     assert main(["solve", "--config", cfg, "--out", str(out)]) == EXIT_ERROR
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+    # an output that cannot be opened fails before the first solve, and
+    # leaves no other output behind
+    assert solves == []
+    assert not (out / "solve.csv").is_file()
 
 
 @pytest.mark.parametrize("text,args,err", [
@@ -318,6 +375,12 @@ def test_spectrum_rejects_oversize_instance(tmp_path, capsys):
     assert main(["spectrum", "--config", cfg, "--out", str(out)]) == EXIT_ERROR
     err = capsys.readouterr().err
     assert "dense verification" in err and "ritz_extremes" in err
+    # the library refuses the same instance with the same message
+    big = mesh.assign_epsilon(mesh.place_periodic(mesh.build_mesh(64), 2),
+                              "uniform", epsilon=1e-4)
+    with pytest.raises(mesh.ParameterError) as info:
+        spectral.verify_intervals(big)
+    assert err == f"error: {info.value}\n"
 
 
 # ---------------------------------------------------------------------------
@@ -544,10 +607,12 @@ def test_cost_shares_one_exact_lu_between_pl_and_pcgk(tmp_path, capsys,
         return original(A, blocks, ha_kind, **opts)
 
     monkeypatch.setattr(cli, "build_block_preconditioner", recorded)
+    # the H_A objects themselves: an id() of a freed H_A may come back as
+    # the id() of the next task's
     used = {}
     for method, solver in list(cli._METHODS.items()):
         def spy(op, precond, *args, _method=method, _solver=solver, **kw):
-            used.setdefault(_method, set()).add(id(precond.a_inv))
+            used.setdefault(_method, []).append(precond.a_inv)
             return _solver(op, precond, *args, **kw)
         monkeypatch.setitem(cli._METHODS, method, spy)
     # the axes of demos/configs/cost_table.cfg on a smaller mesh
@@ -563,8 +628,9 @@ delta = 1e-6
     # one placement: one inner-CG H_A for PU, one exact LU for both Krylov
     # methods, whatever the contrast
     assert sorted(kinds) == ["cg", "exact"]
-    assert used["pl"] == used["pcgk"] and len(used["pl"]) == 1
-    assert used["pu"].isdisjoint(used["pl"]) and len(used["pu"]) == 1
+    lu, cg = used["pl"][0], used["pu"][0]
+    assert all(ha is lu for ha in used["pl"] + used["pcgk"])
+    assert all(ha is cg for ha in used["pu"]) and cg is not lu
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["ha_setups"] == 2
     capsys.readouterr()
@@ -647,6 +713,8 @@ def test_failing_sweep_names_the_same_instance_at_any_thread_count(
         assert main([command, "--config", cfg, "--threads", threads,
                      "--out", str(tmp_path / threads)]) == EXIT_ERROR
         errors.append(capsys.readouterr().err)
+        # the outputs opened before the sweep are removed
+        assert os.listdir(tmp_path / threads) == []
     assert errors[0] == errors[1]
     assert errors[0].startswith("solver error: ") and named in errors[0]
 
