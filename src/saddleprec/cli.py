@@ -125,6 +125,7 @@ _Range = collections.namedtuple("_Range", "ok need")
 _ALL = ("solve", "spectrum", "cost", "export-matrix")
 _SWEEPS = ("solve", "cost")
 _NONNEG = _Range(lambda v: v >= 0, ">= 0")
+_POSITIVE_INT = _Range(lambda n: n >= 1, ">= 1")
 _KEYS = {
     "method": _Key(str, list(_METHODS), tuple(_METHODS), _SWEEPS),
     "M": _Key(int, [16], None, _ALL),
@@ -133,12 +134,13 @@ _KEYS = {
     "removal": _Key(int, None, None, _ALL),
     "eps_mode": _Key(str, ["uniform"], ("uniform", "random"), _ALL),
     "eps_min": _Key(float, [1e-4], None, _ALL),
-    "eps_max": _Key(float, 1e-2, None, _ALL),
+    "eps_max": _Key(float, 1e-2, _Range(lambda e: 0 < e <= 1, "in (0, 1]"),
+                    _ALL),
     "delta": _Key(float, [1e-6], _Range(lambda d: 0 < d < 1, "in (0, 1)"),
                   _SWEEPS),
     "seed": _Key(int, [0], _NONNEG, _ALL),
     "rhs": _Key(str, "zero", ("zero", "one"), ("solve",)),
-    "max_iter": _Key(int, 2000, _Range(lambda n: n >= 1, ">= 1"), _SWEEPS),
+    "max_iter": _Key(int, 2000, _POSITIVE_INT, _SWEEPS),
     "pencil": _Key(str, ["preconditioner"], ("preconditioner", "ideal"),
                    ("spectrum",)),
     "tol": _Key(float, 1e-8, _NONNEG, ("spectrum",)),
@@ -647,13 +649,13 @@ def main(argv=None) -> int:
     parser = make_parser()
     try:
         args = parser.parse_args(argv)
+        _admit("threads", args.threads, _POSITIVE_INT, "--threads")
         raw = parse_config(args.config)
         cfg = build_config(args.command, raw, args.config,
                            seed_override=args.seed)
         layouts = validate_instances(cfg)
         os.makedirs(args.out, exist_ok=True)
-        return _DISPATCH[args.command](cfg, layouts, args.out,
-                                       max(1, args.threads))
+        return _DISPATCH[args.command](cfg, layouts, args.out, args.threads)
     except (ConfigError, MeshError, LayoutError, ParameterError,
             OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -13,6 +13,8 @@ identity tests and handles untagged right-hand sides during setup.
 
 H_A is pluggable: exact sparse LU, a fixed number of inner CG steps
 preconditioned by a symmetrized incomplete LU, or plain diagonal scaling.
+The inner CG is H_A's own loop; the outer Krylov recurrences live in
+solvers, so this module holds only operators.
 The two factorizing kinds hand SuperLU the transpose view of a CSR A,
 which is A's own CSC form only because A is symmetric; they probe that
 symmetry first and refuse an A that fails the probe.
@@ -21,7 +23,6 @@ symmetry first and refuse an A that fails the probe.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 
 import numpy as np
 import scipy.linalg
@@ -95,37 +96,6 @@ class ReferenceSchurSolver:
         return X.T.ravel()
 
 
-def pcg_steps(A, x, r, apply_m, breakdown: str,
-              counter: OpCounter | None = None):
-    """CG on the SPD matrix A preconditioned by apply_m: advances x and its
-    residual r = b - A x in place and yields (k, step length, direction
-    ratio) after each step k, leaving the stopping rule to the caller; the
-    ratio is the one that formed the direction just stepped along (0 at
-    k = 1).  A direction of nonpositive curvature raises
-    SolverBreakdownError(breakdown.format(k=k)).
-    """
-    z = apply_m(r)
-    p = z.copy()
-    rz = r @ z
-    ratio = 0.0
-    for k in itertools.count(1):
-        Ap = A @ p
-        if counter is not None:
-            counter.a += 1
-        pAp = p @ Ap
-        if pAp <= 0.0:
-            raise SolverBreakdownError(breakdown.format(k=k))
-        alpha = rz / pAp
-        x += alpha * p
-        r -= alpha * Ap
-        yield k, alpha, ratio
-        z = apply_m(r)
-        rz_new = r @ z
-        ratio = rz_new / rz
-        p = z + ratio * p
-        rz = rz_new
-
-
 # relative bound on |x.Ay - y.Ax| / (|x| |Ay|) in the symmetry probe; the
 # rounding of a symmetric A stays near sqrt(N) times the machine epsilon
 _SYMMETRY_RTOL = 1e-10
@@ -184,7 +154,9 @@ class DiagonalAInverse:
 
 
 class InnerCgAInverse:
-    """H_A = fixed number of ILU-preconditioned CG steps on A from zero.
+    """H_A = fixed number of ILU-preconditioned CG steps on A from zero,
+    in the Fletcher-Reeves form, stopping early only at a residual of
+    1e-15 times the input's.
 
     A fixed step count keeps the operator close to a fixed polynomial in A
     (exactly so only for stationary methods; CG's coefficients depend mildly
@@ -197,12 +169,14 @@ class InnerCgAInverse:
     """
 
     kind = "cg"
+    # the options in the order of __init__'s parameters, with their types
+    options = {"steps": int, "base": str, "drop_tol": float,
+               "fill_factor": float}
 
     def __init__(self, A: sp.csr_matrix, steps: int = 12, base: str = "ilu",
                  drop_tol: float = 5e-4, fill_factor: float = 12.0):
-        check_a_options(self.kind, {"steps": steps, "base": base,
-                                    "drop_tol": drop_tol,
-                                    "fill_factor": fill_factor})
+        check_a_options(self.kind, dict(zip(
+            self.options, (steps, base, drop_tol, fill_factor))))
         self.A = A.tocsr()
         self.steps = steps
         self._ilu = spla.spilu(_symmetric_csc(A, self.kind),
@@ -223,12 +197,25 @@ class InnerCgAInverse:
         if res_norm == 0.0:
             return x
         res_floor = 1e-15 * res_norm
-        for k, _, _ in pcg_steps(self.A, x, res, self._base,
-                                 "inner CG direction lost positivity; base "
-                                 "preconditioner is not positive definite "
-                                 "on this input", counter):
+        p = z = self._base(res)
+        rz = res @ z
+        for k in range(1, self.steps + 1):
+            Ap = self.A @ p
+            if counter is not None:
+                counter.a += 1
+            pAp = p @ Ap
+            if pAp <= 0.0:
+                raise SolverBreakdownError(
+                    "inner CG direction lost positivity; base preconditioner "
+                    "is not positive definite on this input")
+            alpha = rz / pAp
+            x += alpha * p
+            res -= alpha * Ap
             if k == self.steps or np.linalg.norm(res) <= res_floor:
                 break
+            z = self._base(res)
+            rz, rz_old = res @ z, rz
+            p = z + (rz / rz_old) * p
         return x
 
 
@@ -236,9 +223,9 @@ A_KINDS = {cls.kind: cls
            for cls in (ExactAInverse, InnerCgAInverse, DiagonalAInverse)}
 
 
-_CG_OPTIONS = ("steps", "base", "drop_tol", "fill_factor")
 # the number-valued inner-CG options a config may set, with their types
-INNER_CG_OPTIONS = {"steps": int, "drop_tol": float, "fill_factor": float}
+INNER_CG_OPTIONS = {k: t for k, t in InnerCgAInverse.options.items()
+                    if t is not str}
 
 
 def check_a_options(kind: str, opts: dict) -> None:
@@ -249,10 +236,11 @@ def check_a_options(kind: str, opts: dict) -> None:
     if kind != InnerCgAInverse.kind and opts:
         raise ParameterError(
             f"H_A kind {kind!r} takes no options, got {', '.join(sorted(opts))}")
-    unknown = sorted(set(opts) - set(_CG_OPTIONS))
+    names = InnerCgAInverse.options
+    unknown = sorted(set(opts) - set(names))
     if unknown:
         raise ParameterError(f"unknown inner CG option {unknown[0]!r}; "
-                             f"options are {', '.join(_CG_OPTIONS)}")
+                             f"options are {', '.join(names)}")
     for name in INNER_CG_OPTIONS:
         if isinstance(opts.get(name), (bool, np.bool_)):
             raise ParameterError(

@@ -10,9 +10,10 @@ Three methods, all preconditioned by H = diag(H_A, H_S):
   * pcg_k_solve-- CG on the squared operator K = A_eps H A_eps; two saddle
                   applies and two H applies per iteration.
 
-PU and PCG-K share one CG recurrence on two SPD operators (S_eps with H_S,
-K with H).  All four solvers, cg_solve included, stop once the stopping
-norm falls to delta times its start value.
+PU, PCG-K and cg_solve share one CG recurrence with explicit conjugation
+on three SPD operators (S_eps with H_S, K with H, A with its optional
+preconditioner).  All four solvers stop once the stopping norm falls to
+delta times its start value.
 
 Each solver records its stopping-norm history, the operation counts that
 make up the cost tables and the Lanczos tridiagonal T_k that its own
@@ -34,7 +35,7 @@ import scipy.linalg as sla
 from .assembly import SaddleOperator
 from .mesh import ParameterError
 from .precond import (BlockPreconditioner, OpCounter, ReferenceSchurSolver,
-                      SolverBreakdownError, pcg_steps)
+                      SolverBreakdownError)
 
 # relative slack granted to rounding before a "nonnegative" quadratic form
 # or a monotone norm sequence is declared broken
@@ -168,24 +169,16 @@ def _sqrt_ratios(b):
     return np.sqrt(b, out=np.full_like(b, np.nan), where=b > 0.0)
 
 
-def _cg_tridiagonal(coeffs):
-    """T_k of a CG run from its (step length, direction ratio) pairs: the
-    diagonal 1/a_j + b_j/a_{j-1} and the off-diagonal sqrt(b_j)/a_{j-1},
-    where b_j formed the j-th direction (b_1 = 0 is not read)."""
-    a, b = np.reshape(coeffs, (-1, 2)).T
-    diag = 1.0 / a
-    diag[1:] += b[1:] / a[:-1]
-    return diag, _sqrt_ratios(b[1:]) / a[:-1]
-
-
 def _conjugate_cg(run, start, precondition, images, form, breakdown):
     """CG on an SPD operator K with the direction conjugated explicitly,
-    alpha = (z . K xi_prev) / (xi_prev . K xi_prev); returns T_k.
+    alpha = (z . K xi_prev) / (xi_prev . K xi_prev).
 
     start() builds the state (x, r, ...) with r = K x - b at step 1, so a
     converged start costs nothing; precondition(*state) gives z, images(xi)
     (xi, K xi, ...) that each state entry moves along and form() the
-    stopping norm's quadratic form."""
+    stopping norm's quadratic form.  Returns T_k from the step lengths a_j
+    and direction ratios b_j (b_j formed the j-th direction): the diagonal
+    1/a_j + b_j/a_{j-1} and the off-diagonal sqrt(b_j)/a_{j-1}."""
     coeffs = []
     for k in run:
         if k == 1:
@@ -205,7 +198,10 @@ def _conjugate_cg(run, start, precondition, images, form, breakdown):
         for vec, move in zip(state, moves):
             vec -= beta * move
         run.record(form())
-    return _cg_tridiagonal(coeffs)
+    a, b = np.reshape(coeffs, (-1, 2)).T
+    diag = 1.0 / a
+    diag[1:] += b[1:] / a[:-1]
+    return diag, _sqrt_ratios(b[1:]) / a[:-1]
 
 
 def _split_rhs(op, F):
@@ -393,7 +389,8 @@ def pcg_k_solve(op: SaddleOperator, precond: BlockPreconditioner, F=None,
 def cg_solve(A, b, precond=None, x0=None, delta: float = 1e-6,
              max_iter: int = 5000,
              counter: OpCounter | None = None) -> SolverReport:
-    """Plain (optionally preconditioned) CG on the SPD stiffness block.
+    """Plain (optionally preconditioned) CG on the SPD stiffness block;
+    precond(r) must return a new array, not r itself.
 
     Homogeneous systems (b = 0) stop on the A-norm of the iterate, which is
     the error norm; otherwise on the 2-norm of the residual relative to b.
@@ -404,21 +401,22 @@ def cg_solve(A, b, precond=None, x0=None, delta: float = 1e-6,
                delta, max_iter, counter)
     x = (np.zeros(A.shape[0]) if x0 is None
          else np.asarray(x0, dtype=float).copy())
-    r = b - A @ x
+    r = A @ x - b
     run.counter.a += 1
 
-    record = ((lambda: run.record(-(x @ r))) if homogeneous
-              else lambda: run.norms.append(float(np.linalg.norm(r))))
-    record()
-    steps = pcg_steps(A, x, r, (lambda r: r) if precond is None else precond,
-                      "CG direction lost A-positivity at iteration {k}",
-                      run.counter)
-    coeffs = []
-    for _ in run:
-        _, step, ratio = next(steps)
-        coeffs.append((step, ratio))
-        record()
-    return run.report(x, None, _cg_tridiagonal(coeffs))
+    def images(xi):
+        run.counter.a += 1
+        return xi, A @ xi
+
+    # x . Ax of a homogeneous run, |r|^2 otherwise
+    form = (lambda: x @ r) if homogeneous else lambda: r @ r
+    run.record(form())
+    # the direction must be a fresh array: r moves along A xi in place
+    tridiagonal = _conjugate_cg(
+        run, lambda: (x, r),
+        lambda x, r: r.copy() if precond is None else precond(r),
+        images, form, "CG direction lost A-positivity at iteration {k}")
+    return run.report(x, None, tridiagonal)
 
 
 def evaluate_norm(kind: str, vec: np.ndarray, A=None,

@@ -178,7 +178,8 @@ def test_io_failure_is_an_error_line(tmp_path, capsys, monkeypatch, setup):
 @pytest.mark.parametrize("text,args,err", [
     ("seed = 0, -1\n", [], "error: config key 'seed' must be >= 0, got -1\n"),
     ("", ["--seed", "-1"], "error: --seed must be >= 0, got -1\n"),
-], ids=["config-key", "flag"])
+    ("", ["--threads", "-4"], "error: --threads must be >= 1, got -4\n"),
+], ids=["config-key", "flag", "threads-flag"])
 def test_negative_seed_refused_before_any_run(tmp_path, capsys, text, args,
                                               err):
     cfg = _write(tmp_path / "seed.cfg", "method = pl\nM = 8\n" + text)
@@ -194,7 +195,11 @@ def test_negative_seed_refused_before_any_run(tmp_path, capsys, text, args,
     ("cost", "delta = 1e-6, 1\n", "'delta' must be in (0, 1), got 1.0"),
     ("solve", "max_iter = 0\n", "'max_iter' must be >= 1, got 0"),
     ("spectrum", "tol = -1e-8\n", "'tol' must be >= 0, got -1e-08"),
-], ids=["delta-negative", "delta-one", "max-iter-zero", "tol-negative"])
+    ("solve", "eps_max = nan\n", "'eps_max' must be in (0, 1], got nan"),
+    ("cost", "eps_max = -3\n", "'eps_max' must be in (0, 1], got -3.0"),
+    ("spectrum", "eps_max = 2\n", "'eps_max' must be in (0, 1], got 2.0"),
+], ids=["delta-negative", "delta-one", "max-iter-zero", "tol-negative",
+        "eps-max-nan", "eps-max-negative", "eps-max-above-one"])
 def test_out_of_range_keys_refused_before_any_run(tmp_path, capsys, command,
                                                   text, err):
     cfg = _write(tmp_path / "range.cfg", "M = 8\n" + text)
