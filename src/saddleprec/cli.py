@@ -52,9 +52,8 @@ from .mesh import (MeshError, LayoutError, ParameterError, build_mesh,
                    assign_epsilon, _periodic_corners)
 from .assembly import (build_problem, assemble_load, assemble_sigma_matrix,
                        assemble_stiffness, write_matrix_market)
-from .precond import (A_KINDS, INNER_CG_OPTIONS, ContractViolationError,
-                      SolverBreakdownError, build_block_preconditioner,
-                      check_a_options)
+from .precond import (A_KINDS, ContractViolationError, SolverBreakdownError,
+                      build_block_preconditioner)
 from .solvers import (pu_solve, pl_solve, pcg_k_solve, random_guess,
                       OperatorContractError, MaxIterationsError)
 from .spectral import GRAM_KINDS, check_dense_size, verify_intervals
@@ -151,8 +150,7 @@ _KEYS = {
 }
 
 # per subcommand: the H_A kinds its ha keys accept and the prefixes of those
-# keys, <prefix>ha and, where kind cg is accepted, <prefix>ha_<option>;
-# export-matrix builds no H_A and has no ha key
+# keys, <prefix>ha; export-matrix builds no H_A and has no ha key
 _HA_KEYS = {"solve": (tuple(A_KINDS), ("",)),
             "spectrum": (GRAM_KINDS, ("",)),
             "cost": (tuple(A_KINDS), tuple(f"{m}_" for m in _METHODS)),
@@ -161,13 +159,11 @@ _HA_KEYS = {"solve": (tuple(A_KINDS), ("",)),
 
 def _allowed_keys(command):
     """The _KEYS keys command accepts and its generated H_A keys."""
-    kinds, prefixes = _HA_KEYS[command]
-    options = [f"_{name}" for name in INNER_CG_OPTIONS if "cg" in kinds]
     return ({key for key, row in _KEYS.items() if command in row.commands}
-            | {p + "ha" + o for p in prefixes for o in ["", *options]})
+            | {p + "ha" for p in _HA_KEYS[command][1]})
 
-# per-method H_A of the cost table; defaults mirror the benchmark: PU runs an
-# inner-CG H_A, the Krylov methods an exact one
+# per-method default H_A (kind, options) of the cost table, mirroring the
+# benchmark: PU runs an inner-CG H_A, the Krylov methods an exact one
 _COST_HA = {
     "pu": ("cg", {"steps": 12, "drop_tol": 1e-2, "fill_factor": 8.0}),
     "pl": ("exact", {}),
@@ -194,20 +190,11 @@ def _admit(key, value, admit, label=None):
 
 
 def _ha_config(raw, prefix, kinds, kind, opts):
-    """(kind, opts) of one H_A: a <prefix>ha key replaces the default kind
-    and options, <prefix>ha_<option> keys override options of kind cg."""
-    if prefix + "ha" in raw:
-        kind, opts = raw[prefix + "ha"], {}
-    _admit(prefix + "ha", kind, kinds)
-    for name, conv in INNER_CG_OPTIONS.items():
-        key = f"{prefix}ha_{name}"
-        if key in raw:
-            opts = {**opts, name: _convert(key, conv, raw[key])}
-    try:
-        check_a_options(kind, opts)
-    except ParameterError as exc:
-        raise ConfigError(f"config key {prefix}ha: {exc}") from exc
-    return kind, opts
+    """(kind, opts) of one H_A: the default (kind, opts) unless a <prefix>ha
+    key names another kind, which then takes the library's defaults."""
+    chosen = raw.get(prefix + "ha", kind)
+    _admit(prefix + "ha", chosen, kinds)
+    return (kind, opts) if chosen == kind else (chosen, {})
 
 
 def build_config(command: str, raw: dict, path: str,

@@ -223,11 +223,6 @@ A_KINDS = {cls.kind: cls
            for cls in (ExactAInverse, InnerCgAInverse, DiagonalAInverse)}
 
 
-# the number-valued inner-CG options a config may set, with their types
-INNER_CG_OPTIONS = {k: t for k, t in InnerCgAInverse.options.items()
-                    if t is not str}
-
-
 def check_a_options(kind: str, opts: dict) -> None:
     """Raise ParameterError, naming the kind or the option, for an H_A
     configuration make_a_preconditioner refuses; only kind cg takes options."""
@@ -241,8 +236,8 @@ def check_a_options(kind: str, opts: dict) -> None:
     if unknown:
         raise ParameterError(f"unknown inner CG option {unknown[0]!r}; "
                              f"options are {', '.join(names)}")
-    for name in INNER_CG_OPTIONS:
-        if isinstance(opts.get(name), (bool, np.bool_)):
+    for name, typ in names.items():
+        if typ is not str and isinstance(opts.get(name), (bool, np.bool_)):
             raise ParameterError(
                 f"inner CG option {name!r} takes a number, got {opts[name]!r}")
     steps = opts.get("steps", 1)

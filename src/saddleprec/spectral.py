@@ -151,8 +151,10 @@ def measure_a0_b0(layout: InclusionLayout):
     restricting the pencil (S0, B_D + Q) to the complement basis rather than
     by filtering eigenvectors, because the value 1 is also attained by honest
     interior modes and eigensolvers mix the two subspaces freely inside the
-    degenerate cluster.
+    degenerate cluster.  check_dense_size refuses an oversize instance
+    before it is built.
     """
+    check_dense_size(layout)
     _, A, blocks, _ = build_problem(layout.mesh, layout)
     return _schur_pencil(A, blocks)[2:]
 
@@ -239,27 +241,28 @@ def verify_intervals(layout: InclusionLayout, ha_kind: str = "exact",
     The contrast is the eps stored on the layout; an assign_epsilon copy
     of it gives another one.  ha_kind "exact" uses the A block itself as
     the Gram factor (alpha = 1); "diagonal" substitutes diag(A).  The
-    inner-CG variant has no symmetric inverse matrix and is refused.
+    inner-CG variant has no symmetric inverse matrix; it, an unknown pencil
+    and an oversize instance are refused before anything is built.
     corrupt_q zeroes the rank-one coupling inside the saddle operator, a
     deliberate defect that must land eigenvalues outside both interval sets.
     """
-    check_dense_size(layout)
-    _, A, blocks, op = build_problem(layout.mesh, layout)
-    N, n = op.N, op.n
-
-    K = op.to_sparse().toarray()
-    if corrupt_q:
-        K[N:, N:] += blocks.q_sparse().toarray()   # strips -Q from the C block
-
     if ha_kind not in _GRAM_BLOCKS:
         raise ParameterError(
             f"ha_kind {ha_kind!r} has no symmetric inverse matrix to use as "
             "a Gram factor; dense verification supports "
             f"{' and '.join(map(repr, GRAM_KINDS))}")
-    gram = np.zeros_like(K)
-    gram[:N, :N] = _GRAM_BLOCKS[ha_kind](A)
     if pencil not in ("preconditioner", "ideal"):
         raise ParameterError(f"unknown pencil {pencil!r}")
+    check_dense_size(layout)
+    _, A, blocks, op = build_problem(layout.mesh, layout)
+    N = op.N
+
+    K = op.to_sparse().toarray()
+    if corrupt_q:
+        K[N:, N:] += blocks.q_sparse().toarray()   # strips -Q from the C block
+
+    gram = np.zeros_like(K)
+    gram[:N, :N] = _GRAM_BLOCKS[ha_kind](A)
     S0, BDQ, a0, b0 = _schur_pencil(A, blocks)
     gram[N:, N:] = BDQ if pencil == "preconditioner" else S0
 

@@ -53,14 +53,21 @@ def test_criterion_1_two_interval_spectrum():
             rep = verify_intervals(prob.layout, tol=1e-8)
             if not rep.stated_ok:
                 viol = rep.violations("stated")
+                at_minus_one = np.abs(viol + 1.0) <= 1e-8
+                above = viol[viol > rep.mu_hat1]
+                where = (f" in [{above.min():.3f}, {above.max():.3f}]"
+                         if len(above) else "")
                 bad.append(f"M={M} eps={eps:g}: {len(viol)} of "
                            f"{len(rep.eigenvalues)} eigenvalues outside, "
-                           f"worst {viol.min():.6f}")
+                           f"{at_minus_one.sum()} at -1 (below mu_check1 = "
+                           f"{rep.mu_check1:.3f}) and {len(above)}{where} "
+                           f"(above (1-sqrt 5)/2)")
     elapsed = time.time() - t0
     ok = not bad
     detail = (f"all 6 instances inside the set ({elapsed:.1f}s)" if ok else
-              f"{len(bad)}/6 instances escape the set; the kernel cluster "
-              f"sits at -1, below the stated lower endpoint; "
+              f"{len(bad)}/6 instances escape the set: the kernel cluster "
+              f"at -1 lies below the stated lower endpoint and part of the "
+              f"B_D+Q negative sector above its upper endpoint; "
               + "; ".join(bad) + f" ({elapsed:.1f}s)")
     _verdict(1, ok, detail)
     assert elapsed < 6 * 60

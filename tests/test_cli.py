@@ -90,8 +90,7 @@ def test_key_table_is_the_only_source_of_keys():
     # every table key is accepted somewhere
     assert set(cli._KEYS) <= accepted
     # every other accepted key is a generated H_A key
-    ha = re.compile(r"((%s)_)?ha(_(%s))?" % (
-        "|".join(cli._METHODS), "|".join(precond.INNER_CG_OPTIONS)))
+    ha = re.compile(r"((%s)_)?ha" % "|".join(cli._METHODS))
     assert all(ha.fullmatch(key) for key in accepted - set(cli._KEYS))
     assert cli._allowed_keys("spectrum") - set(cli._KEYS) == {"ha"}
     assert "ha" not in cli._allowed_keys("export-matrix")
@@ -108,13 +107,15 @@ def test_readme_names_only_keys_the_subcommand_accepts():
     # the subcommand table: | `command` | output | keys |
     rows = re.findall(r"^\| `([a-z-]+)` \| .* \| (.*) \|$", readme, re.M)
     assert sorted(command for command, _ in rows) == sorted(cli._ALL)
-    for command, keys in rows:
-        named = _backticked_keys(keys)
-        assert named and set(named) <= cli._allowed_keys(command), command
     common = re.search(r"^Common axes: (.*?)\. ", readme, re.M | re.S)
-    named = _backticked_keys(common.group(1))
-    assert named and all(set(named) <= cli._allowed_keys(command)
-                         for command in cli._ALL)
+    common = set(_backticked_keys(common.group(1)))
+    assert common and all(common <= cli._allowed_keys(command)
+                          for command in cli._ALL)
+    for command, keys in rows:
+        named = set(_backticked_keys(keys))
+        assert named and named <= cli._allowed_keys(command), command
+        # and the other way: every accepted key is documented
+        assert cli._allowed_keys(command) <= named | common, command
 
 
 def test_cli_error_exit_codes(tmp_path, capsys):
@@ -482,6 +483,19 @@ def test_cost_counts_equal_solve_counts(tmp_path, capsys):
             assert row[3 + 2 * i] == (f"{r['total_applies']} "
                                       f"({r['a_applies']}+{r['ha_applies']})")
     capsys.readouterr()
+
+
+def test_cost_default_kind_written_out_keeps_its_operator(tmp_path, capsys):
+    """pu_ha = cg names PU's default H_A, cost options and all."""
+    axes = "method = pu\nM = 16\n"
+    for name, text in (("bare", axes), ("named", axes + "pu_ha = cg\n")):
+        cfg = _write(tmp_path / f"{name}.cfg", text)
+        assert main(["cost", "--config", cfg,
+                     "--out", str(tmp_path / name)]) == EXIT_OK
+    capsys.readouterr()
+    bare, named = ((tmp_path / name / "cost.md").read_bytes()
+                   for name in ("bare", "named"))
+    assert bare == named and b"PU iters (H_A=cg)" in bare
 
 
 def test_cost_solver_error_names_instance(tmp_path, capsys):
@@ -891,28 +905,17 @@ def test_export_matrix_refuses_colliding_files(tmp_path, capsys, text):
     assert not out.exists()             # refused before anything is written
 
 
+# the CLI names an H_A kind only; inner-CG options are library arguments
 @pytest.mark.parametrize("command,text,match", [
     ("solve", "ha = exact\nha_steps = 3\n",
-     "config key ha: H_A kind 'exact' takes no options, got steps"),
-    ("solve", "ha = cg\nha_steps = 0\n", "at least 1 step, got 0"),
-    ("solve", "ha = cg\nha_fill_factor = 0\n",
-     "fill factor must be positive and finite, got 0.0"),
-    ("solve", "ha = cg\nha_fill_factor = nan\n",
-     "fill factor must be positive and finite, got nan"),
-    ("solve", "ha = cg\nha_fill_factor = inf\n",
-     "fill factor must be positive and finite, got inf"),
-    ("solve", "ha = cg\nha_drop_tol = -1\n",
-     "drop tolerance must be nonnegative and finite, got -1.0"),
-    ("solve", "ha = cg\nha_drop_tol = nan\n",
-     "drop tolerance must be nonnegative and finite, got nan"),
+     "unknown config key(s) for solve: ha_steps;"),
     ("solve", "ha = foo\n", "unknown ha 'foo'; use exact|cg|diagonal"),
     ("solve", "ha = cg\nha_base = ilu\n", "unknown config key(s) for solve: ha_base;"),
     ("spectrum", "ha = cg\n", "unknown ha 'cg'; use exact|diagonal"),
     ("cost", "pl_ha_steps = 4\n",
-     "config key pl_ha: H_A kind 'exact' takes no options, got steps"),
-], ids=["exact-with-option", "cg-zero-steps", "cg-zero-fill", "cg-nan-fill",
-        "cg-inf-fill", "cg-negative-drop", "cg-nan-drop", "unknown-kind",
-        "ha-base-gone", "spectrum-cg", "cost-option-on-exact"])
+     "unknown config key(s) for cost: pl_ha_steps;"),
+], ids=["exact-with-option", "unknown-kind", "ha-base-gone", "spectrum-cg",
+        "cost-option-on-exact"])
 def test_ha_config_refused_before_any_run(tmp_path, capsys, command, text,
                                           match):
     cfg = _write(tmp_path / "ha.cfg", "M = 8\n" + text)

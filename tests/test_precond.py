@@ -292,6 +292,7 @@ def test_make_a_preconditioner_dispatch(prob8):
     ({"fill_factor": np.nan}, "fill factor must be positive and finite"),
     ({"fill_factor": np.inf}, "fill factor must be positive and finite"),
     ({"fill_factor": -1.0}, "fill factor must be positive and finite"),
+    ({"fill_factor": 0.0}, "fill factor must be positive and finite"),
     ({"drop_tol": -1.0}, "drop tolerance must be nonnegative and finite"),
     ({"drop_tol": np.nan}, "drop tolerance must be nonnegative and finite"),
     ({"drop_tol": np.inf}, "drop tolerance must be nonnegative and finite"),
@@ -301,8 +302,8 @@ def test_make_a_preconditioner_dispatch(prob8):
     ({"fill_factor": True}, "option 'fill_factor' takes a number, got True"),
     ({"drop_tol": np.False_},
      "option 'drop_tol' takes a number, got np.False_"),
-], ids=["nan-fill", "inf-fill", "negative-fill", "negative-drop", "nan-drop",
-        "inf-drop", "fractional-steps", "zero-steps", "bool-steps",
+], ids=["nan-fill", "inf-fill", "negative-fill", "zero-fill", "negative-drop",
+        "nan-drop", "inf-drop", "fractional-steps", "zero-steps", "bool-steps",
         "bool-fill", "bool-drop"])
 def test_make_a_preconditioner_refuses_bad_ilu_options(prob8, opts, match):
     with pytest.raises(ParameterError, match=match):

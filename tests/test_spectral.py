@@ -13,6 +13,7 @@ from saddleprec import (
     ParameterError, ContractViolationError,
 )
 
+from saddleprec import precond, spectral
 from saddle_problems import make_problem, make_exact_precond
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
@@ -195,23 +196,35 @@ def test_verify_intervals_ideal_pencil(prob8):
     assert eigs[-1] <= rep.mu_hat2 + 1e-8
 
 
+def _count_calls(monkeypatch, calls, owner, name):
+    """Count the calls of owner.name in calls[name] for one test."""
+    fn = getattr(owner, name)
+    calls.setdefault(name, 0)
+
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+    monkeypatch.setattr(owner, name, wrapper)
+
+
 def test_verify_intervals_builds_and_factorizes_once(prob8, monkeypatch):
-    import saddleprec.precond as precond
-    import saddleprec.spectral as spectral
-    calls = {"build_problem": 0, "splu": 0}
-
-    def counting(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
-    monkeypatch.setattr(spectral, "build_problem",
-                        counting("build_problem", spectral.build_problem))
-    monkeypatch.setattr(precond.spla, "splu",
-                        counting("splu", precond.spla.splu))
+    calls = {}
+    _count_calls(monkeypatch, calls, spectral, "build_problem")
+    _count_calls(monkeypatch, calls, precond.spla, "splu")
     verify_intervals(prob8.layout, pencil="ideal")
     assert calls == {"build_problem": 1, "splu": 1}
+
+
+def test_measure_a0_b0_refuses_an_oversize_instance_before_building(
+        monkeypatch):
+    calls = {}
+    _count_calls(monkeypatch, calls, spectral, "build_problem")
+    big = assign_epsilon(place_periodic(build_mesh(64), 2), "uniform",
+                         epsilon=1e-4)
+    with pytest.raises(ParameterError, match="instance M=64 k=2 has "
+                                             "dimension 6273 > 2000"):
+        measure_a0_b0(big)
+    assert calls == {"build_problem": 0}
 
 
 def test_verify_intervals_mixed_contrast_envelope():
@@ -230,15 +243,18 @@ def test_verify_intervals_flags_corrupted_coupling(prob8):
     assert np.abs(rep.eigenvalues).min() <= 1e-10
 
 
-def test_verify_intervals_parameter_contracts(prob8):
-    with pytest.raises(ParameterError):
+def test_verify_intervals_parameter_contracts(prob8, monkeypatch):
+    calls = {}
+    _count_calls(monkeypatch, calls, spectral, "build_problem")
+    with pytest.raises(ParameterError, match="'cg'"):
         verify_intervals(prob8.layout, ha_kind="cg")
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match="'exotic'"):
         verify_intervals(prob8.layout, pencil="exotic")
     big = assign_epsilon(place_periodic(build_mesh(64), 2), "uniform",
                          epsilon=1e-4)
     with pytest.raises(ParameterError):
         verify_intervals(big)
+    assert calls == {"build_problem": 0}    # each refused before any build
 
 
 def test_verify_intervals_uniform_override(prob8):
