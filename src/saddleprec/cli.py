@@ -162,13 +162,9 @@ def _allowed_keys(command):
     return ({key for key, row in _KEYS.items() if command in row.commands}
             | {p + "ha" for p in _HA_KEYS[command][1]})
 
-# per-method default H_A (kind, options) of the cost table, mirroring the
-# benchmark: PU runs an inner-CG H_A, the Krylov methods an exact one
-_COST_HA = {
-    "pu": ("cg", {"steps": 12, "drop_tol": 1e-2, "fill_factor": 8.0}),
-    "pl": ("exact", {}),
-    "pcgk": ("exact", {}),
-}
+# per-method default H_A kind of the cost table: PU runs the inner-CG H_A,
+# the Krylov methods the exact one
+_COST_HA = {"pu": "cg", "pl": "exact", "pcgk": "exact"}
 
 
 def _convert(key, conv, text):
@@ -189,19 +185,11 @@ def _admit(key, value, admit, label=None):
         raise ConfigError(f"unknown {key} {value!r}; use {'|'.join(admit)}")
 
 
-def _ha_config(raw, prefix, kinds, kind, opts):
-    """(kind, opts) of one H_A: the default (kind, opts) unless a <prefix>ha
-    key names another kind, which then takes the library's defaults."""
-    chosen = raw.get(prefix + "ha", kind)
-    _admit(prefix + "ha", chosen, kinds)
-    return (kind, opts) if chosen == kind else (chosen, {})
-
-
 def build_config(command: str, raw: dict, path: str,
                  seed_override: int | None = None) -> types.SimpleNamespace:
     """The validated config: one attribute per key of _KEYS, a list for a
-    list key, plus command, seed_override, ha (method -> (H_A kind,
-    options)) and config_sha."""
+    list key, plus command, seed_override, ha (method -> H_A kind) and
+    config_sha."""
     allowed = _allowed_keys(command)
     unknown = sorted(set(raw) - allowed)
     if unknown:
@@ -226,13 +214,11 @@ def build_config(command: str, raw: dict, path: str,
     if seed_override is not None:
         _admit("seed", seed_override, _KEYS["seed"].admit, "--seed")
         cfg.seed = [seed_override]
-    kinds = _HA_KEYS[command][0]
-    if command == "cost":       # <method>_ha keys over _COST_HA
-        cfg.ha = {m: _ha_config(raw, f"{m}_", kinds, *_COST_HA[m])
-                  for m in _METHODS}
-    else:                       # the one ha key for every method
-        cfg.ha = dict.fromkeys(_METHODS, _ha_config(raw, "", kinds, "exact",
-                                                    {}))
+    cfg.ha = {}
+    for m in _METHODS:      # cost: <method>_ha over _COST_HA; else one ha key
+        key = f"{m}_ha" if command == "cost" else "ha"
+        cfg.ha[m] = raw.get(key, _COST_HA[m] if command == "cost" else "exact")
+        _admit(key, cfg.ha[m], _HA_KEYS[command][0])
     with open(path, "rb") as fh:
         cfg.config_sha = hashlib.sha256(fh.read()).hexdigest()
     return cfg
@@ -320,18 +306,16 @@ def _sweep(cfg, layouts, instances, threads):
     """(_run_solve row per instance in the given order, H_A set-ups) of
     instances (method, M, k, layout, eps_mode, eps_min, delta, seed).
 
-    The instances of one operator key and H_A setting (kind, options),
-    wherever they sit, form one worker task; tasks run in order of first
-    appearance.  A task's first instance builds its eps-free H, which the
-    task frees when it returns: one set-up per (placement, H_A setting) and
-    one H_A per worker, whatever the thread count.  A failing sweep raises
-    the first failure in this execution order.
+    The instances of one operator key and H_A kind, wherever they sit, form
+    one worker task; tasks run in order of first appearance.  A task's first
+    instance builds its eps-free H, which the task frees when it returns:
+    one set-up per (placement, H_A kind) and one H_A per worker, whatever
+    the thread count.  A failing sweep raises the first failure in this
+    execution order.
     """
-    tasks = {}      # (operator key, kind, options) -> instance indices
+    tasks = {}      # (operator key, H_A kind) -> instance indices
     for i, (method, *ax) in enumerate(instances):
-        kind, opts = cfg.ha[method]
-        key = _operator_key(ax), kind, tuple(sorted(opts.items()))
-        tasks.setdefault(key, []).append(i)
+        tasks.setdefault((_operator_key(ax), cfg.ha[method]), []).append(i)
     groups = list(tasks.values())
 
     def task(indices):
@@ -351,11 +335,11 @@ def _run_solve(cfg, lay, shared, instance):
     instances of one task share, built by the first that needs it: the H
     (eps free) and, with rhs = one, the right-hand side."""
     method, M, k, layout, eps_mode, eps_min, delta, seed = instance
-    kind, opts = cfg.ha[method]
+    kind = cfg.ha[method]
     ordering, A, blocks, op = build_problem(lay.mesh, lay)
     try:
         if shared.H is None:
-            shared.H = build_block_preconditioner(A, blocks, kind, **opts)
+            shared.H = build_block_preconditioner(A, blocks, kind)
         if cfg.rhs == "one":
             if shared.F is None:
                 shared.F = np.concatenate((assemble_load(
@@ -370,7 +354,7 @@ def _run_solve(cfg, lay, shared, instance):
     except _SOLVER_ERRORS as exc:   # name the instance
         raise type(exc)(
             f"{exc} [method={method} M={M} k={k} {layout} eps_min={eps_min:g} "
-            f"delta={delta:g} seed={seed}]") from exc
+            f"eps_mode={eps_mode} delta={delta:g} seed={seed}]") from exc
     return {
         "method": method, "M": M, "k": k, "layout": layout,
         "removal": lay.removal_count,
@@ -389,7 +373,7 @@ def _run_solve(cfg, lay, shared, instance):
 
 def _run_spectrum(cfg, lay, axes):
     M, k, layout, eps_mode, eps_min, pencil, seed = axes
-    kind = cfg.ha["pl"][0]      # every method maps to the one ha key
+    kind = cfg.ha["pl"]         # every method maps to the one ha key
     rep = verify_intervals(lay, ha_kind=kind, pencil=pencil,
                            tol=cfg.tol, corrupt_q=cfg.corrupt_q)
     row = {
@@ -545,7 +529,7 @@ def cmd_cost(cfg, layouts: dict, out_dir: str, threads: int) -> int:
     header = [("M", "k", "layout", "eps_mode", "eps_min", "delta", "seed")[i]
               for i in labels]
     for m in cfg.method:
-        header.append(f"{m.upper()} iters (H_A={cfg.ha[m][0]})")
+        header.append(f"{m.upper()} iters (H_A={cfg.ha[m]})")
         header.append(f"{m.upper()} A+H_A")
     lines = ["| " + " | ".join(header) + " |",
              "|" + "|".join(" --- " for _ in header) + "|"]

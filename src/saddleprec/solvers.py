@@ -204,13 +204,21 @@ def _conjugate_cg(run, start, precondition, images, form, breakdown):
     return diag, _sqrt_ratios(b[1:]) / a[:-1]
 
 
+def _input_vector(name, v, size):
+    """A float copy of the solver input v, or zeros when v is None; raises
+    ParameterError naming it unless its shape is (size,)."""
+    if v is None:
+        return np.zeros(size)
+    v = np.array(v, dtype=float)
+    if v.shape != (size,):
+        raise ParameterError(
+            f"{name} has shape {v.shape}; the system needs ({size},)")
+    return v
+
+
 def _split_rhs(op, F):
     """Normalize right-hand side input to (fbar, gbar)."""
-    if F is None:
-        return np.zeros(op.N), np.zeros(op.n)
-    F = np.asarray(F, dtype=float)
-    if F.shape != (op.size,):
-        raise ParameterError(f"right-hand side must have length {op.size}")
+    F = _input_vector("F", F, op.size)
     return F[:op.N], F[op.N:]
 
 
@@ -256,7 +264,7 @@ def pu_solve(op: SaddleOperator, precond: BlockPreconditioner, F=None,
                else "preconditioned-residual", delta, max_iter, counter)
     counter = run.counter
     blocks = op.blocks
-    p = np.zeros(op.n) if p0 is None else np.asarray(p0, dtype=float).copy()
+    p = _input_vector("p0", p0, op.n)
 
     # r0 = S_eps p0 - (B H_A fbar - gbar) with tags r = B_D u_pre + Q q_pre
     # carried along the whole iteration
@@ -295,8 +303,7 @@ def _saddle_start(op, precond, F, z0, run):
     """Shared PL/PCG-K start: z0, rho = A_eps z0 - F and v = H rho, and the
     initial K-norm.  The lower block of rho is tagged by the source tags of
     z0 minus the tags of the constraint data gbar."""
-    z = (np.zeros(op.size) if z0 is None
-         else np.asarray(z0, dtype=float).copy())
+    z = _input_vector("z0", z0, op.size)
     fbar, gbar = _split_rhs(op, F)
     rho = op.apply(z, run.counter)
     rho[:op.N] -= fbar
@@ -395,12 +402,11 @@ def cg_solve(A, b, precond=None, x0=None, delta: float = 1e-6,
     Homogeneous systems (b = 0) stop on the A-norm of the iterate, which is
     the error norm; otherwise on the 2-norm of the residual relative to b.
     """
-    b = np.zeros(A.shape[0]) if b is None else np.asarray(b, dtype=float)
+    b = _input_vector("b", b, A.shape[0])
     homogeneous = not np.any(b)
     run = _Run("cg", "iterate-A-norm" if homogeneous else "residual-2-norm",
                delta, max_iter, counter)
-    x = (np.zeros(A.shape[0]) if x0 is None
-         else np.asarray(x0, dtype=float).copy())
+    x = _input_vector("x0", x0, A.shape[0])
     r = A @ x - b
     run.counter.a += 1
 

@@ -486,7 +486,8 @@ def test_cost_counts_equal_solve_counts(tmp_path, capsys):
 
 
 def test_cost_default_kind_written_out_keeps_its_operator(tmp_path, capsys):
-    """pu_ha = cg names PU's default H_A, cost options and all."""
+    """pu_ha = cg names PU's default H_A: the library's inner CG, the one
+    solve builds for ha = cg; no second, tuned cg hides behind the name."""
     axes = "method = pu\nM = 16\n"
     for name, text in (("bare", axes), ("named", axes + "pu_ha = cg\n")):
         cfg = _write(tmp_path / f"{name}.cfg", text)
@@ -496,6 +497,41 @@ def test_cost_default_kind_written_out_keeps_its_operator(tmp_path, capsys):
     bare, named = ((tmp_path / name / "cost.md").read_bytes()
                    for name in ("bare", "named"))
     assert bare == named and b"PU iters (H_A=cg)" in bare
+
+
+@pytest.mark.parametrize("command,text,kinds", [
+    ("solve", "method = pu, pl, pcgk\nha = cg\n", ["cg"]),
+    ("cost", "method = pu, pl, pcgk\n", ["cg", "exact"]),
+], ids=["solve-cg", "cost-defaults"])
+def test_sweeps_pass_no_ha_option(tmp_path, capsys, monkeypatch, command,
+                                  text, kinds):
+    # the CLI names an H_A kind and nothing else: each set-up gets the
+    # library's operator of that kind
+    calls = []
+    original = cli.build_block_preconditioner
+
+    def recorded(A, blocks, *args, **kwargs):
+        calls.append((args, kwargs))
+        return original(A, blocks, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "build_block_preconditioner", recorded)
+    cfg = _write(tmp_path / "ha.cfg", "M = 8\n" + text)
+    assert main([command, "--config", cfg,
+                 "--out", str(tmp_path / "out")]) == EXIT_OK
+    assert sorted(args for args, _ in calls) == [(kind,) for kind in kinds]
+    assert all(kwargs == {} for _, kwargs in calls)
+    capsys.readouterr()
+
+
+def test_cost_default_runs_at_m256(tmp_path, capsys):
+    # a shipped default must run at the sizes the benchmark covers; PU on
+    # the inner CG with ILU drop 1e-2 and fill 8 lost S-positivity here
+    cfg = _write(tmp_path / "cost.cfg", "method = pu\nM = 256\n")
+    out = tmp_path / "out"
+    assert main(["cost", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    header, rows = _table(out / "cost.md")
+    assert header[1] == "PU iters (H_A=cg)" and len(rows) == 1
+    capsys.readouterr()
 
 
 def test_cost_solver_error_names_instance(tmp_path, capsys):
@@ -509,6 +545,20 @@ max_iter = 1
     err = capsys.readouterr().err
     assert "solver error: PL did not reach" in err
     assert "[method=pl M=8 k=2 periodic eps_min=0.0001" in err
+
+
+def test_failing_instances_of_each_eps_mode_get_their_own_label(tmp_path,
+                                                                capsys):
+    labels = []
+    for mode in ("uniform", "random"):
+        cfg = _write(tmp_path / f"{mode}.cfg", "method = pl\nM = 8\n"
+                     f"eps_mode = {mode}\nmax_iter = 1\n")
+        assert main(["cost", "--config", cfg,
+                     "--out", str(tmp_path / mode)]) == EXIT_ERROR
+        labels.append(capsys.readouterr().err.rsplit("[", 1)[1])
+    assert labels[0] != labels[1]
+    for label, mode in zip(labels, ("uniform", "random")):
+        assert f"eps_min=0.0001 eps_mode={mode} delta=" in label
 
 
 # ---------------------------------------------------------------------------
@@ -950,7 +1000,7 @@ def test_shipped_config_runs(tmp_path, capsys, name):
 _SHIPPED_BYTES = {
     "cost_table.cfg": {
         "cost.md":
-        "252c011aeccd85120af557e2088db47449567ad5470e2f67b4a6e8f44af10b82"},
+        "9da26d5afacfa6fed7e2dfac7d18fb0996472059d6c3d958054b367fa5601874"},
     "export_saddle.cfg": {
         "saddle_M16_k2_periodic_0.0001.mtx":
         "886b2ae515a0f03f8a71cb74992a985eb4764371d8bda0c94332d3bc2f2126b6"},

@@ -301,8 +301,24 @@ def test_random_guess_reproducible():
 
 def test_rhs_length_validation(prob8):
     pre = make_exact_precond(prob8)
-    with pytest.raises(ParameterError):
-        pl_solve(prob8.op, pre, F=np.ones(3))
+    op, A = prob8.op, prob8.A
+    # every start vector and right-hand side of every solver is refused by
+    # name with both shapes, before any operator sees it; one test, so its
+    # id stays the one it had with the first case alone
+    cases = [
+        (lambda: pl_solve(op, pre, F=np.ones(3)), "F", 3, op.size),
+        (lambda: pu_solve(op, pre, F=np.ones(op.N)), "F", op.N, op.size),
+        (lambda: pu_solve(op, pre, p0=np.ones(op.size)), "p0", op.size, op.n),
+        (lambda: pl_solve(op, pre, z0=np.ones(op.n)), "z0", op.n, op.size),
+        (lambda: pcg_k_solve(op, pre, z0=[1.0]), "z0", 1, op.size),
+        (lambda: cg_solve(A, np.ones(op.n)), "b", op.n, op.N),
+        (lambda: cg_solve(A, None, x0=np.ones(op.size)), "x0", op.size, op.N),
+    ]
+    for call, name, got, need in cases:
+        with pytest.raises(ParameterError,
+                           match=rf"^{name} has shape \({got},\); the system "
+                                 rf"needs \({need},\)$"):
+            call()
 
 
 # ---------------------------------------------------------------------------
