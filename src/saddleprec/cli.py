@@ -56,7 +56,7 @@ from .precond import (A_KINDS, ContractViolationError, SolverBreakdownError,
                       build_block_preconditioner)
 from .solvers import (pu_solve, pl_solve, pcg_k_solve, random_guess,
                       OperatorContractError, MaxIterationsError)
-from .spectral import GRAM_KINDS, check_dense_size, verify_intervals
+from .spectral import check_dense_size, verify_intervals
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -147,24 +147,17 @@ _KEYS = {
     "matrix": _Key(str, "saddle", ("saddle", "stiffness", "sigma"),
                    ("export-matrix",)),
     "name": _Key(str, None, None, ("export-matrix",)),
+    # the H_A kind of solve's runs, and of cost's runs per method
+    "ha": _Key(str, "exact", tuple(A_KINDS), ("solve",)),
+    "pu_ha": _Key(str, "cg", tuple(A_KINDS), ("cost",)),
+    "pl_ha": _Key(str, "exact", tuple(A_KINDS), ("cost",)),
+    "pcgk_ha": _Key(str, "exact", tuple(A_KINDS), ("cost",)),
 }
-
-# per subcommand: the H_A kinds its ha keys accept and the prefixes of those
-# keys, <prefix>ha; export-matrix builds no H_A and has no ha key
-_HA_KEYS = {"solve": (tuple(A_KINDS), ("",)),
-            "spectrum": (GRAM_KINDS, ("",)),
-            "cost": (tuple(A_KINDS), tuple(f"{m}_" for m in _METHODS)),
-            "export-matrix": (tuple(A_KINDS), ())}
 
 
 def _allowed_keys(command):
-    """The _KEYS keys command accepts and its generated H_A keys."""
-    return ({key for key, row in _KEYS.items() if command in row.commands}
-            | {p + "ha" for p in _HA_KEYS[command][1]})
-
-# per-method default H_A kind of the cost table: PU runs the inner-CG H_A,
-# the Krylov methods the exact one
-_COST_HA = {"pu": "cg", "pl": "exact", "pcgk": "exact"}
+    """The _KEYS keys command accepts."""
+    return {key for key, row in _KEYS.items() if command in row.commands}
 
 
 def _convert(key, conv, text):
@@ -188,8 +181,7 @@ def _admit(key, value, admit, label=None):
 def build_config(command: str, raw: dict, path: str,
                  seed_override: int | None = None) -> types.SimpleNamespace:
     """The validated config: one attribute per key of _KEYS, a list for a
-    list key, plus command, seed_override, ha (method -> H_A kind) and
-    config_sha."""
+    list key, plus command, seed_override and config_sha."""
     allowed = _allowed_keys(command)
     unknown = sorted(set(raw) - allowed)
     if unknown:
@@ -214,11 +206,6 @@ def build_config(command: str, raw: dict, path: str,
     if seed_override is not None:
         _admit("seed", seed_override, _KEYS["seed"].admit, "--seed")
         cfg.seed = [seed_override]
-    cfg.ha = {}
-    for m in _METHODS:      # cost: <method>_ha over _COST_HA; else one ha key
-        key = f"{m}_ha" if command == "cost" else "ha"
-        cfg.ha[m] = raw.get(key, _COST_HA[m] if command == "cost" else "exact")
-        _admit(key, cfg.ha[m], _HA_KEYS[command][0])
     with open(path, "rb") as fh:
         cfg.config_sha = hashlib.sha256(fh.read()).hexdigest()
     return cfg
@@ -315,7 +302,7 @@ def _sweep(cfg, layouts, instances, threads):
     """
     tasks = {}      # (operator key, H_A kind) -> instance indices
     for i, (method, *ax) in enumerate(instances):
-        tasks.setdefault((_operator_key(ax), cfg.ha[method]), []).append(i)
+        tasks.setdefault((_operator_key(ax), _ha(cfg, method)), []).append(i)
     groups = list(tasks.values())
 
     def task(indices):
@@ -330,12 +317,17 @@ def _sweep(cfg, layouts, instances, threads):
     return rows, len(groups)
 
 
+def _ha(cfg, method):
+    """The H_A kind of method's runs: cost's <method>_ha, else solve's ha."""
+    return getattr(cfg, f"{method}_ha" if cfg.command == "cost" else "ha")
+
+
 def _run_solve(cfg, lay, shared, instance):
     """One solve of the instance on its layout.  shared holds what the
     instances of one task share, built by the first that needs it: the H
     (eps free) and, with rhs = one, the right-hand side."""
     method, M, k, layout, eps_mode, eps_min, delta, seed = instance
-    kind = cfg.ha[method]
+    kind = _ha(cfg, method)
     ordering, A, blocks, op = build_problem(lay.mesh, lay)
     try:
         if shared.H is None:
@@ -373,13 +365,12 @@ def _run_solve(cfg, lay, shared, instance):
 
 def _run_spectrum(cfg, lay, axes):
     M, k, layout, eps_mode, eps_min, pencil, seed = axes
-    kind = cfg.ha["pl"]         # every method maps to the one ha key
-    rep = verify_intervals(lay, ha_kind=kind, pencil=pencil,
-                           tol=cfg.tol, corrupt_q=cfg.corrupt_q)
+    rep = verify_intervals(lay, pencil=pencil, tol=cfg.tol,
+                           corrupt_q=cfg.corrupt_q)
     row = {
         "M": M, "k": k, "layout": layout, "eps_mode": eps_mode,
         "eps_min": eps_min, "eps_max": rep.eps_max, "pencil": pencil,
-        "ha": kind, "seed": seed,
+        "ha": "exact", "seed": seed,     # the dense check's H_A is A^{-1}
         "dim": lay.mesh.n_interior + lay.n,
         "a0": f"{rep.a0:.12f}", "b0": f"{rep.b0:.12f}",
         "r_max": f"{rep.r_max:.12f}",
@@ -529,7 +520,7 @@ def cmd_cost(cfg, layouts: dict, out_dir: str, threads: int) -> int:
     header = [("M", "k", "layout", "eps_mode", "eps_min", "delta", "seed")[i]
               for i in labels]
     for m in cfg.method:
-        header.append(f"{m.upper()} iters (H_A={cfg.ha[m]})")
+        header.append(f"{m.upper()} iters (H_A={_ha(cfg, m)})")
         header.append(f"{m.upper()} A+H_A")
     lines = ["| " + " | ".join(header) + " |",
              "|" + "|".join(" --- " for _ in header) + "|"]

@@ -23,6 +23,7 @@ symmetry first and refuse an A that fails the probe.
 from __future__ import annotations
 
 import dataclasses
+import inspect
 
 import numpy as np
 import scipy.linalg
@@ -169,14 +170,28 @@ class InnerCgAInverse:
     """
 
     kind = "cg"
-    # the options in the order of __init__'s parameters, with their types
-    options = {"steps": int, "base": str, "drop_tol": float,
-               "fill_factor": float}
 
     def __init__(self, A: sp.csr_matrix, steps: int = 12, base: str = "ilu",
                  drop_tol: float = 5e-4, fill_factor: float = 12.0):
-        check_a_options(self.kind, dict(zip(
-            self.options, (steps, base, drop_tol, fill_factor))))
+        for name, value in (("steps", steps), ("drop_tol", drop_tol),
+                            ("fill_factor", fill_factor)):
+            if isinstance(value, (bool, np.bool_)):
+                raise ParameterError(
+                    f"inner CG option {name!r} takes a number, got {value!r}")
+        if not isinstance(steps, (int, np.integer)) or steps < 1:
+            raise ParameterError("inner CG steps: a whole number, at least "
+                                 f"1 step, got {steps!r}")
+        if base != "ilu":
+            raise ParameterError(
+                f"unknown inner CG base {base!r}; only 'ilu' is supported")
+        # SuperLU loops forever on a zero fill factor, rejects a negative one
+        # and runs out of memory on a non-finite one; NaN fails both tests
+        if not 0.0 < fill_factor < np.inf:
+            raise ParameterError("ILU fill factor must be positive and finite, "
+                                 f"got {fill_factor}")
+        if not 0.0 <= drop_tol < np.inf:
+            raise ParameterError("ILU drop tolerance must be nonnegative and "
+                                 f"finite, got {drop_tol}")
         self.A = A.tocsr()
         self.steps = steps
         self._ilu = spla.spilu(_symmetric_csc(A, self.kind),
@@ -223,43 +238,20 @@ A_KINDS = {cls.kind: cls
            for cls in (ExactAInverse, InnerCgAInverse, DiagonalAInverse)}
 
 
-def check_a_options(kind: str, opts: dict) -> None:
-    """Raise ParameterError, naming the kind or the option, for an H_A
-    configuration make_a_preconditioner refuses; only kind cg takes options."""
+def make_a_preconditioner(A: sp.csr_matrix, kind: str = "exact", **opts):
+    """Factory for the pluggable H_A operator: ParameterError names an
+    unknown kind or option; only kind cg takes options, and it checks
+    their values itself."""
     if kind not in A_KINDS:
         raise ParameterError(f"unknown H_A kind {kind!r}")
     if kind != InnerCgAInverse.kind and opts:
         raise ParameterError(
             f"H_A kind {kind!r} takes no options, got {', '.join(sorted(opts))}")
-    names = InnerCgAInverse.options
+    names = list(inspect.signature(InnerCgAInverse).parameters)[1:]
     unknown = sorted(set(opts) - set(names))
     if unknown:
         raise ParameterError(f"unknown inner CG option {unknown[0]!r}; "
                              f"options are {', '.join(names)}")
-    for name, typ in names.items():
-        if typ is not str and isinstance(opts.get(name), (bool, np.bool_)):
-            raise ParameterError(
-                f"inner CG option {name!r} takes a number, got {opts[name]!r}")
-    steps = opts.get("steps", 1)
-    if not isinstance(steps, (int, np.integer)) or steps < 1:
-        raise ParameterError(
-            f"inner CG steps: a whole number, at least 1 step, got {steps!r}")
-    if opts.get("base", "ilu") != "ilu":
-        raise ParameterError(
-            f"unknown inner CG base {opts['base']!r}; only 'ilu' is supported")
-    # SuperLU loops forever on a zero fill factor, rejects a negative one
-    # and runs out of memory on a non-finite one; NaN fails both tests
-    if not 0.0 < opts.get("fill_factor", 1.0) < np.inf:
-        raise ParameterError("ILU fill factor must be positive and finite, "
-                             f"got {opts['fill_factor']}")
-    if not 0.0 <= opts.get("drop_tol", 0.0) < np.inf:
-        raise ParameterError("ILU drop tolerance must be nonnegative and "
-                             f"finite, got {opts['drop_tol']}")
-
-
-def make_a_preconditioner(A: sp.csr_matrix, kind: str = "exact", **opts):
-    """Factory for the pluggable H_A operator."""
-    check_a_options(kind, opts)
     return A_KINDS[kind](A, **opts)
 
 

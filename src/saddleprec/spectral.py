@@ -32,12 +32,6 @@ MU_HAT_2 = (1.0 + np.sqrt(5.0)) / 2.0
 # Largest total dimension (N + n) accepted by the dense eigensolvers.
 DENSE_LIMIT = 2000
 
-# the H_A kinds dense verification accepts, each with the Gram block it puts
-# on the A rows: the matrix whose inverse H_A applies (inner CG has none)
-_GRAM_BLOCKS = {"exact": lambda A: A.toarray(),
-                "diagonal": lambda A: np.diag(A.diagonal())}
-GRAM_KINDS = tuple(_GRAM_BLOCKS)
-
 
 def check_dense_size(layout: InclusionLayout) -> None:
     """ParameterError if the instance's dimension N + n exceeds DENSE_LIMIT."""
@@ -233,24 +227,18 @@ def envelope_membership(eigs, pencil, eps_min, eps_max, a0, b0, tol):
     return on_minus_one | in_neg | in_pos
 
 
-def verify_intervals(layout: InclusionLayout, ha_kind: str = "exact",
-                     pencil: str = "preconditioner", tol: float = 1e-8,
+def verify_intervals(layout: InclusionLayout, pencil: str = "preconditioner",
+                     tol: float = 1e-8,
                      corrupt_q: bool = False) -> SpectrumReport:
     """Dense spectrum of H A_eps with interval classification.
 
     The contrast is the eps stored on the layout; an assign_epsilon copy
-    of it gives another one.  ha_kind "exact" uses the A block itself as
-    the Gram factor (alpha = 1); "diagonal" substitutes diag(A).  The
-    inner-CG variant has no symmetric inverse matrix; it, an unknown pencil
-    and an oversize instance are refused before anything is built.
+    of it gives another one.  H_A is the exact A^{-1}, so the A block itself
+    is the Gram factor on the A rows (alpha = 1).  An unknown pencil and an
+    oversize instance are refused before anything is built.
     corrupt_q zeroes the rank-one coupling inside the saddle operator, a
     deliberate defect that must land eigenvalues outside both interval sets.
     """
-    if ha_kind not in _GRAM_BLOCKS:
-        raise ParameterError(
-            f"ha_kind {ha_kind!r} has no symmetric inverse matrix to use as "
-            "a Gram factor; dense verification supports "
-            f"{' and '.join(map(repr, GRAM_KINDS))}")
     if pencil not in ("preconditioner", "ideal"):
         raise ParameterError(f"unknown pencil {pencil!r}")
     check_dense_size(layout)
@@ -262,7 +250,7 @@ def verify_intervals(layout: InclusionLayout, ha_kind: str = "exact",
         K[N:, N:] += blocks.q_sparse().toarray()   # strips -Q from the C block
 
     gram = np.zeros_like(K)
-    gram[:N, :N] = _GRAM_BLOCKS[ha_kind](A)
+    gram[:N, :N] = A.toarray()
     S0, BDQ, a0, b0 = _schur_pencil(A, blocks)
     gram[N:, N:] = BDQ if pencil == "preconditioner" else S0
 

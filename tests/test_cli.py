@@ -60,6 +60,9 @@ def test_parse_config_errors(tmp_path):
     dup = _write(tmp_path / "c.cfg", "M = 8\nM = 16\n")
     with pytest.raises(ConfigError, match="duplicate"):
         parse_config(dup)
+    keyless = _write(tmp_path / "d.cfg", "M = 8\n= 8\n")
+    with pytest.raises(ConfigError, match="d.cfg:2: empty key"):
+        parse_config(keyless)
 
 
 def test_build_config_rejects_unknown_keys(tmp_path):
@@ -83,17 +86,26 @@ def test_build_config_validates_values(tmp_path):
         cfg = _write(tmp_path / "bad.cfg", text)
         with pytest.raises(ConfigError, match=re.escape(match)):
             build_config("solve", parse_config(cfg), cfg)
+    for word in ("off", "no"):
+        cfg = _write(tmp_path / "off.cfg", f"corrupt_q = {word}\n")
+        assert build_config("spectrum", parse_config(cfg),
+                            cfg).corrupt_q is False
+    cfg = _write(tmp_path / "bad.cfg", "corrupt_q = maybe\n")
+    with pytest.raises(ConfigError, match=re.escape(
+            "config key 'corrupt_q': expected a boolean, got 'maybe'")):
+        build_config("spectrum", parse_config(cfg), cfg)
 
 
 def test_key_table_is_the_only_source_of_keys():
     accepted = set().union(*map(cli._allowed_keys, cli._ALL))
-    # every table key is accepted somewhere
-    assert set(cli._KEYS) <= accepted
-    # every other accepted key is a generated H_A key
-    ha = re.compile(r"((%s)_)?ha" % "|".join(cli._METHODS))
-    assert all(ha.fullmatch(key) for key in accepted - set(cli._KEYS))
-    assert cli._allowed_keys("spectrum") - set(cli._KEYS) == {"ha"}
-    assert "ha" not in cli._allowed_keys("export-matrix")
+    # every table key is accepted somewhere, and no other key is
+    assert accepted == set(cli._KEYS)
+    # only the sweeps build an H_A: solve names one kind, cost one per method
+    ha = {key for key in cli._KEYS if key.endswith("ha")}
+    assert {command: cli._allowed_keys(command) & ha
+            for command in cli._ALL} == {
+        "solve": {"ha"}, "spectrum": set(),
+        "cost": {f"{m}_ha" for m in cli._METHODS}, "export-matrix": set()}
 
 
 def _backticked_keys(text):
@@ -955,13 +967,14 @@ def test_export_matrix_refuses_colliding_files(tmp_path, capsys, text):
     assert not out.exists()             # refused before anything is written
 
 
-# the CLI names an H_A kind only; inner-CG options are library arguments
+# the CLI names an H_A kind only, and only for a sweep: inner-CG options are
+# library arguments, and the dense check's H_A is always the exact one
 @pytest.mark.parametrize("command,text,match", [
     ("solve", "ha = exact\nha_steps = 3\n",
      "unknown config key(s) for solve: ha_steps;"),
     ("solve", "ha = foo\n", "unknown ha 'foo'; use exact|cg|diagonal"),
     ("solve", "ha = cg\nha_base = ilu\n", "unknown config key(s) for solve: ha_base;"),
-    ("spectrum", "ha = cg\n", "unknown ha 'cg'; use exact|diagonal"),
+    ("spectrum", "ha = cg\n", "unknown config key(s) for spectrum: ha;"),
     ("cost", "pl_ha_steps = 4\n",
      "unknown config key(s) for cost: pl_ha_steps;"),
 ], ids=["exact-with-option", "unknown-kind", "ha-base-gone", "spectrum-cg",

@@ -208,7 +208,7 @@ def _fletcher_reeves(A, r, steps, ilu_options):
 
 @pytest.mark.parametrize("opts", [
     {}, {"steps": 12, "drop_tol": 1e-2, "fill_factor": 8.0}, {"steps": 1},
-], ids=["default", "cost-default", "one-step"])
+], ids=["default", "tuned", "one-step"])
 def test_inner_cg_is_the_textbook_fletcher_reeves_recurrence(opts):
     # the inner CG's bits are pinned by CLI outputs; this pins them at
     # library level against the recurrence written out in full

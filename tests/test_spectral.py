@@ -246,8 +246,6 @@ def test_verify_intervals_flags_corrupted_coupling(prob8):
 def test_verify_intervals_parameter_contracts(prob8, monkeypatch):
     calls = {}
     _count_calls(monkeypatch, calls, spectral, "build_problem")
-    with pytest.raises(ParameterError, match="'cg'"):
-        verify_intervals(prob8.layout, ha_kind="cg")
     with pytest.raises(ParameterError, match="'exotic'"):
         verify_intervals(prob8.layout, pencil="exotic")
     big = assign_epsilon(place_periodic(build_mesh(64), 2), "uniform",
