@@ -159,8 +159,6 @@ class InclusionLayout:
     cell_ids: np.ndarray    # (m, k*k)
     inclusions: tuple       # Inclusion anchor of each row of corners
     eps: np.ndarray
-    mode: str = "custom"
-    seed: int | None = None
     removal_count: int = 0
     slot: PlacementSlot = dataclasses.field(default_factory=PlacementSlot,
                                             repr=False)
@@ -197,7 +195,6 @@ def _block_ids(cx, cy, width, stride):
 
 
 def layout_from_cells(mesh: StructuredMesh, k: int, corners,
-                      mode: str = "custom", seed: int | None = None,
                       removal_count: int = 0) -> InclusionLayout:
     """Build a validated layout from anchor cells (lower-left cell of each
     inclusion).
@@ -235,7 +232,7 @@ def layout_from_cells(mesh: StructuredMesh, k: int, corners,
     incs = tuple(map(Inclusion._make, corners.tolist()))
     return InclusionLayout(mesh=mesh, k=k, corners=corners, node_gids=gids,
                            cell_ids=cells, inclusions=incs,
-                           eps=np.ones(len(corners)), mode=mode, seed=seed,
+                           eps=np.ones(len(corners)),
                            removal_count=removal_count)
 
 
@@ -260,7 +257,7 @@ def place_periodic(mesh: StructuredMesh, k: int) -> InclusionLayout:
     boundary is d/2, so the layout matches the periodic test geometry.
     """
     corners = _periodic_corners(mesh, k)
-    return layout_from_cells(mesh, k, corners, mode="periodic")
+    return layout_from_cells(mesh, k, corners)
 
 
 def place_random(mesh: StructuredMesh, k: int, removal_count: int,
@@ -280,8 +277,7 @@ def place_random(mesh: StructuredMesh, k: int, removal_count: int,
     rng = np.random.Generator(np.random.Philox(seed))
     removed = rng.choice(len(corners), size=int(removal_count), replace=False)
     kept = np.delete(corners, removed, axis=0)
-    return layout_from_cells(mesh, k, kept, mode="random", seed=int(seed),
-                             removal_count=int(removal_count))
+    return layout_from_cells(mesh, k, kept, int(removal_count))
 
 
 def assign_epsilon(layout: InclusionLayout, mode: str, *,

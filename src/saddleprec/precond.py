@@ -159,9 +159,10 @@ class InnerCgAInverse:
     in the Fletcher-Reeves form, stopping early only at a residual of
     1e-15 times the input's.
 
-    A fixed step count keeps the operator close to a fixed polynomial in A
-    (exactly so only for stationary methods; CG's coefficients depend mildly
-    on the input, which in practice does not disturb the outer iterations).
+    A fixed step count keeps the operator close to a fixed polynomial in A,
+    but CG's coefficients depend on the input: the defaults measured a
+    nonlinearity <= 3.0e-14 up to M = 128 and 1.5e-6 at M = 256 (README),
+    drop_tol 1e-2 with fill factor 8 a nonlinearity of 9.3e-3 at M = 128.
     The base preconditioner is the symmetrized incomplete LU
     0.5 (M^{-1} + M^{-T}): SuperLU's symmetric mode keeps the factors close
     to an incomplete Cholesky, and the explicit symmetrization removes the

@@ -427,8 +427,7 @@ def cg_solve(A, b, precond=None, x0=None, delta: float = 1e-6,
 
 def evaluate_norm(kind: str, vec: np.ndarray, A=None,
                   op: SaddleOperator | None = None,
-                  precond: BlockPreconditioner | None = None,
-                  counter: OpCounter | None = None) -> float:
+                  precond: BlockPreconditioner | None = None) -> float:
     """Elliptic norms used by the stopping criteria.
 
     kind 'A': sqrt(v . A v) for v on the interior nodes.
@@ -436,7 +435,6 @@ def evaluate_norm(kind: str, vec: np.ndarray, A=None,
               of `precond`, exact in verification runs).
     kind 'K': sqrt((A_eps v) . H (A_eps v)) for a full saddle vector.
     """
-    counter = counter if counter is not None else OpCounter()
     v = np.asarray(vec, dtype=float)
     if kind == "A":
         if A is None:
@@ -446,10 +444,10 @@ def evaluate_norm(kind: str, vec: np.ndarray, A=None,
         raise ParameterError(f"kind {kind!r} needs the saddle operator and "
                              "preconditioner")
     if kind == "S":
-        s = op.blocks.from_tags(_schur_pre(op, precond.a_inv, v, counter), v)
+        s = op.blocks.from_tags(_schur_pre(op, precond.a_inv, v, None), v)
         return _guarded_sqrt(v @ s, v @ v, "S-norm")
     if kind == "K":
-        img = op.apply(v, counter)
-        hv = precond.apply_to_image(img, *op.source_tags(v), counter)
+        img = op.apply(v)
+        hv = precond.apply_to_image(img, *op.source_tags(v))
         return _guarded_sqrt(img @ hv, v @ v, "K-norm")
     raise ParameterError(f"unknown norm kind {kind!r}")

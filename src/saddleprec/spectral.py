@@ -69,20 +69,20 @@ def sector_pair(t, eps):
     return ((1.0 - eps) - disc) / 2.0, ((1.0 - eps) + disc) / 2.0
 
 
-def dense_spectrum(op_mat, gram_mat=None, limit: int = DENSE_LIMIT):
+def dense_spectrum(op_mat, gram_mat=None):
     """Sorted generalized eigenvalues of Op x = mu Gram x, dense and symmetric.
 
     gram_mat None means the identity.  The Gram factor must be SPD; a failed
-    Cholesky raises ContractViolationError.  Instances above `limit` rows are
-    refused from their shape, before a sparse input is made dense; there the
+    Cholesky raises ContractViolationError.  Above DENSE_LIMIT rows it always
+    refuses from the shape, before a sparse input is made dense; there the
     ritz_extremes of a solver report estimate the extreme eigenvalues.
     """
     op = op_mat if sp.issparse(op_mat) else np.asarray(op_mat, float)
     if op.shape[0] != op.shape[1]:
         raise ParameterError(f"operator must be square, got {op.shape}")
-    if op.shape[0] > limit:
+    if op.shape[0] > DENSE_LIMIT:
         raise ParameterError(
-            f"dense spectrum refused at dimension {op.shape[0]} > {limit}; "
+            f"dense spectrum refused at dimension {op.shape[0]} > {DENSE_LIMIT}; "
             "use the ritz_extremes of a solver report for large instances")
     op = op.toarray() if sp.issparse(op) else op
     if not np.allclose(op, op.T, rtol=0.0, atol=1e-10 * _scale(op)):

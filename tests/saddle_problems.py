@@ -15,8 +15,7 @@ import functools
 
 from saddleprec import (
     build_mesh, place_periodic, place_random, assign_epsilon, build_problem,
-    build_block_preconditioner, BlockPreconditioner, SchurPreconditioner,
-    ExactAInverse,
+    BlockPreconditioner, SchurPreconditioner, ExactAInverse,
 )
 
 Problem = collections.namedtuple(
@@ -39,13 +38,6 @@ def _cached_base(M, k, layout_mode, removal, layout_seed):
     return mesh, layout
 
 
-@functools.lru_cache(maxsize=None)
-def _cached_exact_ainv(M, k, layout_mode, removal, layout_seed):
-    mesh, layout = _cached_base(M, k, layout_mode, removal, layout_seed)
-    _, A, _, _ = build_problem(mesh, layout)
-    return A, ExactAInverse(A)
-
-
 def make_problem(M, k, eps=1e-4, layout_mode="periodic", removal=0,
                  layout_seed=0, eps_mode="uniform", eps_min=None,
                  eps_max=1e-2, eps_seed=0):
@@ -59,16 +51,15 @@ def make_problem(M, k, eps=1e-4, layout_mode="periodic", removal=0,
     return Problem(mesh, layout, ordering, A, blocks, op)
 
 
+# one exact factorization per placement, shared by its eps copies
+_EXACT_AINV = {}
+
+
 def make_exact_precond(problem: Problem) -> BlockPreconditioner:
-    """Exact-H_A block preconditioner reusing the cached LU of A."""
-    M = problem.mesh.M
-    lay = problem.layout
-    if lay.mode not in ("periodic", "random"):
-        return build_block_preconditioner(problem.A, problem.blocks)
-    key = (M, lay.k, lay.mode, lay.removal_count,
-           lay.seed if lay.mode == "random" else 0)
-    A, a_inv = _cached_exact_ainv(*key)
-    assert A.shape == problem.A.shape
-    return BlockPreconditioner(a_inv=a_inv,
+    """Exact-H_A block preconditioner reusing the placement's LU of A."""
+    slot = problem.layout.slot
+    if slot not in _EXACT_AINV:
+        _EXACT_AINV[slot] = ExactAInverse(problem.A)
+    return BlockPreconditioner(a_inv=_EXACT_AINV[slot],
                                schur=SchurPreconditioner(problem.blocks),
                                N=problem.op.N)

@@ -310,9 +310,7 @@ def _eps_copy(layout, eps_mode, draw):
 def _fresh_copy(layout):
     """The same corners and eps on a new mesh, every array built anew."""
     fresh = layout_from_cells(build_mesh(layout.mesh.M), layout.k,
-                              layout.corners, mode=layout.mode,
-                              seed=layout.seed,
-                              removal_count=layout.removal_count)
+                              layout.corners, layout.removal_count)
     return dataclasses.replace(fresh, eps=layout.eps.copy())
 
 

@@ -12,6 +12,7 @@ from saddleprec import (
     build_mesh, ContractViolationError, ParameterError,
     SolverBreakdownError, pl_solve, random_guess,
 )
+from saddleprec.precond import A_KINDS
 
 from saddle_problems import make_problem, make_exact_precond
 
@@ -222,6 +223,23 @@ def test_inner_cg_is_the_textbook_fletcher_reeves_recurrence(opts):
                                        ilu_options)
     np.testing.assert_array_equal(x, x_ref)
     assert (counter.a, counter.ha) == (products, 1)
+
+
+@pytest.mark.parametrize("kind", sorted(A_KINDS))
+def test_shipped_ha_is_a_fixed_linear_symmetric_operator(kind):
+    # the theory assumes a fixed, linear, symmetric H_A; the shipped kinds
+    # read 1.3e-16 or less for asymmetry and 3.0e-14 or less for
+    # nonlinearity here, while the tuned inner CG (drop 1e-2, fill 8) reads
+    # a nonlinearity of 9.3e-3 at this size
+    A = make_problem(128, 2).A
+    ha = make_a_preconditioner(A, kind)
+    x, y = np.random.default_rng(11).standard_normal((2, A.shape[0]))
+    hx, hy, hxy = ha.apply(x), ha.apply(y), ha.apply(x + y)
+    asymmetry = (abs(x @ hy - y @ hx)
+                 / (np.linalg.norm(x) * np.linalg.norm(hy)))
+    nonlinearity = np.linalg.norm(hxy - hx - hy) / np.linalg.norm(hxy)
+    assert asymmetry <= 1e-12
+    assert nonlinearity <= 1e-10
 
 
 # ---------------------------------------------------------------------------

@@ -102,8 +102,6 @@ def test_dense_spectrum_input_contracts(prob8):
     A = prob8.A.toarray()
     with pytest.raises(ParameterError):
         dense_spectrum(A[:, :-1])
-    with pytest.raises(ParameterError):
-        dense_spectrum(A, limit=10)
     lopsided = A.copy()
     lopsided[0, 1] += 1.0
     with pytest.raises(ContractViolationError):
