@@ -289,21 +289,22 @@ def build_problem(mesh: StructuredMesh, layout: InclusionLayout):
     """Convenience: ordering, stiffness, blocks and operator in one call.
 
     The ordering, A and the blocks depend only on the placement: they are
-    built on layout.mesh and kept in its slot, which every eps copy shares,
-    and a call goes on with whatever the slot holds after its own build, so
-    concurrent first builds all get the first one to finish.  Only the
+    built on layout.mesh and kept under "products" in its slot, which every
+    eps copy shares.  dict.setdefault makes the check and the store one
+    step, also between threads, so concurrent first builds all go on with
+    the first one stored and a reader never sees a second one.  Only the
     operator is built per eps copy.  mesh must have layout.mesh.M.
     """
     if mesh.M != layout.mesh.M:
         raise ParameterError(
             f"mesh has M = {mesh.M}, the layout is placed on M = "
             f"{layout.mesh.M}")
-    held = layout.slot.products
+    held = layout.slot.get("products")
     if held is None:
         ordering = build_ordering(layout)
-        held = layout.slot.keep((ordering,
-                                 assemble_stiffness(layout.mesh, ordering),
-                                 assemble_inclusion_blocks(layout)))
+        held = layout.slot.setdefault(
+            "products", (ordering, assemble_stiffness(layout.mesh, ordering),
+                         assemble_inclusion_blocks(layout)))
     ordering, A, blocks = held
     return ordering, A, blocks, build_saddle_operator(A, blocks, layout.eps)
 

@@ -36,6 +36,7 @@ import collections
 import concurrent.futures
 import contextlib
 import hashlib
+import io
 import itertools
 import json
 import os
@@ -47,8 +48,8 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .mesh import (MeshError, LayoutError, ParameterError, build_mesh,
-                   build_ordering, place_periodic, place_random,
+from .mesh import (EPS_MODES, MeshError, LayoutError, ParameterError,
+                   build_mesh, build_ordering, place_periodic, place_random,
                    assign_epsilon, _periodic_corners)
 from .assembly import (build_problem, assemble_load, assemble_sigma_matrix,
                        assemble_stiffness, write_matrix_market)
@@ -56,7 +57,7 @@ from .precond import (A_KINDS, ContractViolationError, SolverBreakdownError,
                       build_block_preconditioner)
 from .solvers import (pu_solve, pl_solve, pcg_k_solve, random_guess,
                       OperatorContractError, MaxIterationsError)
-from .spectral import check_dense_size, verify_intervals
+from .spectral import PENCILS, check_dense_size, verify_intervals
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -82,12 +83,15 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------------------
 # config file handling
 
-def parse_config(path: str) -> dict:
-    """Flat key = value file; '#' starts a comment, lists use commas."""
+def parse_config(path: str) -> tuple[dict, str]:
+    """Flat key = value file; '#' starts a comment, lists use commas.
+    Returns the key map and the SHA-256 of the bytes it was parsed from:
+    the file is read once, its lines split as text-mode reading does."""
     raw = {}
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
+        with open(path, "rb") as fh:
+            data = fh.read()
+        lines = io.StringIO(data.decode("utf-8"), newline=None).readlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
     for lineno, line in enumerate(lines, 1):
@@ -104,7 +108,7 @@ def parse_config(path: str) -> dict:
         if key in raw:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
         raw[key] = value.strip()
-    return raw
+    return raw, hashlib.sha256(data).hexdigest()
 
 
 def _bool(tok: str) -> bool:
@@ -131,7 +135,7 @@ _KEYS = {
     "k": _Key(int, [2], None, _ALL),
     "layout": _Key(str, ["periodic"], ("periodic", "random"), _ALL),
     "removal": _Key(int, None, None, _ALL),
-    "eps_mode": _Key(str, ["uniform"], ("uniform", "random"), _ALL),
+    "eps_mode": _Key(str, ["uniform"], EPS_MODES, _ALL),
     "eps_min": _Key(float, [1e-4], None, _ALL),
     "eps_max": _Key(float, 1e-2, _Range(lambda e: 0 < e <= 1, "in (0, 1]"),
                     _ALL),
@@ -140,8 +144,7 @@ _KEYS = {
     "seed": _Key(int, [0], _NONNEG, _ALL),
     "rhs": _Key(str, "zero", ("zero", "one"), ("solve",)),
     "max_iter": _Key(int, 2000, _POSITIVE_INT, _SWEEPS),
-    "pencil": _Key(str, ["preconditioner"], ("preconditioner", "ideal"),
-                   ("spectrum",)),
+    "pencil": _Key(str, ["preconditioner"], PENCILS, ("spectrum",)),
     "tol": _Key(float, 1e-8, _NONNEG, ("spectrum",)),
     "corrupt_q": _Key(_bool, False, None, ("spectrum",)),
     "matrix": _Key(str, "saddle", ("saddle", "stiffness", "sigma"),
@@ -178,7 +181,7 @@ def _admit(key, value, admit, label=None):
         raise ConfigError(f"unknown {key} {value!r}; use {'|'.join(admit)}")
 
 
-def build_config(command: str, raw: dict, path: str,
+def build_config(command: str, raw: dict, config_sha: str,
                  seed_override: int | None = None) -> types.SimpleNamespace:
     """The validated config: one attribute per key of _KEYS, a list for a
     list key, plus command, seed_override and config_sha."""
@@ -189,7 +192,8 @@ def build_config(command: str, raw: dict, path: str,
             f"unknown config key(s) for {command}: {', '.join(unknown)}; "
             f"allowed: {', '.join(sorted(allowed))}")
 
-    cfg = types.SimpleNamespace(command=command, seed_override=seed_override)
+    cfg = types.SimpleNamespace(command=command, seed_override=seed_override,
+                                config_sha=config_sha)
     for key, (conv, default, admit, _) in _KEYS.items():
         listed = isinstance(default, list)
         if key not in raw:
@@ -206,8 +210,6 @@ def build_config(command: str, raw: dict, path: str,
     if seed_override is not None:
         _admit("seed", seed_override, _KEYS["seed"].admit, "--seed")
         cfg.seed = [seed_override]
-    with open(path, "rb") as fh:
-        cfg.config_sha = hashlib.sha256(fh.read()).hexdigest()
     return cfg
 
 
@@ -547,7 +549,7 @@ def cmd_cost(cfg, layouts: dict, out_dir: str, threads: int) -> int:
 
 def cmd_export_matrix(cfg, layouts: dict, out_dir: str, threads: int) -> int:
     axes = _axes(cfg)
-    stiffness = {}                      # A per placement, keyed by its slot
+    stiffness = {}                      # A per operator key
     with _open_outputs(out_dir, "manifest.json") as (man,):
         for ax in axes:
             M, k, layout, eps_mode, eps_min, seed = ax
@@ -555,10 +557,11 @@ def cmd_export_matrix(cfg, layouts: dict, out_dir: str, threads: int) -> int:
             if cfg.matrix == "sigma":
                 mat = assemble_sigma_matrix(lay)
             elif cfg.matrix == "stiffness":
-                if lay.slot not in stiffness:
-                    stiffness[lay.slot] = assemble_stiffness(
+                key = _operator_key(ax)
+                if key not in stiffness:
+                    stiffness[key] = assemble_stiffness(
                         lay.mesh, build_ordering(lay))
-                mat = stiffness[lay.slot]
+                mat = stiffness[key]
             else:
                 mat = build_problem(lay.mesh, lay)[3].to_sparse()
             path = os.path.join(out_dir, _export_stem(cfg, ax) + ".mtx")
@@ -612,8 +615,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         _admit("threads", args.threads, _POSITIVE_INT, "--threads")
-        raw = parse_config(args.config)
-        cfg = build_config(args.command, raw, args.config,
+        cfg = build_config(args.command, *parse_config(args.config),
                            seed_override=args.seed)
         layouts = validate_instances(cfg)
         os.makedirs(args.out, exist_ok=True)

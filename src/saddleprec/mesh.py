@@ -30,6 +30,9 @@ class ParameterError(ValueError):
     """Scalar parameter outside its admissible range."""
 
 
+EPS_MODES = ("uniform", "random")      # the modes of assign_epsilon
+
+
 @dataclasses.dataclass(frozen=True, eq=False)
 class StructuredMesh:
     """Uniform triangulation of (0,1)^2.
@@ -114,31 +117,6 @@ class Inclusion(typing.NamedTuple):
     cell_y: int
 
 
-class PlacementSlot:
-    """Holder of the eps-independent products of one placement.
-
-    assembly.build_problem stores its (ordering, A, blocks) here, once: the
-    first build to finish keeps its products and later ones are dropped, so
-    a reader sees either no products or one complete build of them, and
-    never a second one after the first.
-    """
-
-    __slots__ = ("_held",)
-
-    def __init__(self):
-        self._held = {}
-
-    @property
-    def products(self):
-        return self._held.get("products")
-
-    def keep(self, products):
-        """Store products unless some are stored already, and return the
-        stored ones; dict.setdefault makes the check and the store one
-        step, also between threads."""
-        return self._held.setdefault("products", products)
-
-
 @dataclasses.dataclass(frozen=True, eq=False)
 class InclusionLayout:
     """A family of disjoint square inclusions on a structured mesh.
@@ -148,8 +126,8 @@ class InclusionLayout:
     holds the stiffness parameter of each inclusion (sigma = 1 + 1/eps_s
     inside inclusion s); placement routines initialise it to 1.  The eps
     copies made by assign_epsilon share the placement's arrays and its
-    slot, and with it the eps-free ordering, stiffness and inclusion blocks
-    that build_problem assembles on its mesh.
+    slot, a dict in which assembly.build_problem keeps their eps-free
+    products.
     """
 
     mesh: StructuredMesh
@@ -160,8 +138,7 @@ class InclusionLayout:
     inclusions: tuple       # Inclusion anchor of each row of corners
     eps: np.ndarray
     removal_count: int = 0
-    slot: PlacementSlot = dataclasses.field(default_factory=PlacementSlot,
-                                            repr=False)
+    slot: dict = dataclasses.field(default_factory=dict, repr=False)
 
     @property
     def m(self) -> int:
@@ -291,19 +268,19 @@ def assign_epsilon(layout: InclusionLayout, mode: str, *,
     independently and uniformly from [eps_min, eps_max] with a Philox
     generator keyed by seed.
     """
+    if mode not in EPS_MODES:
+        raise ParameterError(f"unknown epsilon mode {mode!r}")
     if mode == "uniform":
         if epsilon is None or not (0.0 < epsilon <= 1.0):
             raise ParameterError(f"uniform mode needs epsilon in (0, 1], got {epsilon!r}")
         eps = np.full(layout.m, float(epsilon))
-    elif mode == "random":
+    else:
         if eps_min is None or not (0.0 < eps_min <= eps_max <= 1.0):
             raise ParameterError(
                 f"random mode needs 0 < eps_min <= eps_max <= 1, got "
                 f"eps_min={eps_min!r}, eps_max={eps_max!r}")
         rng = np.random.Generator(np.random.Philox(seed))
         eps = rng.uniform(eps_min, eps_max, size=layout.m)
-    else:
-        raise ParameterError(f"unknown epsilon mode {mode!r}")
     return dataclasses.replace(layout, eps=eps)
 
 

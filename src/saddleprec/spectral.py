@@ -31,6 +31,8 @@ MU_HAT_2 = (1.0 + np.sqrt(5.0)) / 2.0
 
 # Largest total dimension (N + n) accepted by the dense eigensolvers.
 DENSE_LIMIT = 2000
+# Gram blocks of verify_intervals on the p rows: B_D + Q, or S_0
+PENCILS = ("preconditioner", "ideal")
 
 
 def check_dense_size(layout: InclusionLayout) -> None:
@@ -239,7 +241,7 @@ def verify_intervals(layout: InclusionLayout, pencil: str = "preconditioner",
     corrupt_q zeroes the rank-one coupling inside the saddle operator, a
     deliberate defect that must land eigenvalues outside both interval sets.
     """
-    if pencil not in ("preconditioner", "ideal"):
+    if pencil not in PENCILS:
         raise ParameterError(f"unknown pencil {pencil!r}")
     check_dense_size(layout)
     _, A, blocks, op = build_problem(layout.mesh, layout)

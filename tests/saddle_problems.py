@@ -41,6 +41,8 @@ def _cached_base(M, k, layout_mode, removal, layout_seed):
 def make_problem(M, k, eps=1e-4, layout_mode="periodic", removal=0,
                  layout_seed=0, eps_mode="uniform", eps_min=None,
                  eps_max=1e-2, eps_seed=0):
+    if layout_mode == "periodic":   # place_periodic reads neither
+        removal = layout_seed = 0
     mesh, layout = _cached_base(M, k, layout_mode, removal, layout_seed)
     if eps_mode == "uniform":
         layout = assign_epsilon(layout, "uniform", epsilon=eps)
@@ -51,15 +53,12 @@ def make_problem(M, k, eps=1e-4, layout_mode="periodic", removal=0,
     return Problem(mesh, layout, ordering, A, blocks, op)
 
 
-# one exact factorization per placement, shared by its eps copies
-_EXACT_AINV = {}
-
-
 def make_exact_precond(problem: Problem) -> BlockPreconditioner:
-    """Exact-H_A block preconditioner reusing the placement's LU of A."""
+    """Exact-H_A block preconditioner reusing the placement's LU of A, kept
+    in the placement's slot and so shared by its eps copies."""
     slot = problem.layout.slot
-    if slot not in _EXACT_AINV:
-        _EXACT_AINV[slot] = ExactAInverse(problem.A)
-    return BlockPreconditioner(a_inv=_EXACT_AINV[slot],
+    if "exact_ainv" not in slot:
+        slot["exact_ainv"] = ExactAInverse(problem.A)
+    return BlockPreconditioner(a_inv=slot["exact_ainv"],
                                schur=SchurPreconditioner(problem.blocks),
                                N=problem.op.N)

@@ -16,6 +16,7 @@ from saddleprec import (
     assemble_load, recover_p_from_u, write_matrix_market,
     ParameterError, build_block_preconditioner, pu_solve, pl_solve,
     pcg_k_solve, random_guess, build_saddle_operator, AssemblyError,
+    assemble_inclusion_blocks,
 )
 
 from saddleprec.assembly import _element_batches, _scatter
@@ -174,6 +175,11 @@ def test_saddle_apply_matches_explicit_block_matrix(tiny_problem):
 def test_saddle_apply_rejects_wrong_length(prob8):
     with pytest.raises(ParameterError):
         prob8.op.apply(np.zeros(prob8.op.size + 1))
+
+
+def test_blocks_refuse_a_layout_without_inclusions():
+    with pytest.raises(AssemblyError, match="^layout has no inclusions$"):
+        assemble_inclusion_blocks(layout_from_cells(build_mesh(8), 2, []))
 
 
 def test_sigma_matrix_reduces_to_plain_stiffness_without_inclusions():
@@ -379,7 +385,7 @@ def test_another_mesh_object_of_the_same_size_shares(layout_mode, eps_mode):
     layout = _eps_copy(_placement(mesh, layout_mode), eps_mode, 0)
     # a first build through another mesh object fills the slot as well
     _, A, blocks, _ = build_problem(build_mesh(16), layout)
-    held = layout.slot.products
+    held = layout.slot["products"]
     assert held[1] is A and held[2] is blocks
     _, A_own, blocks_own, _ = build_problem(mesh, layout)
     assert A_own is A and blocks_own is blocks
@@ -393,7 +399,7 @@ def test_a_mesh_of_another_size_is_refused():
     with pytest.raises(ParameterError,
                        match=r"mesh has M = 16, the layout is placed on M = 8"):
         build_problem(build_mesh(16), layout)
-    assert layout.slot.products is None
+    assert "products" not in layout.slot
 
 
 # scipy crashes the interpreter (SIGSEGV) when it compresses a matrix whose
@@ -451,9 +457,9 @@ def test_shared_matrices_survive_solves_and_exports(tmp_path, layout_mode,
 def test_slot_keeps_the_first_products():
     layout = place_periodic(build_mesh(8), 2)
     first = build_problem(layout.mesh, layout)
-    stored = layout.slot.products
-    layout.slot.keep(("another", "build"))
-    assert layout.slot.products is stored
+    stored = layout.slot["products"]
+    layout.slot.setdefault("products", ("another", "build"))
+    assert layout.slot["products"] is stored
     assert build_problem(layout.mesh, layout)[1] is first[1]
 
 
@@ -493,7 +499,7 @@ def test_concurrent_first_builds_never_mix_products():
             triples = {(id(o), id(A), id(b.B_D)) for o, A, b, _ in results}
             for position in range(3):
                 assert len({t[position] for t in triples}) == len(triples)
-            ordering, A, blocks = placement.slot.products
+            ordering, A, blocks = placement.slot["products"]
             assert (id(ordering), id(A), id(blocks.B_D)) in triples
             for layout, (got_ordering, got_A, got_blocks, op) in zip(
                     copies, results):

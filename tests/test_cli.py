@@ -47,8 +47,10 @@ M = 8, 16
 delta = 1e-6   # trailing comment
 method = pu
 """)
-    raw = parse_config(cfg)
+    raw, sha = parse_config(cfg)
     assert raw == {"M": "8, 16", "delta": "1e-6", "method": "pu"}
+    with open(cfg, "rb") as fh:
+        assert sha == hashlib.sha256(fh.read()).hexdigest()
 
 
 def test_parse_config_errors(tmp_path):
@@ -63,12 +65,39 @@ def test_parse_config_errors(tmp_path):
     keyless = _write(tmp_path / "d.cfg", "M = 8\n= 8\n")
     with pytest.raises(ConfigError, match="d.cfg:2: empty key"):
         parse_config(keyless)
+    # lines end at \r\n and at a lone \r, as in text-mode reading
+    (tmp_path / "e.cfg").write_bytes(b"M = 8\r\nk = 2\r= 8\n")
+    with pytest.raises(ConfigError, match="e.cfg:3: empty key"):
+        parse_config(str(tmp_path / "e.cfg"))
+
+
+def test_solve_reads_its_config_once(tmp_path, capsys, monkeypatch):
+    # so the manifest's config_sha256 hashes the bytes that were parsed
+    cfg = tmp_path / "once.cfg"
+    cfg.write_bytes(b"method = pl\r\nM = 8\r\n")
+    opens = []
+    real_open = open
+
+    def counting(file, *args, **kwargs):
+        if file == str(cfg):
+            opens.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", counting)
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    monkeypatch.undo()
+    assert len(opens) == 1
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config_sha256"] == hashlib.sha256(
+        cfg.read_bytes()).hexdigest()
+    capsys.readouterr()
 
 
 def test_build_config_rejects_unknown_keys(tmp_path):
     cfg = _write(tmp_path / "a.cfg", "Ms = 8\n")
     with pytest.raises(ConfigError, match="unknown config key.*Ms"):
-        build_config("solve", parse_config(cfg), cfg)
+        build_config("solve", *parse_config(cfg))
 
 
 def test_build_config_validates_values(tmp_path):
@@ -85,15 +114,15 @@ def test_build_config_validates_values(tmp_path):
                          "config key 'method' repeats 'pl'")]:
         cfg = _write(tmp_path / "bad.cfg", text)
         with pytest.raises(ConfigError, match=re.escape(match)):
-            build_config("solve", parse_config(cfg), cfg)
+            build_config("solve", *parse_config(cfg))
     for word in ("off", "no"):
         cfg = _write(tmp_path / "off.cfg", f"corrupt_q = {word}\n")
-        assert build_config("spectrum", parse_config(cfg),
-                            cfg).corrupt_q is False
+        assert build_config("spectrum",
+                            *parse_config(cfg)).corrupt_q is False
     cfg = _write(tmp_path / "bad.cfg", "corrupt_q = maybe\n")
     with pytest.raises(ConfigError, match=re.escape(
             "config key 'corrupt_q': expected a boolean, got 'maybe'")):
-        build_config("spectrum", parse_config(cfg), cfg)
+        build_config("spectrum", *parse_config(cfg))
 
 
 def test_key_table_is_the_only_source_of_keys():
@@ -669,8 +698,8 @@ def test_random_only_sweep_counts_its_default_removal_without_placing(
         _count_calls(monkeypatch, name, calls, owner)
     cfg = _write(tmp_path / "rand.cfg", "method =\nM = 16\nlayout = random\n"
                  "seed = 0, 1\n")
-    layouts = cli.validate_instances(build_config("solve", parse_config(cfg),
-                                                  cfg))
+    layouts = cli.validate_instances(build_config("solve",
+                                                  *parse_config(cfg)))
     # one placement per seed, each removing half of the 16 periodic sites,
     # and no periodic layout built just to count them
     assert "place_periodic" not in calls

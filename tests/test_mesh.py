@@ -100,6 +100,13 @@ def test_custom_layout_rejects_boundary_and_overlap():
         layout_from_cells(mesh, 2, [(1, 1), (3, 1)])   # shared closure nodes
 
 
+@pytest.mark.parametrize("k", [0, -1])
+def test_custom_layout_refuses_a_non_positive_k(k):
+    with pytest.raises(LayoutError, match=re.escape(
+            f"inclusion size k must be a positive integer, got {k}")):
+        layout_from_cells(build_mesh(8), k, [(1, 1)])
+
+
 @pytest.mark.parametrize("corners,named", [
     ([(1, 1), (0, 4), (7, 1)], "(0,4) touches the outer boundary"),
     ([(1, 1), (3, 1), (-1, 0)], "(3,1) shares nodes"),

@@ -176,6 +176,12 @@ def test_inner_cg_breakdown_on_negative_definite_matrix(prob8):
         ha.apply(np.ones(prob8.A.shape[0]))
 
 
+def test_diagonal_kind_refuses_a_non_positive_diagonal(prob8):
+    with pytest.raises(ContractViolationError,
+                       match="^stiffness diagonal must be positive$"):
+        make_a_preconditioner(-prob8.A, "diagonal")
+
+
 _ILU_OPTIONS = dict(drop_tol=5e-4, fill_factor=12.0, diag_pivot_thresh=0.0,
                     permc_spec="MMD_AT_PLUS_A",
                     options=dict(SymmetricMode=True))

@@ -7,7 +7,7 @@ from saddleprec import (
     pu_solve, pl_solve, pcg_k_solve, cg_solve, evaluate_norm, random_guess,
     assemble_load, build_block_preconditioner,
     MaxIterationsError, OperatorContractError, ParameterError, OpCounter,
-    SolverBreakdownError,
+    SolverBreakdownError, BlockPreconditioner, SchurPreconditioner,
 )
 
 from saddle_problems import make_problem, make_exact_precond
@@ -267,6 +267,27 @@ def test_cg_breakdown_on_negative_definite_matrix(prob8):
         cg_solve(-prob8.A, np.ones(prob8.A.shape[0]))
 
 
+class _TinyAInverse:
+    """H_A = 1e-8 I, an SPD stand-in with which PL on make_problem(8, 2)
+    from random_guess seeds 0-5 loses K-positivity at steps 54-60."""
+
+    def apply(self, r, counter=None):
+        if counter is not None:
+            counter.ha += 1
+        return 1e-8 * r
+
+
+def test_pl_breakdown_when_the_k_product_loses_positivity():
+    prob = make_problem(8, 2, eps=1e-4)
+    pre = BlockPreconditioner(a_inv=_TinyAInverse(),
+                              schur=SchurPreconditioner(prob.blocks),
+                              N=prob.op.N)
+    with pytest.raises(SolverBreakdownError,
+                       match="^Lanczos direction lost K-positivity at "
+                             "iteration "):
+        pl_solve(prob.op, pre, z0=random_guess(prob.op.size, 0))
+
+
 def test_evaluate_norm_basics(prob8):
     pre = make_exact_precond(prob8)
     assert evaluate_norm("A", np.zeros(prob8.A.shape[0]), A=prob8.A) == 0.0
@@ -277,6 +298,11 @@ def test_evaluate_norm_basics(prob8):
         evaluate_norm("A", np.ones(1))
     with pytest.raises(ParameterError):
         evaluate_norm("Z", np.ones(1), A=A2)
+    for kind in ("S", "K"):
+        for given in ({"op": prob8.op}, {"precond": pre}):
+            with pytest.raises(ParameterError, match=f"^kind '{kind}' needs "
+                               "the saddle operator and preconditioner$"):
+                evaluate_norm(kind, np.ones(prob8.op.n), **given)
 
 
 def test_evaluate_norm_k_consistency(prob8):

@@ -106,6 +106,9 @@ def test_dense_spectrum_input_contracts(prob8):
     lopsided[0, 1] += 1.0
     with pytest.raises(ContractViolationError):
         dense_spectrum(lopsided)
+    with pytest.raises(ContractViolationError,
+                       match="^Gram block is not symmetric$"):
+        dense_spectrum(A, lopsided)
     with pytest.raises(ContractViolationError):
         dense_spectrum(A, -np.eye(A.shape[0]))   # Gram must be SPD
 
