@@ -194,8 +194,10 @@ class InclusionBlocks:
 
     def apply_q(self, w: np.ndarray) -> np.ndarray:
         """Global averaging term Q w (block rank-one, applied via factors)."""
-        dots = self.block_means(w)
-        return (dots[:, None] * self.weights[None, :]).ravel()
+        out = self.apply_projector(w)
+        per_block = out.reshape(self.m, self.ns)
+        per_block *= self.weights
+        return out
 
     def apply_projector(self, w: np.ndarray) -> np.ndarray:
         """Blockwise projector onto constants along the mass weights."""
@@ -203,7 +205,9 @@ class InclusionBlocks:
 
     def from_tags(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """B_D a + Q b, the vector that the tag pair (a, b) stands for."""
-        return self.B_D @ a + self.apply_q(b)
+        out = self.B_D @ a
+        out += self.apply_q(b)
+        return out
 
     def q_sparse(self) -> sp.csr_matrix:
         q = np.outer(self.weights, self.weights) / (self.d * self.d)
@@ -250,9 +254,11 @@ class SaddleOperator:
         bw = self.blocks.B_D @ w
         top = self.A @ v
         top[:self.n] += bw
-        bottom = (self.blocks.B_D @ v[:self.n]
-                  - self.eps_node * bw
-                  - self.blocks.apply_q(w))
+        # bottom = B_D v|_n - eps bw - Q w, written into its own terms
+        bw *= self.eps_node
+        bottom = self.blocks.B_D @ v[:self.n]
+        bottom -= bw
+        bottom -= self.blocks.apply_q(w)
         if counter is not None:
             counter.a += 1
         return np.concatenate((top, bottom))
@@ -260,7 +266,8 @@ class SaddleOperator:
     def source_tags(self, source: np.ndarray):
         """Tags (a, b) with lower(A_eps source) = B_D a + Q b."""
         w = source[self.N:]
-        return source[:self.n] - self.eps_node * w, -w
+        a = self.eps_node * w
+        return np.subtract(source[:self.n], a, out=a), -w
 
     def to_sparse(self) -> sp.csr_matrix:
         """Explicit sparse form, mainly for export and dense oracles."""

@@ -301,9 +301,6 @@ class OrderingMap:
         out[self.perm] = v
         return out
 
-    def to_interior(self, v: np.ndarray) -> np.ndarray:
-        return v[self.perm]
-
 
 def build_ordering(layout: InclusionLayout) -> OrderingMap:
     """Ordering map putting inclusion nodes in the leading block."""

@@ -55,27 +55,23 @@ class OpCounter:
 
 
 class SchurPreconditioner:
-    """Exact application of (B_D + Q)^{-1} at O(n) cost via tags."""
+    """Exact application of (B_D + Q)^{-1} at O(n) cost via tags.
+
+    Every vector the solvers feed it arrives as B_D a + Q b with known
+    (a, b), so it has no untagged apply: a general solve would hide a
+    missing tag behind an O(n^2) fallback.  ReferenceSchurSolver solves
+    untagged right-hand sides.
+    """
 
     def __init__(self, blocks: InclusionBlocks):
         self.blocks = blocks
 
-    def apply(self, source: np.ndarray) -> np.ndarray:
-        """Deliberately unsupported: the O(n) path needs tagged images.
-
-        Every vector this preconditioner sees inside the solvers is produced
-        as B_D a + Q b with known (a, b); a general solve would hide a missing
-        tag behind an O(n^2) fallback.  Use ReferenceSchurSolver for honest
-        untagged right-hand sides.
-        """
-        raise ContractViolationError(
-            "H_S received an untagged operand; apply_tagged carries the "
-            "image structure, or use ReferenceSchurSolver for a direct "
-            "solve")
-
     def apply_tagged(self, bd_pre: np.ndarray, q_pre: np.ndarray) -> np.ndarray:
-        """H_S (B_D a + Q b) for tag vectors a = bd_pre, b = q_pre."""
-        return bd_pre + self.blocks.apply_projector(q_pre - bd_pre)
+        """H_S (B_D a + Q b) = a + P (b - a) for tag vectors a = bd_pre,
+        b = q_pre, which it leaves as they are."""
+        out = self.blocks.apply_projector(q_pre - bd_pre)
+        out += bd_pre
+        return out
 
 
 class ReferenceSchurSolver:

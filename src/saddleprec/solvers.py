@@ -187,7 +187,8 @@ def _conjugate_cg(run, start, precondition, images, form, breakdown):
         else:
             z = precondition(*state)
             alpha = (z @ kxi) / denom
-            xi = z - alpha * xi
+            xi = alpha * xi
+            np.subtract(z, xi, out=xi)
         moves = images(xi)
         kxi = moves[1]
         denom = kxi @ xi
@@ -245,7 +246,9 @@ def _schur_pre(op, a_inv, x, counter, fbar=None):
     if fbar is not None:
         top -= fbar
     w = a_inv.apply(top, counter)
-    return op.eps_node * x + w[:op.n]
+    out = op.eps_node * x
+    out += w[:op.n]
+    return out
 
 
 def pu_solve(op: SaddleOperator, precond: BlockPreconditioner, F=None,
@@ -317,6 +320,19 @@ def _saddle_start(op, precond, F, z0, run):
     return z, rho, v
 
 
+def _three_term(head, alpha, cur, gamma, prev):
+    """head - alpha cur - gamma prev, rounded as written, with each
+    operation written into one of its operands: the new product alpha cur,
+    then prev, which the caller gives up.  prev is None at the first step,
+    which has no gamma term."""
+    out = alpha * cur
+    np.subtract(head, out, out=out)
+    if prev is None:
+        return out
+    prev *= gamma
+    return np.subtract(out, prev, out=prev)
+
+
 def pl_solve(op: SaddleOperator, precond: BlockPreconditioner, F=None,
              z0=None, delta: float = 1e-6, max_iter: int = 2000,
              counter: OpCounter | None = None) -> SolverReport:
@@ -332,6 +348,7 @@ def pl_solve(op: SaddleOperator, precond: BlockPreconditioner, F=None,
     # T_{k-1} has diagonal alpha_j and off-diagonal sqrt(gamma_j): the
     # vectors xi_j are K-orthogonal with |xi_j|_K^2 / |xi_{j-1}|_K^2 = gamma_j
     alphas, gammas = [], []
+    xi_prev = t_prev = gamma = None
     for k in run:
         if k == 1:
             xi = v.copy()
@@ -340,15 +357,11 @@ def pl_solve(op: SaddleOperator, precond: BlockPreconditioner, F=None,
             w = op.apply(u, run.counter)
             alpha = (w @ u) / tu
             alphas.append(alpha)
-            xi_next = u - alpha * xi
-            t_next = w - alpha * t
             if k >= 3:
                 gamma = (w @ u_prev) / tu_prev
                 gammas.append(gamma)
-                xi_next -= gamma * xi_prev
-                t_next -= gamma * t_prev
-            xi_prev, xi = xi, xi_next
-            t_prev, t = t, t_next
+            xi_prev, xi = xi, _three_term(u, alpha, xi, gamma, xi_prev)
+            t_prev, t = t, _three_term(w, alpha, t, gamma, t_prev)
             u_prev, tu_prev = u, tu
         u = precond.apply_to_image(t, *op.source_tags(xi), run.counter)
         tu = t @ u

@@ -12,11 +12,16 @@ to that directory's conftest instead.
 
 import collections
 import functools
+import os
+import subprocess
+import sys
 
 from saddleprec import (
     build_mesh, place_periodic, place_random, assign_epsilon, build_problem,
     BlockPreconditioner, SchurPreconditioner, ExactAInverse,
 )
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 Problem = collections.namedtuple(
     "Problem", "mesh layout ordering A blocks op")
@@ -62,3 +67,19 @@ def make_exact_precond(problem: Problem) -> BlockPreconditioner:
     return BlockPreconditioner(a_inv=slot["exact_ainv"],
                                schur=SchurPreconditioner(problem.blocks),
                                N=problem.op.N)
+
+
+def run_with_one_blas_thread(*args):
+    """Run the interpreter with args in a fresh process with one BLAS thread
+    and return its standard output.  The last digits of results that pass
+    through BLAS (final_ratio, Ritz values, solution vectors) follow the BLAS
+    thread count, which only a fresh process can set.  The process imports
+    saddleprec from this checkout and these helpers from tests/."""
+    path = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests")] + [
+        p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    env.update({var: "1" for var in ("OMP_NUM_THREADS",
+                                     "OPENBLAS_NUM_THREADS",
+                                     "MKL_NUM_THREADS")})
+    return subprocess.run([sys.executable, *args], env=env, check=True,
+                          capture_output=True, text=True).stdout

@@ -402,6 +402,18 @@ def test_a_mesh_of_another_size_is_refused():
     assert "products" not in layout.slot
 
 
+def test_operator_applies_leave_their_inputs_as_they_are(prob8):
+    # each apply writes into arrays it made, never into its operands
+    op, blocks = prob8.op, prob8.blocks
+    z = random_guess(op.size, 3)
+    kept = z.copy()
+    w = z[op.N:]
+    outputs = [op.apply(z), *op.source_tags(z), blocks.apply_q(w),
+               blocks.apply_projector(w), blocks.from_tags(z[:op.n], w)]
+    assert z.tobytes() == kept.tobytes()
+    assert not any(np.shares_memory(out, z) for out in outputs)
+
+
 # scipy crashes the interpreter (SIGSEGV) when it compresses a matrix whose
 # indices a smaller mesh cannot hold, so the calls run in a child process
 _MISMATCHED_SIZES = """

@@ -3,8 +3,6 @@ import importlib
 import json
 import os
 import re
-import subprocess
-import sys
 import weakref
 
 import numpy as np
@@ -18,6 +16,8 @@ from saddleprec.cli import (
     EXIT_OK, EXIT_ERROR, EXIT_VERIFY,
 )
 from saddleprec.precond import ContractViolationError
+
+from saddle_problems import run_with_one_blas_thread
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -841,18 +841,9 @@ def test_failing_ha_build_names_its_instance(tmp_path, capsys, monkeypatch):
     assert "solver error: H_A refused [method=pl M=8 k=2 periodic" in err
 
 
-def _main_with_one_blas_thread(*args):
-    """Run the CLI in a fresh process with one BLAS thread: the last digits
-    of final_ratio follow the BLAS thread count, which only a fresh process
-    can set."""
-    path = [os.path.join(ROOT, "src")] + [
-        p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
-    env.update({var: "1" for var in ("OMP_NUM_THREADS",
-                                     "OPENBLAS_NUM_THREADS",
-                                     "MKL_NUM_THREADS")})
-    subprocess.run([sys.executable, "-m", "saddleprec.cli", *args],
-                   env=env, check=True, capture_output=True)
+# the CLI as run_with_one_blas_thread arguments: the last digits of
+# final_ratio follow the BLAS thread count, which only a fresh process can set
+_CLI = ("-m", "saddleprec.cli")
 
 
 # the first and the last recorded seed, and seed 3, which with seed 0 is where
@@ -870,8 +861,8 @@ def test_contrast_sweep_csv_matches_the_benchmark_reference(tmp_path,
         M=128, removal=512, delta=workloads.DELTA))
     # the reference was recorded with one BLAS thread
     out = tmp_path / "out"
-    _main_with_one_blas_thread("solve", "--config", cfg,
-                               "--out", str(out), "--seed", seed)
+    run_with_one_blas_thread(*_CLI, "solve", "--config", cfg,
+                             "--out", str(out), "--seed", seed)
     data = (out / "solve.csv").read_bytes()
     assert (hashlib.sha256(data).hexdigest()
             == reference[seed]["outputs"]["solve_csv_sha256"])
@@ -1073,7 +1064,8 @@ def test_rhs_one_sweep_keeps_its_bytes(tmp_path, ha):
                  "k = 2\nlayout = periodic, random\neps_min = 1e-2, 1e-6\n"
                  f"rhs = one\nha = {ha}\n")
     out = tmp_path / "out"
-    _main_with_one_blas_thread("solve", "--config", cfg, "--out", str(out))
+    run_with_one_blas_thread(*_CLI, "solve", "--config", cfg,
+                             "--out", str(out))
     data = (out / "solve.csv").read_bytes()
     assert hashlib.sha256(data).hexdigest() == _RHS_ONE_BYTES[ha]
 
@@ -1094,8 +1086,8 @@ def test_export_matrix_keeps_its_bytes(tmp_path, matrix):
     cfg = _write(tmp_path / "exp.cfg", "M = 16\nk = 2\nlayout = random\n"
                  f"eps_mode = random\nmatrix = {matrix}\n")
     out = tmp_path / "out"
-    _main_with_one_blas_thread("export-matrix", "--config", cfg,
-                               "--out", str(out))
+    run_with_one_blas_thread(*_CLI, "export-matrix", "--config", cfg,
+                             "--out", str(out))
     data = (out / f"{matrix}_M16_k2_random_0.0001.mtx").read_bytes()
     assert hashlib.sha256(data).hexdigest() == _EXPORT_BYTES[matrix]
 
@@ -1119,9 +1111,9 @@ def test_export_matrix_builds_only_what_it_writes(tmp_path, capsys,
 @pytest.mark.parametrize("name", sorted(_SHIPPED_BYTES))
 def test_shipped_config_outputs_keep_their_bytes(tmp_path, name):
     out = tmp_path / "out"
-    _main_with_one_blas_thread(_SHIPPED[name], "--config",
-                               os.path.join(_CONFIG_DIR, name),
-                               "--out", str(out))
+    run_with_one_blas_thread(*_CLI, _SHIPPED[name], "--config",
+                             os.path.join(_CONFIG_DIR, name),
+                             "--out", str(out))
     for output, expected in _SHIPPED_BYTES[name].items():
         data = (out / output).read_bytes()
         assert hashlib.sha256(data).hexdigest() == expected, output

@@ -93,9 +93,25 @@ def test_block_constant_images(prob8):
 
 
 def test_untagged_apply_is_rejected(prob8):
-    schur = SchurPreconditioner(prob8.blocks)
-    with pytest.raises(ContractViolationError):
-        schur.apply(np.zeros(prob8.blocks.n))
+    # H_S has no untagged apply: an operand without tags has no O(n) path
+    assert not hasattr(SchurPreconditioner(prob8.blocks), "apply")
+
+
+@pytest.mark.parametrize("kind", sorted(A_KINDS))
+def test_applies_leave_their_inputs_as_they_are(prob8, kind):
+    # each apply writes into arrays it made, never into its operands
+    pre = build_block_preconditioner(prob8.A, prob8.blocks, kind)
+    n, N = prob8.op.n, prob8.op.N
+    image, a, b = (random_guess(size, seed)
+                   for size, seed in ((N + n, 3), (n, 4), (n, 5)))
+    kept = [v.copy() for v in (image, a, b)]
+    outputs = [pre.a_inv.apply(image[:N]), pre.apply_to_image(image, a, b),
+               pre.schur.apply_tagged(a, b), pre.schur.apply_tagged(a, a)]
+    for v, before in zip((image, a, b), kept):
+        assert v.tobytes() == before.tobytes()
+        assert not any(np.shares_memory(out, v) for out in outputs)
+    # one array as both tags: H_S (B_D a + Q a) = a
+    np.testing.assert_array_equal(outputs[-1], a)
 
 
 def test_reference_solver_basics(prob8):

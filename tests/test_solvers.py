@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -10,7 +12,8 @@ from saddleprec import (
     SolverBreakdownError, BlockPreconditioner, SchurPreconditioner,
 )
 
-from saddle_problems import make_problem, make_exact_precond
+from saddle_problems import (make_problem, make_exact_precond,
+                             run_with_one_blas_thread)
 
 
 def _load_rhs(prob, value=1.0):
@@ -420,3 +423,74 @@ def test_max_iteration_error(prob8, method, max_iter):
         _solve(method, prob8, exact=False, max_iter=max_iter,
                counter=counter)
     assert (counter.a, counter.ha) == _MAX_ITER_COUNTS[method][max_iter]
+
+
+def test_solvers_leave_their_inputs_as_they_are(prob16):
+    op = prob16.op
+    pre = make_exact_precond(prob16)
+    F = random_guess(op.size, 11)
+    given = {"F": F, "z0": random_guess(op.size, 5),
+             "p0": random_guess(op.n, 5), "b": F[:op.N],
+             "x0": random_guess(op.N, 6)}
+    kept = {name: v.copy() for name, v in given.items()}
+    for solve in (pl_solve, pcg_k_solve):
+        solve(op, pre, F=given["F"], z0=given["z0"])
+    pu_solve(op, pre, F=given["F"], p0=given["p0"])
+    cg_solve(prob16.A, given["b"], precond=pre.a_inv.apply,
+             x0=given["x0"])
+    for name, v in given.items():
+        assert v.tobytes() == kept[name].tobytes(), name
+
+
+# every solver on both H_A kinds that the benchmark runs, from a random start
+# on F = 0 and from a zero start on a random F, at M = 32 in a process with
+# one BLAS thread; prints the sha256 over each (layout, kind)'s reports
+_SOLVE_DIGESTS = """
+import hashlib
+import json
+
+from saddleprec import (build_block_preconditioner, pcg_k_solve, pl_solve,
+                        pu_solve, random_guess)
+from saddle_problems import make_problem
+
+problems = {
+    "periodic": make_problem(32, 2),
+    "random": make_problem(32, 2, layout_mode="random", removal=5,
+                           layout_seed=3, eps_mode="random", eps_min=1e-6,
+                           eps_seed=4),
+}
+digests = {}
+for layout, prob in problems.items():
+    op = prob.op
+    for kind in ("exact", "diagonal"):
+        pre = build_block_preconditioner(prob.A, prob.blocks, kind)
+        sha = hashlib.sha256()
+        for solve, start in ((pu_solve, "p0"), (pl_solve, "z0"),
+                             (pcg_k_solve, "z0")):
+            size = op.n if solve is pu_solve else op.size
+            for args in ({start: random_guess(size, 5)},
+                         {"F": random_guess(op.size, 11)}):
+                rep = solve(op, pre, **args)
+                for part in (rep.norms, rep.u, rep.p, *rep.tridiagonal):
+                    sha.update(part.tobytes())
+        digests[f"{layout} {kind}"] = sha.hexdigest()
+print(json.dumps(digests))
+"""
+
+# recorded with one BLAS thread; the CLI pins show final_ratio to 7 digits and
+# no Ritz data, so these are what hold every bit of a solve
+_SOLVE_BYTES = {
+    "periodic exact":
+        "326e17ac3509ae82d243e14b7ab32de21073f80ccdff1b156827ec0aa7655de0",
+    "periodic diagonal":
+        "4f3b562915ad2cae4cb1554b7c909ffbe4807a1167507377f4e029922cddfb4f",
+    "random exact":
+        "e35fa44de528f6341e4afaceda90fc64ad899a1b3aeab354b18ed6049e65378e",
+    "random diagonal":
+        "c64878749a8afac6dd298ec01142cf67bc4f0685c6131dcf03473661d297cda7",
+}
+
+
+def test_solver_reports_keep_their_bits():
+    got = json.loads(run_with_one_blas_thread("-c", _SOLVE_DIGESTS))
+    assert got == _SOLVE_BYTES
