@@ -69,27 +69,43 @@ def _scatter(tri: np.ndarray, K: np.ndarray, size: int) -> sp.csr_matrix:
 _STENCIL = np.array([0.0, -1.0, -1.0, 4.0, -1.0, -1.0, 0.0])
 
 
-def _stencil_stiffness(M: int, ordering: OrderingMap | None) -> sp.csr_matrix:
-    """The unit-coefficient stiffness with the bytes of the element scatter:
-    built in natural order, then relabelled and re-sorted by two
-    compressed-format transposes."""
-    n = M - 1
-    x, y = np.meshgrid(np.arange(n), np.arange(n))
-    x, y = x.ravel(), y.ravel()
+def _stencil_rows(nodes: np.ndarray, n: int):
+    """CSR arrays (data, indices, indptr) of the stencil rows of the given
+    natural nodes, one row each, with natural column ids in stencil
+    order; the index arrays are int32."""
+    y, x = np.divmod(nodes, n)
     west, south, east, north = x > 0, y > 0, x < n - 1, y < n - 1
-    present = np.column_stack((west & south, south, west, np.ones_like(west),
-                               east, north, east & north))
-    cols = np.arange(n * n)[:, None] + [-n - 1, -n, -1, 0, 1, n, n + 1]
-    indptr = np.concatenate(([0], np.cumsum(present.sum(axis=1))))
-    data = np.broadcast_to(_STENCIL, present.shape)[present]
+    present = np.empty((nodes.size, 7), dtype=bool)
+    counts = np.zeros(nodes.size, dtype=np.int32)
+    for c, mask in enumerate((west & south, south, west, True, east, north,
+                              east & north)):
+        present[:, c] = mask
+        counts += mask
+    indptr = np.zeros(nodes.size + 1, dtype=np.int32)
+    np.cumsum(counts, out=indptr[1:])
+    offsets = np.array([-n - 1, -n, -1, 0, 1, n, n + 1], dtype=np.int32)
+    keep = present.ravel()
+    return (np.tile(_STENCIL, nodes.size)[keep],
+            (nodes[:, None] + offsets).ravel()[keep], indptr)
+
+
+def _stencil_stiffness(M: int, ordering: OrderingMap | None) -> sp.csr_matrix:
+    """The unit-coefficient stiffness with the bytes of the element scatter.
+
+    Row s is the stencil of natural node inv[s], its columns relabelled by
+    perm.  In natural order the stencil order is the column order.
+    Otherwise one CSC conversion sorts each column's rows, and since A is
+    symmetric, the CSC arrays read as CSR are A with sorted rows.
+    """
+    n = M - 1
+    shape = (n * n,) * 2
     if ordering is None:
-        return sp.csr_matrix((data, cols[present], indptr), shape=(n * n,) * 2)
-    perm = ordering.perm
-    # natural rows, system columns; its CSC holds each column's rows sorted
-    csc = sp.csr_matrix((data, perm[cols[present]], indptr),
-                        shape=(n * n,) * 2).tocsc()
-    return sp.csc_matrix((csc.data, perm[csc.indices], csc.indptr),
-                         shape=csc.shape).tocsr()
+        return sp.csr_matrix(
+            _stencil_rows(np.arange(n * n, dtype=np.int32), n), shape=shape)
+    data, cols, indptr = _stencil_rows(ordering.inv.astype(np.int32), n)
+    cols = ordering.perm.astype(np.int32)[cols]
+    csc = sp.csr_matrix((data, cols, indptr), shape=shape).tocsc()
+    return sp.csr_matrix((csc.data, csc.indices, csc.indptr), shape=shape)
 
 
 def _check_ordering(mesh: StructuredMesh, ordering: OrderingMap | None):
@@ -155,9 +171,18 @@ def _assemble_local(k: int, h: float):
 
 
 def _block_diagonal(m: int, local: np.ndarray) -> sp.csr_matrix:
-    """Block diagonal of m copies of the dense block local."""
-    return sp.kron(sp.identity(m, format="csr"), sp.csr_matrix(local),
-                   format="csr")
+    """Block diagonal of m copies of the dense block local: the CSR arrays
+    of local tiled with block offsets, the bytes of
+    sp.kron(sp.identity(m), sp.csr_matrix(local)) in CSR."""
+    block = sp.csr_matrix(local)
+    ns = block.shape[0]
+    blocks = np.arange(m, dtype=np.int32)[:, None]
+    indices = (block.indices + ns * blocks).ravel()
+    indptr = np.zeros(m * ns + 1, dtype=np.int32)
+    np.add(block.indptr[1:], block.nnz * blocks,
+           out=indptr[1:].reshape(m, ns))
+    return sp.csr_matrix((np.tile(block.data, m), indices, indptr),
+                         shape=(m * ns,) * 2)
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -320,27 +345,47 @@ def assemble_load(mesh: StructuredMesh, f,
                   ordering: OrderingMap | None = None) -> np.ndarray:
     """Load vector with one-point barycentric quadrature per triangle.
 
-    f may be a number or a callable f(x, y) accepting arrays.
+    f may be a number or a callable f(x, y) accepting arrays; the callable
+    gets the barycentres in triangulate's triangle order.  Each interior
+    node sums its six triangle shares in that order, as a scatter over the
+    triangles would: the cells at (X-1, Y-1) lower and upper, (X-1, Y)
+    lower, (X, Y-1) upper, then (X, Y) lower and upper.
     """
     _check_ordering(mesh, ordering)
-    tri, _ = triangulate(mesh.M)
+    M = mesh.M
+    n_tri = 2 * M * M
     if callable(f):
-        coords = mesh.node_coords(tri.ravel()).reshape(tri.shape[0], 3, 2)
-        bary = coords.mean(axis=1)
-        vals = np.asarray(f(bary[:, 0], bary[:, 1]), dtype=float)
-        if vals.shape != (tri.shape[0],):
-            vals = np.broadcast_to(vals, (tri.shape[0],)).astype(float)
-    elif isinstance(f, (int, float, np.floating, np.integer)):
-        vals = np.full(tri.shape[0], float(f))
+        # barycentres ((a + b) + c) / 3 over the nodes (ll, lr, ur) of the
+        # lower and (ll, ur, ul) of the upper triangle, as [cx, cy, triangle]
+        t = np.arange(M + 1) * mesh.h
+        lo, hi = t[:-1], t[1:]
+        bx = np.empty((M, M, 2))
+        bx[:, :, 0] = (((lo + hi) + hi) / 3.0)[:, None]
+        bx[:, :, 1] = (((lo + hi) + lo) / 3.0)[:, None]
+        by = np.empty((M, M, 2))
+        by[:, :, 0] = ((lo + lo) + hi) / 3.0
+        by[:, :, 1] = ((lo + hi) + hi) / 3.0
+        vals = np.asarray(f(bx.ravel(), by.ravel()), dtype=float)
+        del bx, by
+        if vals.shape != (n_tri,):
+            vals = np.broadcast_to(vals, (n_tri,)).astype(float)
+    elif (isinstance(f, (int, float, np.floating, np.integer))
+          and not isinstance(f, bool)):
+        vals = np.full(n_tri, float(f))
     else:
         raise ParameterError(f"load must be a number or callable, got {type(f)!r}")
 
     area = 0.5 * mesh.h * mesh.h
-    contrib = np.repeat(vals * area / 3.0, 3)
-    idx = mesh.interior_index[tri.ravel()]
-    keep = idx >= 0
-    out = np.bincount(idx[keep], weights=contrib[keep],
-                      minlength=mesh.n_interior)
+    share = (vals * area / 3.0).reshape(M, M, 2)        # [cx, cy, triangle]
+    del vals
+    lower, upper = share[:, :, 0], share[:, :, 1]
+    # [X - 1, Y - 1]; the sums start from +0.0, as np.bincount's do, so a
+    # node whose six shares are all -0.0 also reads +0.0
+    out = np.zeros((M - 1, M - 1))
+    for term in (lower[:-1, :-1], upper[:-1, :-1], lower[:-1, 1:],
+                 upper[1:, :-1], lower[1:, 1:], upper[1:, 1:]):
+        out += term
+    out = out.T.ravel()                                 # row-major nodes
     if ordering is not None:
         out = ordering.to_system(out)
     return out

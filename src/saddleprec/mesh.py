@@ -98,11 +98,9 @@ def build_mesh(M: int) -> StructuredMesh:
     M = int(M)
     side = M + 1
 
-    ix = np.arange(side * side) % side
-    iy = np.arange(side * side) // side
-    interior = (ix > 0) & (ix < M) & (iy > 0) & (iy < M)
+    inner = np.arange(1, M)
+    interior_ids = (inner[:, None] * side + inner).ravel()
     interior_index = np.full(side * side, -1, dtype=np.int64)
-    interior_ids = np.flatnonzero(interior)
     interior_index[interior_ids] = np.arange(interior_ids.size)
 
     return StructuredMesh(M=M, h=1.0 / M, interior_index=interior_index,

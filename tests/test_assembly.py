@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from saddleprec import (
     assemble_inclusion_blocks,
 )
 
-from saddleprec.assembly import _element_batches, _scatter
+from saddleprec.assembly import _block_diagonal, _element_batches, _scatter
 from saddleprec.mesh import OrderingMap, triangulate
 from saddle_problems import make_problem
 
@@ -85,11 +86,29 @@ def test_stencil_stiffness_equals_the_element_scatter(M, name):
         idx = np.where(idx >= 0, ordering.perm[np.clip(idx, 0, None)], -1)
     oracle = _scatter(idx, _element_batches(tri.shape[0]), mesh.n_interior)
     A = assemble_stiffness(mesh, ordering)
-    for attr in ("indptr", "indices", "data"):
-        got, want = getattr(A, attr), getattr(oracle, attr)
-        assert got.dtype == want.dtype
-        assert got.tobytes() == want.tobytes()      # explicit zeros included
+    _assert_same_csr(A, oracle)                     # explicit zeros included
     assert A.has_sorted_indices and oracle.has_sorted_indices
+
+
+def _assert_same_csr(got, want):
+    assert got.shape == want.shape
+    for attr in ("indptr", "indices", "data"):
+        a, b = getattr(got, attr), getattr(want, attr)
+        assert a.dtype == b.dtype
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("k", [1, 2, 4, 8])
+def test_block_diagonal_equals_the_kronecker_product(k):
+    layout = layout_from_cells(build_mesh(2 * k + 4), k, [
+        (1, 1), (k + 2, 1), (1, k + 2), (k + 2, k + 2)])
+    blocks = assemble_inclusion_blocks(layout)
+    q = np.outer(blocks.weights, blocks.weights) / (blocks.d * blocks.d)
+    for local, built in ((blocks.B_loc, blocks.B_D),
+                         (blocks.M_loc, blocks.M_D), (q, blocks.q_sparse())):
+        for m, got in ((blocks.m, built), (1, _block_diagonal(1, local))):
+            _assert_same_csr(got, sp.kron(sp.identity(m, format="csr"),
+                                          sp.csr_matrix(local), format="csr"))
 
 
 def test_stiffness_is_symmetric_positive_definite():
@@ -234,6 +253,50 @@ def test_load_accepts_callables():
     np.testing.assert_allclose(const, via_callable)
     with pytest.raises(ParameterError):
         assemble_load(mesh, "heavy")
+
+
+@pytest.mark.parametrize("f", [True, np.True_, False, np.False_])
+def test_load_refuses_booleans(f):
+    with pytest.raises(ParameterError, match="load must be a number or callable"):
+        assemble_load(build_mesh(4), f)
+
+
+def _scatter_load(mesh, f, ordering):
+    """The load as a scatter of one-point triangle quadratures, summed
+    per node by np.bincount in triangle order."""
+    tri, _ = triangulate(mesh.M)
+    if callable(f):
+        coords = mesh.node_coords(tri.ravel()).reshape(tri.shape[0], 3, 2)
+        bary = coords.mean(axis=1)
+        vals = np.asarray(f(bary[:, 0], bary[:, 1]), dtype=float)
+    else:
+        vals = np.full(tri.shape[0], float(f))
+    area = 0.5 * mesh.h * mesh.h
+    contrib = np.repeat(vals * area / 3.0, 3)
+    idx = mesh.interior_index[tri.ravel()]
+    keep = idx >= 0
+    out = np.bincount(idx[keep], weights=contrib[keep],
+                      minlength=mesh.n_interior)
+    return out if ordering is None else ordering.to_system(out)
+
+
+_LOADS = {"one": 1.0, "negative-zero": -0.0,
+          "smooth": lambda x, y: np.sin(3 * x) * np.cos(2 * y) + x * y}
+
+
+@pytest.mark.parametrize("M,name,load", [
+    (M, name, load) for M in (2, 3, 5, 16, 64)
+    for name in ("natural", "permutation", "periodic", "random")
+    if M >= _ORDERINGS[name][0] and (name in ("natural", "permutation")
+                                     or M % 4 == 0)
+    for load in _LOADS])
+def test_load_equals_the_triangle_scatter(M, name, load):
+    mesh = build_mesh(M)
+    ordering = _ORDERINGS[name][1](mesh)
+    got = assemble_load(mesh, _LOADS[load], ordering)
+    want = _scatter_load(mesh, _LOADS[load], ordering)
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("M,ordered", [(2, False), (5, False), (16, True)])
@@ -521,3 +584,30 @@ def test_concurrent_first_builds_never_mix_products():
                 np.testing.assert_array_equal(op.eps, layout.eps)
     finally:
         sys.setswitchinterval(interval)
+
+
+def _csr_bytes(matrix):
+    return matrix.data.nbytes + matrix.indices.nbytes + matrix.indptr.nbytes
+
+
+def _traced_peak(build):
+    """What build() returns and the peak of memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = build()
+        return out, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_construction_peaks_stay_near_their_outputs():
+    mesh = build_mesh(256)
+    layout = place_periodic(mesh, 2)
+    ordering = build_ordering(layout)
+    A, peak = _traced_peak(lambda: assemble_stiffness(mesh, ordering))
+    assert peak <= 2.5 * _csr_bytes(A)
+    F, peak = _traced_peak(lambda: assemble_load(mesh, 1.0, ordering))
+    assert peak <= 8.0 * F.nbytes
+    blocks, peak = _traced_peak(lambda: assemble_inclusion_blocks(layout))
+    assert peak <= 2.0 * _csr_bytes(blocks.B_D)

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -22,6 +23,20 @@ def test_smallest_mesh_has_one_interior_node_at_center():
     assert mesh.n_interior == 1
     np.testing.assert_allclose(mesh.node_coords(mesh.interior_ids),
                                [[0.5, 0.5]])
+
+
+@pytest.mark.parametrize("M", range(2, 10))
+def test_interior_ids_are_the_row_major_inner_nodes(M):
+    mesh = build_mesh(M)
+    side = M + 1
+    gid = np.arange(side * side)
+    ix, iy = gid % side, gid // side
+    want = np.flatnonzero((ix > 0) & (ix < M) & (iy > 0) & (iy < M))
+    assert mesh.interior_ids.dtype == want.dtype
+    assert mesh.interior_ids.tobytes() == want.tobytes()
+    index = np.full(side * side, -1, dtype=np.int64)
+    index[want] = np.arange(want.size)
+    assert mesh.interior_index.tobytes() == index.tobytes()
 
 
 def test_interior_count_matches_square_law():
@@ -234,3 +249,11 @@ def test_ordering_round_trip():
     v = np.random.default_rng(0).standard_normal(layout.mesh.n_interior)
     np.testing.assert_array_equal(ordering.to_system(v)[ordering.perm], v)
     np.testing.assert_array_equal(ordering.to_system(v[ordering.perm]), v)
+
+
+def test_ordering_refuses_an_inclusion_node_on_the_boundary():
+    layout = place_periodic(build_mesh(8), 2)
+    gids = layout.node_gids.copy()
+    gids[0, 0] = 0                        # the corner node (0, 0)
+    with pytest.raises(LayoutError, match="inclusion node on the boundary"):
+        build_ordering(dataclasses.replace(layout, node_gids=gids))
