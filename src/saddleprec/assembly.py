@@ -23,7 +23,7 @@ import scipy.io
 import scipy.sparse as sp
 
 from .mesh import (InclusionLayout, OrderingMap, ParameterError,
-                   StructuredMesh, build_ordering, triangulate)
+                   StructuredMesh, build_ordering, real_number, triangulate)
 
 # element stiffness for the two triangle shapes (ll, lr, ur) and (ll, ur, ul);
 # constant P1 gradients make them independent of h
@@ -89,15 +89,29 @@ def _stencil_rows(nodes: np.ndarray, n: int):
             (nodes[:, None] + offsets).ravel()[keep], indptr)
 
 
-def _stencil_stiffness(M: int, ordering: OrderingMap | None) -> sp.csr_matrix:
-    """The unit-coefficient stiffness with the bytes of the element scatter.
+def _check_ordering(mesh: StructuredMesh, ordering: OrderingMap | None):
+    """Refuse an ordering made for a mesh with another node count."""
+    if ordering is not None and ordering.perm.size != mesh.n_interior:
+        raise ParameterError(
+            f"ordering has {ordering.perm.size} nodes, the mesh with M = "
+            f"{mesh.M} has {mesh.n_interior} interior nodes")
 
-    Row s is the stencil of natural node inv[s], its columns relabelled by
-    perm.  In natural order the stencil order is the column order.
-    Otherwise one CSC conversion sorts each column's rows, and since A is
-    symmetric, the CSC arrays read as CSR are A with sorted rows.
+
+def assemble_stiffness(mesh: StructuredMesh,
+                       ordering: OrderingMap | None = None) -> sp.csr_matrix:
+    """Dirichlet P1 stiffness matrix on the interior nodes, unit
+    coefficient, with the bytes of the element scatter.
+
+    Rows and columns use the system ordering if one is given, otherwise
+    the natural row-major interior ordering; the result is a CSR matrix of
+    shape (N, N) with N = (M-1)**2.  Row s is the stencil of natural node
+    inv[s], its columns relabelled by perm.  In natural order the stencil
+    order is the column order.  Otherwise one CSC conversion sorts each
+    column's rows, and since A is symmetric, the CSC arrays read as CSR are
+    A with sorted rows.
     """
-    n = M - 1
+    _check_ordering(mesh, ordering)
+    n = mesh.M - 1
     shape = (n * n,) * 2
     if ordering is None:
         return sp.csr_matrix(
@@ -108,56 +122,22 @@ def _stencil_stiffness(M: int, ordering: OrderingMap | None) -> sp.csr_matrix:
     return sp.csr_matrix((csc.data, csc.indices, csc.indptr), shape=shape)
 
 
-def _check_ordering(mesh: StructuredMesh, ordering: OrderingMap | None):
-    """Refuse an ordering made for a mesh with another node count."""
-    if ordering is not None and ordering.perm.size != mesh.n_interior:
-        raise ParameterError(
-            f"ordering has {ordering.perm.size} nodes, the mesh with M = "
-            f"{mesh.M} has {mesh.n_interior} interior nodes")
-
-
-def assemble_stiffness(mesh: StructuredMesh, ordering: OrderingMap | None = None,
-                       cell_weights: np.ndarray | None = None) -> sp.csr_matrix:
-    """Dirichlet P1 stiffness matrix on the interior nodes.
-
-    Parameters
-    ----------
-    mesh : StructuredMesh
-    ordering : OrderingMap, optional
-        If given, rows/columns use the system ordering; otherwise the natural
-        row-major interior ordering.
-    cell_weights : ndarray, optional
-        Piecewise-constant coefficient per cell (both triangles of a cell get
-        the same weight).  Defaults to 1.
-
-    Returns
-    -------
-    csr_matrix, shape (N, N) with N = (M-1)**2.
-    """
-    _check_ordering(mesh, ordering)
-    if cell_weights is None:
-        return _stencil_stiffness(mesh.M, ordering)
-    tri, cells = triangulate(mesh.M)
-    w = np.asarray(cell_weights, dtype=float)[cells]
-    K = _element_batches(tri.shape[0]) * w[:, None, None]
-
-    idx = mesh.interior_index[tri]                      # (nt, 3), -1 on boundary
-    if ordering is not None:
-        sysmap = np.where(idx >= 0, ordering.perm[np.clip(idx, 0, None)], -1)
-    else:
-        sysmap = idx
-    return _scatter(sysmap, K, mesh.n_interior)
-
-
 def assemble_sigma_matrix(layout: InclusionLayout,
                           ordering: OrderingMap | None = None) -> sp.csr_matrix:
     """Stiffness matrix of the original problem on the layout's mesh, with
-    sigma = 1 + 1/eps_s inside inclusion s and sigma = 1 elsewhere."""
+    sigma = 1 + 1/eps_s inside inclusion s and sigma = 1 elsewhere,
+    assembled element by element in the ordering assemble_stiffness uses."""
     mesh = layout.mesh
+    _check_ordering(mesh, ordering)
     weights = np.ones(mesh.M * mesh.M)
     weights[layout.inclusion_cells()] = np.repeat(1.0 + 1.0 / layout.eps,
                                                   layout.k * layout.k)
-    return assemble_stiffness(mesh, ordering, cell_weights=weights)
+    tri, cells = triangulate(mesh.M)
+    K = _element_batches(tri.shape[0]) * weights[cells][:, None, None]
+    idx = mesh.interior_index[tri]                      # (nt, 3), -1 on boundary
+    if ordering is not None:
+        idx = np.where(idx >= 0, ordering.perm[np.clip(idx, 0, None)], -1)
+    return _scatter(idx, K, mesh.n_interior)
 
 
 def _assemble_local(k: int, h: float):
@@ -369,8 +349,7 @@ def assemble_load(mesh: StructuredMesh, f,
         del bx, by
         if vals.shape != (n_tri,):
             vals = np.broadcast_to(vals, (n_tri,)).astype(float)
-    elif (isinstance(f, (int, float, np.floating, np.integer))
-          and not isinstance(f, bool)):
+    elif real_number(f):
         vals = np.full(n_tri, float(f))
     else:
         raise ParameterError(f"load must be a number or callable, got {type(f)!r}")

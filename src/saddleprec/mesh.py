@@ -33,6 +33,17 @@ class ParameterError(ValueError):
 EPS_MODES = ("uniform", "random")      # the modes of assign_epsilon
 
 
+def real_number(value) -> bool:
+    """Whether value is a Python or numpy int or float; booleans are not."""
+    return (isinstance(value, (int, float, np.integer, np.floating))
+            and not isinstance(value, bool))
+
+
+def whole_number(value) -> bool:
+    """Whether value is a Python or numpy int; booleans are not."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclasses.dataclass(frozen=True, eq=False)
 class StructuredMesh:
     """Uniform triangulation of (0,1)^2.
@@ -178,7 +189,7 @@ def layout_from_cells(mesh: StructuredMesh, k: int, corners,
     leaves the domain, touches the outer boundary or shares a closure node
     with an earlier inclusion (checked in that order).
     """
-    if not isinstance(k, (int, np.integer)) or k < 1:
+    if not whole_number(k) or k < 1:
         raise LayoutError(f"inclusion size k must be a positive integer, got {k!r}")
     k = int(k)
     M = mesh.M
@@ -212,7 +223,7 @@ def layout_from_cells(mesh: StructuredMesh, k: int, corners,
 
 
 def _periodic_corners(mesh: StructuredMesh, k: int):
-    if not isinstance(k, (int, np.integer)) or k < 2 or k % 2 != 0:
+    if not whole_number(k) or k < 2 or k % 2 != 0:
         raise LayoutError(
             f"periodic layouts require an even inclusion size k >= 2, got {k!r}; "
             "odd k cannot realise the half-width boundary margin on the grid")
@@ -243,8 +254,10 @@ def place_random(mesh: StructuredMesh, k: int, removal_count: int,
     generator (Philox) keyed by seed, so layouts are reproducible.
     """
     corners = _periodic_corners(mesh, k)
-    if not isinstance(removal_count, (int, np.integer)) or removal_count < 0:
+    if not whole_number(removal_count) or removal_count < 0:
         raise LayoutError(f"removal_count must be a non-negative integer, got {removal_count!r}")
+    if not whole_number(seed) or seed < 0:
+        raise LayoutError(f"seed must be a non-negative integer, got {seed!r}")
     if removal_count >= len(corners):
         raise LayoutError(
             f"removal_count = {removal_count} would leave no inclusions "
@@ -269,14 +282,18 @@ def assign_epsilon(layout: InclusionLayout, mode: str, *,
     if mode not in EPS_MODES:
         raise ParameterError(f"unknown epsilon mode {mode!r}")
     if mode == "uniform":
-        if epsilon is None or not (0.0 < epsilon <= 1.0):
+        if not real_number(epsilon) or not 0.0 < epsilon <= 1.0:
             raise ParameterError(f"uniform mode needs epsilon in (0, 1], got {epsilon!r}")
         eps = np.full(layout.m, float(epsilon))
     else:
-        if eps_min is None or not (0.0 < eps_min <= eps_max <= 1.0):
+        if (not (real_number(eps_min) and real_number(eps_max))
+                or not 0.0 < eps_min <= eps_max <= 1.0):
             raise ParameterError(
                 f"random mode needs 0 < eps_min <= eps_max <= 1, got "
                 f"eps_min={eps_min!r}, eps_max={eps_max!r}")
+        if not whole_number(seed) or seed < 0:
+            raise ParameterError(
+                f"random mode needs a whole-number seed >= 0, got {seed!r}")
         rng = np.random.Generator(np.random.Philox(seed))
         eps = rng.uniform(eps_min, eps_max, size=layout.m)
     return dataclasses.replace(layout, eps=eps)

@@ -33,7 +33,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .assembly import SaddleOperator
-from .mesh import ParameterError
+from .mesh import ParameterError, real_number, whole_number
 from .precond import (BlockPreconditioner, OpCounter, ReferenceSchurSolver,
                       SolverBreakdownError)
 
@@ -51,7 +51,11 @@ class MaxIterationsError(RuntimeError):
 
 
 def random_guess(size: int, seed: int) -> np.ndarray:
-    """Deterministic random initial guess, uniform on [-1, 1]."""
+    """Deterministic random initial guess, uniform on [-1, 1]; seed must
+    be a whole number >= 0."""
+    if not whole_number(seed) or seed < 0:
+        raise ParameterError(
+            f"random_guess seed must be a whole number >= 0, got {seed!r}")
     gen = np.random.Generator(np.random.Philox(seed))
     return gen.uniform(-1.0, 1.0, size)
 
@@ -130,10 +134,18 @@ class _Run:
     Iterating yields k = 1, 2, ... while the last recorded norm exceeds
     delta times the first, so a zero start takes no step, and raises
     MaxIterationsError once max_iter steps leave it above; report() builds
-    the SolverReport of the run.
+    the SolverReport of the run.  delta must be a real number in (0, 1) and
+    max_iter a whole number >= 0, neither a boolean; anything else raises
+    ParameterError before the solver applies an operator.
     """
 
     def __init__(self, method, stop_rule, delta, max_iter, counter):
+        if not real_number(delta) or not 0.0 < delta < 1.0:
+            raise ParameterError(
+                f"{method} delta must be a real number in (0, 1), got {delta!r}")
+        if not whole_number(max_iter) or max_iter < 0:
+            raise ParameterError(f"{method} max_iter must be a whole number "
+                                 f">= 0, got {max_iter!r}")
         self.method, self.stop_rule = method, stop_rule
         self.delta, self.max_iter = delta, max_iter
         self.counter = counter if counter is not None else OpCounter()

@@ -79,26 +79,18 @@ def dense_spectrum(op_mat, gram_mat=None):
     refuses from the shape, before a sparse input is made dense; there the
     ritz_extremes of a solver report estimate the extreme eigenvalues.
     """
-    op = op_mat if sp.issparse(op_mat) else np.asarray(op_mat, float)
-    if op.shape[0] != op.shape[1]:
-        raise ParameterError(f"operator must be square, got {op.shape}")
-    if op.shape[0] > DENSE_LIMIT:
+    shape = np.shape(op_mat)
+    if len(shape) != 2 or shape[0] != shape[1]:
+        raise ParameterError(f"operator must be square, got {shape}")
+    if shape[0] > DENSE_LIMIT:
         raise ParameterError(
-            f"dense spectrum refused at dimension {op.shape[0]} > {DENSE_LIMIT}; "
+            f"dense spectrum refused at dimension {shape[0]} > {DENSE_LIMIT}; "
             "use the ritz_extremes of a solver report for large instances")
-    op = op.toarray() if sp.issparse(op) else op
-    if not np.allclose(op, op.T, rtol=0.0, atol=1e-10 * _scale(op)):
-        raise ContractViolationError("operator block is not symmetric")
-    gram = None
-    if gram_mat is not None:
-        gram = (gram_mat if sp.issparse(gram_mat)
-                else np.asarray(gram_mat, float))
-        if gram.shape != op.shape:
-            raise ParameterError(
-                f"operator and Gram shapes differ: {op.shape} vs {gram.shape}")
-        gram = gram.toarray() if sp.issparse(gram) else gram
-        if not np.allclose(gram, gram.T, rtol=0.0, atol=1e-10 * _scale(gram)):
-            raise ContractViolationError("Gram block is not symmetric")
+    if gram_mat is not None and np.shape(gram_mat) != shape:
+        raise ParameterError(
+            f"operator and Gram shapes differ: {shape} vs {np.shape(gram_mat)}")
+    op = _symmetric_dense(op_mat, "operator block")
+    gram = None if gram_mat is None else _symmetric_dense(gram_mat, "Gram block")
     try:
         return sla.eigh(op, gram, eigvals_only=True)
     except sla.LinAlgError as exc:
@@ -111,6 +103,15 @@ def dense_spectrum(op_mat, gram_mat=None):
 def _scale(mat):
     s = np.abs(mat).max()
     return s if s > 0.0 else 1.0
+
+
+def _symmetric_dense(mat, name):
+    """The dense form of mat; raises ContractViolationError naming the
+    block unless it is symmetric to 1e-10 of its largest entry."""
+    mat = mat.toarray() if sp.issparse(mat) else np.asarray(mat, float)
+    if not np.allclose(mat, mat.T, rtol=0.0, atol=1e-10 * _scale(mat)):
+        raise ContractViolationError(f"{name} is not symmetric")
+    return mat
 
 
 def schur_complement_dense(A: sp.csr_matrix, blocks: InclusionBlocks) -> np.ndarray:

@@ -73,6 +73,20 @@ _ORDERINGS = {
 }
 
 
+def _element_scatter(mesh, ordering, cell_weights=None):
+    """The P1 stiffness summed triangle by triangle: every element matrix
+    scaled by its cell's weight (none for the unit coefficient) and
+    scattered over the interior nodes in the given ordering."""
+    tri, cells = triangulate(mesh.M)
+    K = _element_batches(tri.shape[0])
+    if cell_weights is not None:
+        K = K * np.asarray(cell_weights, dtype=float)[cells][:, None, None]
+    idx = mesh.interior_index[tri]
+    if ordering is not None:
+        idx = np.where(idx >= 0, ordering.perm[np.clip(idx, 0, None)], -1)
+    return _scatter(idx, K, mesh.n_interior)
+
+
 @pytest.mark.parametrize("M,name", [
     (M, name) for M in (2, 3, 4, 5, 8, 16, 64)
     for name, (smallest, _) in _ORDERINGS.items()
@@ -80,11 +94,7 @@ _ORDERINGS = {
 def test_stencil_stiffness_equals_the_element_scatter(M, name):
     mesh = build_mesh(M)
     ordering = _ORDERINGS[name][1](mesh)
-    tri, _ = triangulate(M)
-    idx = mesh.interior_index[tri]
-    if ordering is not None:
-        idx = np.where(idx >= 0, ordering.perm[np.clip(idx, 0, None)], -1)
-    oracle = _scatter(idx, _element_batches(tri.shape[0]), mesh.n_interior)
+    oracle = _element_scatter(mesh, ordering)
     A = assemble_stiffness(mesh, ordering)
     _assert_same_csr(A, oracle)                     # explicit zeros included
     assert A.has_sorted_indices and oracle.has_sorted_indices
@@ -204,9 +214,33 @@ def test_blocks_refuse_a_layout_without_inclusions():
 def test_sigma_matrix_reduces_to_plain_stiffness_without_inclusions():
     mesh = build_mesh(8)
     empty = layout_from_cells(mesh, 2, [])
-    A_sig = assemble_sigma_matrix(empty)
-    np.testing.assert_allclose(A_sig.toarray(),
-                               assemble_stiffness(mesh).toarray())
+    for ordering in (None, build_ordering(empty)):
+        _assert_same_csr(assemble_sigma_matrix(empty, ordering),
+                         assemble_stiffness(mesh, ordering))
+
+
+def _sigma_weights(layout):
+    """One weight per cell: 1 + 1/eps_s inside inclusion s, 1 elsewhere."""
+    weights = np.ones(layout.mesh.M ** 2)
+    for cells, eps in zip(layout.cell_ids, layout.eps):
+        weights[cells] = 1.0 + 1.0 / eps
+    return weights
+
+
+@pytest.mark.parametrize("M,k,placement", [
+    (8, 2, "periodic"), (16, 4, "periodic"), (32, 2, "random"),
+    (64, 4, "random")])
+@pytest.mark.parametrize("system_order", [False, True])
+def test_sigma_matrix_equals_a_weighted_element_scatter(M, k, placement,
+                                                        system_order):
+    mesh = build_mesh(M)
+    layout = (place_periodic(mesh, k) if placement == "periodic"
+              else place_random(mesh, k, 2, M))
+    layout = assign_epsilon(layout, "random", eps_min=1e-6, eps_max=1e-1,
+                            seed=M + k)
+    ordering = build_ordering(layout) if system_order else None
+    oracle = _element_scatter(mesh, ordering, _sigma_weights(layout))
+    _assert_same_csr(assemble_sigma_matrix(layout, ordering), oracle)
 
 
 def test_sigma_matrix_at_unit_eps_is_double_weight_inside():
@@ -216,7 +250,7 @@ def test_sigma_matrix_at_unit_eps_is_double_weight_inside():
     A_sig = assemble_sigma_matrix(layout)
     weights = np.ones(mesh.M * mesh.M)      # one weight per cell
     weights[layout.inclusion_cells()] = 2.0
-    direct = assemble_stiffness(mesh, cell_weights=weights)
+    direct = _element_scatter(mesh, None, weights)
     np.testing.assert_allclose(A_sig.toarray(), direct.toarray())
 
 

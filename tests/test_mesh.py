@@ -115,7 +115,7 @@ def test_custom_layout_rejects_boundary_and_overlap():
         layout_from_cells(mesh, 2, [(1, 1), (3, 1)])   # shared closure nodes
 
 
-@pytest.mark.parametrize("k", [0, -1])
+@pytest.mark.parametrize("k", [0, -1, True])
 def test_custom_layout_refuses_a_non_positive_k(k):
     with pytest.raises(LayoutError, match=re.escape(
             f"inclusion size k must be a positive integer, got {k}")):
@@ -213,8 +213,8 @@ def test_assign_epsilon_uniform_and_range_checks():
     layout = place_periodic(build_mesh(16), 2)
     uni = assign_epsilon(layout, "uniform", epsilon=1e-6)
     np.testing.assert_array_equal(uni.eps, np.full(layout.m, 1e-6))
-    for bad in (0.0, -1e-3, 1.5, None):
-        with pytest.raises(ParameterError):
+    for bad in (0.0, -1e-3, 1.5, None, True, np.True_, "0.1"):
+        with pytest.raises(ParameterError, match="^uniform mode needs"):
             assign_epsilon(layout, "uniform", epsilon=bad)
     with pytest.raises(ParameterError):
         assign_epsilon(layout, "blue", epsilon=1e-3)
@@ -229,6 +229,29 @@ def test_assign_epsilon_random_stays_in_segment():
     np.testing.assert_array_equal(collapsed.eps, np.full(layout.m, 1e-2))
     with pytest.raises(ParameterError):
         assign_epsilon(layout, "random", eps_min=1e-1)   # above eps_max
+
+
+@pytest.mark.parametrize("kwargs,message", [
+    (dict(eps_min=True), "0 < eps_min"), (dict(eps_min=np.True_), "0 < eps_min"),
+    (dict(eps_min="1e-3"), "0 < eps_min"),
+    (dict(eps_min=1e-3, eps_max=True), "0 < eps_min"),
+    (dict(eps_min=1e-3, seed=True), "a whole-number seed"),
+    (dict(eps_min=1e-3, seed=-1), "a whole-number seed"),
+    (dict(eps_min=1e-3, seed=1.0), "a whole-number seed")])
+def test_assign_epsilon_random_refuses_a_non_number(kwargs, message):
+    layout = place_periodic(build_mesh(8), 2)
+    with pytest.raises(ParameterError, match=f"^random mode needs {message}"):
+        assign_epsilon(layout, "random", **kwargs)
+
+
+@pytest.mark.parametrize("kwargs,message", [
+    (dict(removal_count=True, seed=0), "removal_count must be"),
+    (dict(removal_count=1, seed=True), "seed must be"),
+    (dict(removal_count=1, seed=-1), "seed must be"),
+    (dict(removal_count=1, seed=0.0), "seed must be")])
+def test_random_layout_refuses_a_boolean_count_or_seed(kwargs, message):
+    with pytest.raises(LayoutError, match=f"^{message}"):
+        place_random(build_mesh(16), 2, **kwargs)
 
 
 def test_ordering_groups_inclusion_nodes_first():

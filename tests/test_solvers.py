@@ -494,3 +494,51 @@ _SOLVE_BYTES = {
 def test_solver_reports_keep_their_bits():
     got = json.loads(run_with_one_blas_thread("-c", _SOLVE_DIGESTS))
     assert got == _SOLVE_BYTES
+
+
+# ---------------------------------------------------------------------------
+# argument contract
+
+
+_SOLVES = {
+    "pu": lambda prob, pre, **kw: pu_solve(
+        prob.op, pre, p0=random_guess(prob.op.n, 1), **kw),
+    "pl": lambda prob, pre, **kw: pl_solve(
+        prob.op, pre, z0=random_guess(prob.op.size, 1), **kw),
+    "pcg_k": lambda prob, pre, **kw: pcg_k_solve(
+        prob.op, pre, z0=random_guess(prob.op.size, 1), **kw),
+    "cg": lambda prob, pre, **kw: cg_solve(
+        prob.A, None, x0=random_guess(prob.op.N, 1), **kw),
+}
+
+
+@pytest.mark.parametrize("name,value", [
+    ("delta", 0.0), ("delta", -1.0), ("delta", 1.0), ("delta", 2.0),
+    ("delta", float("nan")), ("delta", True), ("delta", np.True_),
+    ("delta", "1e-6"), ("delta", None),
+    ("max_iter", 2.5), ("max_iter", 2.0), ("max_iter", -1),
+    ("max_iter", True), ("max_iter", np.True_), ("max_iter", None)])
+@pytest.mark.parametrize("method", sorted(_SOLVES))
+def test_solvers_refuse_a_bad_delta_or_budget_before_any_apply(
+        prob8, method, name, value):
+    counter = OpCounter()
+    with pytest.raises(ParameterError, match=f"^{method} {name} must be"):
+        _SOLVES[method](prob8, make_exact_precond(prob8), counter=counter,
+                        **{name: value})
+    assert (counter.a, counter.ha) == (0, 0)
+
+
+@pytest.mark.parametrize("method", sorted(_SOLVES))
+def test_solvers_take_a_numpy_budget_and_a_zero_budget(prob8, method):
+    pre = make_exact_precond(prob8)
+    rep = _SOLVES[method](prob8, pre, delta=np.float64(1e-6),
+                          max_iter=np.int64(500))
+    assert rep.converged and rep.iterations > 0
+    with pytest.raises(MaxIterationsError, match="within 0 iterations"):
+        _SOLVES[method](prob8, pre, max_iter=0)
+
+
+@pytest.mark.parametrize("seed", [True, np.True_, -1, 1.0, None])
+def test_random_guess_refuses_a_seed_that_is_not_a_whole_number(seed):
+    with pytest.raises(ParameterError, match="^random_guess seed must be"):
+        random_guess(10, seed)

@@ -113,6 +113,20 @@ def test_dense_spectrum_input_contracts(prob8):
         dense_spectrum(A, -np.eye(A.shape[0]))   # Gram must be SPD
 
 
+def test_dense_spectrum_refuses_shapes_before_symmetry(prob8):
+    A = prob8.A.toarray()
+    lopsided = A.copy()
+    lopsided[0, 1] += 1.0
+    with pytest.raises(ParameterError, match="shapes differ"):
+        dense_spectrum(lopsided, np.eye(A.shape[0] - 1))
+    for flat in (np.ones(3), 1.0):
+        with pytest.raises(ParameterError, match="^operator must be square"):
+            dense_spectrum(flat)
+    with pytest.raises(ContractViolationError,
+                       match="^operator block is not symmetric$"):
+        dense_spectrum(sp.csr_matrix(lopsided), lopsided)
+
+
 def test_complement_basis_spans_weight_orthogonal_space(prob8):
     blocks = prob8.blocks
     Z = complement_basis(blocks)
