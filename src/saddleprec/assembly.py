@@ -69,24 +69,25 @@ def _scatter(tri: np.ndarray, K: np.ndarray, size: int) -> sp.csr_matrix:
 _STENCIL = np.array([0.0, -1.0, -1.0, 4.0, -1.0, -1.0, 0.0])
 
 
-def _stencil_rows(nodes: np.ndarray, n: int):
-    """CSR arrays (data, indices, indptr) of the stencil rows of the given
-    natural nodes, one row each, with natural column ids in stencil
-    order; the index arrays are int32."""
+def _stencil_columns(n: int, ordering: OrderingMap | None) -> np.ndarray:
+    """(N, 7) int32 column ids of all seven stencil entries of every row,
+    N = n * n.  Row s is natural node inv[s] (s itself without an
+    ordering), its neighbours relabelled by perm; a neighbour on the
+    boundary gets the sentinel column N."""
+    N = n * n
+    label = np.arange(N + 1, dtype=np.int32)
+    nodes = label[:N]
+    if ordering is not None:
+        nodes = ordering.inv.astype(np.int32)
+        label[:N] = ordering.perm
     y, x = np.divmod(nodes, n)
-    west, south, east, north = x > 0, y > 0, x < n - 1, y < n - 1
-    present = np.empty((nodes.size, 7), dtype=bool)
-    counts = np.zeros(nodes.size, dtype=np.int32)
-    for c, mask in enumerate((west & south, south, west, True, east, north,
-                              east & north)):
-        present[:, c] = mask
-        counts += mask
-    indptr = np.zeros(nodes.size + 1, dtype=np.int32)
-    np.cumsum(counts, out=indptr[1:])
-    offsets = np.array([-n - 1, -n, -1, 0, 1, n, n + 1], dtype=np.int32)
-    keep = present.ravel()
-    return (np.tile(_STENCIL, nodes.size)[keep],
-            (nodes[:, None] + offsets).ravel()[keep], indptr)
+    west, south, east, north = x == 0, y == 0, x == n - 1, y == n - 1
+    cols = np.empty((N, 7), dtype=np.int32)
+    for c, (offset, outside) in enumerate((
+            (-n - 1, west | south), (-n, south), (-1, west), (0, False),
+            (1, east), (n, north), (n + 1, east | north))):
+        cols[:, c] = label[np.where(outside, N, nodes + offset)]
+    return cols
 
 
 def _check_ordering(mesh: StructuredMesh, ordering: OrderingMap | None):
@@ -104,22 +105,20 @@ def assemble_stiffness(mesh: StructuredMesh,
 
     Rows and columns use the system ordering if one is given, otherwise
     the natural row-major interior ordering; the result is a CSR matrix of
-    shape (N, N) with N = (M-1)**2.  Row s is the stencil of natural node
-    inv[s], its columns relabelled by perm.  In natural order the stencil
-    order is the column order.  Otherwise one CSC conversion sorts each
-    column's rows, and since A is symmetric, the CSC arrays read as CSR are
-    A with sorted rows.
+    shape (N, N) with N = (M-1)**2.  Every row stores its seven stencil
+    entries, a boundary neighbour in the sentinel column N.  One CSC
+    conversion sorts each column's rows and puts column N last, where a
+    slice of its arrays drops it; since A is symmetric, those arrays read
+    as CSR are A with sorted rows.
     """
     _check_ordering(mesh, ordering)
-    n = mesh.M - 1
-    shape = (n * n,) * 2
-    if ordering is None:
-        return sp.csr_matrix(
-            _stencil_rows(np.arange(n * n, dtype=np.int32), n), shape=shape)
-    data, cols, indptr = _stencil_rows(ordering.inv.astype(np.int32), n)
-    cols = ordering.perm.astype(np.int32)[cols]
-    csc = sp.csr_matrix((data, cols, indptr), shape=shape).tocsc()
-    return sp.csr_matrix((csc.data, csc.indices, csc.indptr), shape=shape)
+    N = mesh.n_interior
+    csc = sp.csr_matrix(
+        (np.tile(_STENCIL, N), _stencil_columns(mesh.M - 1, ordering).ravel(),
+         np.arange(0, 7 * N + 1, 7, dtype=np.int32)), shape=(N, N + 1)).tocsc()
+    end = csc.indptr[N]
+    return sp.csr_matrix((csc.data[:end], csc.indices[:end],
+                          csc.indptr[:N + 1]), shape=(N, N))
 
 
 def assemble_sigma_matrix(layout: InclusionLayout,
@@ -290,9 +289,16 @@ def build_saddle_operator(A: sp.csr_matrix, blocks: InclusionBlocks,
     n = blocks.n
     if n > N:
         raise AssemblyError("more inclusion nodes than interior nodes")
-    eps = np.array(eps, dtype=float)
+    eps = np.asarray(eps)
     if eps.shape != (blocks.m,):
         raise AssemblyError(f"eps has shape {eps.shape}, expected ({blocks.m},)")
+    # a boolean, string or object eps is refused whole, at its first entry
+    ok = eps.dtype.kind in "iuf" and (eps > 0) & (eps <= 1)
+    if not np.all(ok):
+        s = int(np.argmin(ok))
+        raise ParameterError(f"eps of inclusion {s} is {eps.item(s)!r}, "
+                             f"expected a number in (0, 1]")
+    eps = eps.astype(float)
     return SaddleOperator(A=A, blocks=blocks, N=N, n=n, eps=eps,
                           eps_node=np.repeat(eps, blocks.ns))
 

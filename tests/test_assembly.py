@@ -90,7 +90,9 @@ def _element_scatter(mesh, ordering, cell_weights=None):
 @pytest.mark.parametrize("M,name", [
     (M, name) for M in (2, 3, 4, 5, 8, 16, 64)
     for name, (smallest, _) in _ORDERINGS.items()
-    if M >= smallest and (name not in ("periodic", "random") or M % 4 == 0)])
+    if M >= smallest and (name not in ("periodic", "random") or M % 4 == 0)]
+    + [(128, name) for name in ("natural", "permutation", "periodic",
+                                "random")])
 def test_stencil_stiffness_equals_the_element_scatter(M, name):
     mesh = build_mesh(M)
     ordering = _ORDERINGS[name][1](mesh)
@@ -179,6 +181,30 @@ def test_saddle_operator_takes_one_eps_per_inclusion(tiny_problem):
     for bad in (eps[0], eps[:-1], np.tile(eps, 2)):
         with pytest.raises(AssemblyError, match="eps has shape"):
             build_saddle_operator(A, blocks, bad)
+
+
+def test_saddle_operator_refuses_eps_outside_the_unit_interval(prob8):
+    A, blocks = prob8.A, prob8.blocks
+    m = blocks.m
+    for bad, shown in ((-1.0, "-1.0"), (0.0, "0.0"), (np.nan, "nan"),
+                       (2.0, "2.0")):
+        eps = np.full(m, 0.5)
+        eps[1] = bad
+        with pytest.raises(ParameterError,
+                           match=rf"eps of inclusion 1 is {shown}, "):
+            build_saddle_operator(A, blocks, eps)
+    # a boolean, string or object eps is refused whole, at inclusion 0
+    for bad, shown in (([True] * m, "True"), (["0.5"] * m, "'0.5'"),
+                       (np.full(m, 0.5, dtype=object), "0.5")):
+        with pytest.raises(ParameterError,
+                           match=rf"eps of inclusion 0 is {shown}, "):
+            build_saddle_operator(A, blocks, bad)
+    with pytest.raises(AssemblyError, match="eps has shape"):
+        build_saddle_operator(A, blocks, [True] * (m + 1))  # shape first
+    for good in ([1] * m, np.full(m, 1e-300), np.full(m, 0.25, np.float32)):
+        op = build_saddle_operator(A, blocks, good)
+        assert op.eps.dtype == float
+        np.testing.assert_array_equal(op.eps, np.asarray(good, dtype=float))
 
 
 def test_saddle_apply_matches_explicit_block_matrix(tiny_problem):
@@ -645,3 +671,12 @@ def test_construction_peaks_stay_near_their_outputs():
     assert peak <= 8.0 * F.nbytes
     blocks, peak = _traced_peak(lambda: assemble_inclusion_blocks(layout))
     assert peak <= 2.0 * _csr_bytes(blocks.B_D)
+
+
+@pytest.mark.parametrize("name", ["natural", "periodic"])
+def test_stiffness_peak_stays_near_two_copies_of_a(name):
+    # the unsorted stencil rows and their CSC conversion, in either order
+    mesh = build_mesh(256)
+    ordering = _ORDERINGS[name][1](mesh)
+    A, peak = _traced_peak(lambda: assemble_stiffness(mesh, ordering))
+    assert peak <= 2.05 * _csr_bytes(A)

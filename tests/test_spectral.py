@@ -267,6 +267,9 @@ def test_verify_intervals_parameter_contracts(prob8, monkeypatch):
                          epsilon=1e-4)
     with pytest.raises(ParameterError):
         verify_intervals(big)
+    for tol in (-1.0, True, float("nan"), "1e-8"):
+        with pytest.raises(ParameterError, match="tol must be a real number"):
+            verify_intervals(prob8.layout, tol=tol)
     assert calls == {"build_problem": 0}    # each refused before any build
 
 
