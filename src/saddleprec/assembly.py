@@ -23,7 +23,8 @@ import scipy.io
 import scipy.sparse as sp
 
 from .mesh import (InclusionLayout, OrderingMap, ParameterError,
-                   StructuredMesh, build_ordering, real_number, triangulate)
+                   StructuredMesh, build_ordering, first_non_number,
+                   real_number, triangulate)
 
 # element stiffness for the two triangle shapes (ll, lr, ur) and (ll, ur, ul);
 # constant P1 gradients make them independent of h
@@ -289,14 +290,18 @@ def build_saddle_operator(A: sp.csr_matrix, blocks: InclusionBlocks,
     n = blocks.n
     if n > N:
         raise AssemblyError("more inclusion nodes than interior nodes")
-    eps = np.asarray(eps)
+    values, eps = eps, np.asarray(eps)
     if eps.shape != (blocks.m,):
         raise AssemblyError(f"eps has shape {eps.shape}, expected ({blocks.m},)")
-    # a boolean, string or object eps is refused whole, at its first entry
-    ok = eps.dtype.kind in "iuf" and (eps > 0) & (eps <= 1)
-    if not np.all(ok):
-        s = int(np.argmin(ok))
-        raise ParameterError(f"eps of inclusion {s} is {eps.item(s)!r}, "
+    bad = first_non_number(values)
+    if bad is None:
+        ok = (eps > 0) & (eps <= 1)
+        if not ok.all():
+            s = int(np.argmin(ok))
+            bad = (s,), eps.item(s)
+    if bad is not None:
+        (s,), value = bad
+        raise ParameterError(f"eps of inclusion {s} is {value!r}, "
                              f"expected a number in (0, 1]")
     eps = eps.astype(float)
     return SaddleOperator(A=A, blocks=blocks, N=N, n=n, eps=eps,

@@ -44,6 +44,22 @@ def whole_number(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def first_non_number(values, whole: bool = False):
+    """(index, value) of the first entry of values that is not a number (a
+    whole number if whole), or None.  An ndarray is judged by its dtype, so
+    a boolean, string or object one fails whole, at its first entry; a list
+    or tuple entry by entry, before numpy turns True into 1 or 2.7 into 2."""
+    if isinstance(values, np.ndarray):
+        if values.size == 0 or values.dtype.kind in ("iu" if whole else "iuf"):
+            return None
+        return np.unravel_index(0, values.shape), values.item(0)
+    number = whole_number if whole else real_number
+    for index, value in np.ndenumerate(np.array(values, dtype=object)):
+        if not number(value):
+            return index, value
+    return None
+
+
 @dataclasses.dataclass(frozen=True, eq=False)
 class StructuredMesh:
     """Uniform triangulation of (0,1)^2.
@@ -104,7 +120,7 @@ def build_mesh(M: int) -> StructuredMesh:
     M : int
         Number of cells per side, at least 2 so that interior nodes exist.
     """
-    if not isinstance(M, (int, np.integer)) or M < 2:
+    if not whole_number(M) or M < 2:
         raise MeshError(f"mesh resolution must be an integer >= 2, got {M!r}")
     M = int(M)
     side = M + 1
@@ -191,6 +207,13 @@ def layout_from_cells(mesh: StructuredMesh, k: int, corners,
     """
     if not whole_number(k) or k < 1:
         raise LayoutError(f"inclusion size k must be a positive integer, got {k!r}")
+    if not whole_number(removal_count) or removal_count < 0:
+        raise LayoutError(f"removal_count must be a non-negative integer, got {removal_count!r}")
+    bad = first_non_number(corners, whole=True)
+    if bad is not None:
+        index, value = bad
+        raise LayoutError(f"corners[{', '.join(map(str, index))}] is {value!r}, "
+                          "expected a whole-number cell index")
     k = int(k)
     M = mesh.M
     corners = np.array(corners, dtype=np.int64).reshape(-1, 2)

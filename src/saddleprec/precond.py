@@ -31,7 +31,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .assembly import InclusionBlocks
-from .mesh import ParameterError
+from .mesh import ParameterError, real_number, whole_number
 
 
 class ContractViolationError(RuntimeError):
@@ -172,10 +172,10 @@ class InnerCgAInverse:
                  drop_tol: float = 5e-4, fill_factor: float = 12.0):
         for name, value in (("steps", steps), ("drop_tol", drop_tol),
                             ("fill_factor", fill_factor)):
-            if isinstance(value, (bool, np.bool_)):
+            if not real_number(value):
                 raise ParameterError(
                     f"inner CG option {name!r} takes a number, got {value!r}")
-        if not isinstance(steps, (int, np.integer)) or steps < 1:
+        if not whole_number(steps) or steps < 1:
             raise ParameterError("inner CG steps: a whole number, at least "
                                  f"1 step, got {steps!r}")
         if base != "ilu":

@@ -51,8 +51,11 @@ class MaxIterationsError(RuntimeError):
 
 
 def random_guess(size: int, seed: int) -> np.ndarray:
-    """Deterministic random initial guess, uniform on [-1, 1]; seed must
-    be a whole number >= 0."""
+    """Deterministic random initial guess, uniform on [-1, 1]; size and
+    seed must be whole numbers >= 0."""
+    if not whole_number(size) or size < 0:
+        raise ParameterError(
+            f"random_guess size must be a whole number >= 0, got {size!r}")
     if not whole_number(seed) or seed < 0:
         raise ParameterError(
             f"random_guess seed must be a whole number >= 0, got {seed!r}")

@@ -193,7 +193,15 @@ def test_saddle_operator_refuses_eps_outside_the_unit_interval(prob8):
         with pytest.raises(ParameterError,
                            match=rf"eps of inclusion 1 is {shown}, "):
             build_saddle_operator(A, blocks, eps)
-    # a boolean, string or object eps is refused whole, at inclusion 0
+    # a list is read entry by entry, before numpy turns True into 1.0
+    for bad, shown in ((True, "True"), ("1", "'1'")):
+        eps = [0.5] * m
+        eps[1] = bad
+        with pytest.raises(ParameterError,
+                           match=rf"eps of inclusion 1 is {shown}, "):
+            build_saddle_operator(A, blocks, eps)
+    # all-boolean and all-string lists fail at their first entry, and an
+    # object ndarray is refused whole, at inclusion 0
     for bad, shown in (([True] * m, "True"), (["0.5"] * m, "'0.5'"),
                        (np.full(m, 0.5, dtype=object), "0.5")):
         with pytest.raises(ParameterError,

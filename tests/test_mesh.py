@@ -144,6 +144,32 @@ def test_layout_checks_one_corner_in_fixed_precedence(corner, message):
         f"inclusion at cell ({corner[0]},{corner[1]}) {message}")
 
 
+@pytest.mark.parametrize("corners,shown", [
+    ([[2.7, 2]], "corners[0, 0] is 2.7"),
+    ([[True, 2]], "corners[0, 0] is True"),
+    ([["2", "2"]], "corners[0, 0] is '2'"),
+    ([(1, 1), (5, 9.0)], "corners[1, 1] is 9.0"),
+    (np.array([[1.0, 1.0]]), "corners[0, 0] is 1.0"),
+], ids=["fraction", "bool", "string", "float-second", "float-array"])
+def test_layout_refuses_corners_that_are_not_whole_numbers(corners, shown):
+    with pytest.raises(LayoutError, match=re.escape(
+            f"{shown}, expected a whole-number cell index")):
+        layout_from_cells(build_mesh(8), 2, corners)
+
+
+@pytest.mark.parametrize("count", [True, -1, 2.5, "1"])
+def test_layout_refuses_a_removal_count_that_is_not_a_whole_number(count):
+    with pytest.raises(LayoutError, match=re.escape(
+            f"removal_count must be a non-negative integer, got {count!r}")):
+        layout_from_cells(build_mesh(8), 2, [(1, 1)], count)
+
+
+def test_layout_takes_an_unsigned_corner_array():
+    layout = layout_from_cells(build_mesh(8), 2, np.array([[1, 1]], np.uint8))
+    assert layout.inclusions == (Inclusion(1, 1),)
+    assert layout.corners.dtype == np.int64
+
+
 def test_empty_corner_list_gives_an_empty_layout():
     mesh = build_mesh(8)
     layout = layout_from_cells(mesh, 2, [])

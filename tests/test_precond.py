@@ -342,9 +342,12 @@ def test_make_a_preconditioner_dispatch(prob8):
     ({"fill_factor": True}, "option 'fill_factor' takes a number, got True"),
     ({"drop_tol": np.False_},
      "option 'drop_tol' takes a number, got np.False_"),
+    ({"drop_tol": "1e-2"}, "option 'drop_tol' takes a number, got '1e-2'"),
+    ({"fill_factor": None}, "option 'fill_factor' takes a number, got None"),
+    ({"steps": "3"}, "option 'steps' takes a number, got '3'"),
 ], ids=["nan-fill", "inf-fill", "negative-fill", "zero-fill", "negative-drop",
         "nan-drop", "inf-drop", "fractional-steps", "zero-steps", "bool-steps",
-        "bool-fill", "bool-drop"])
+        "bool-fill", "bool-drop", "string-drop", "none-fill", "string-steps"])
 def test_make_a_preconditioner_refuses_bad_ilu_options(prob8, opts, match):
     with pytest.raises(ParameterError, match=match):
         make_a_preconditioner(prob8.A, "cg", **opts)

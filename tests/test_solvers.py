@@ -538,6 +538,13 @@ def test_solvers_take_a_numpy_budget_and_a_zero_budget(prob8, method):
         _SOLVES[method](prob8, pre, max_iter=0)
 
 
+@pytest.mark.parametrize("size", [True, 2.5, -1, "3"])
+def test_random_guess_refuses_a_size_that_is_not_a_whole_number(size):
+    with pytest.raises(ParameterError, match="^random_guess size must be"):
+        random_guess(size, 0)
+    assert random_guess(np.int64(3), 0).shape == (3,)
+
+
 @pytest.mark.parametrize("seed", [True, np.True_, -1, 1.0, None])
 def test_random_guess_refuses_a_seed_that_is_not_a_whole_number(seed):
     with pytest.raises(ParameterError, match="^random_guess seed must be"):
