@@ -13,7 +13,7 @@ import numpy as np
 from saddleprec import (
     build_mesh, place_periodic, assign_epsilon, build_problem,
     build_block_preconditioner, pu_solve, pl_solve, random_guess,
-    verify_intervals, measure_a0_b0, sector_pair, mu_check_pair,
+    verify_intervals, measure_a0_b0,
 )
 
 mesh = build_mesh(8)
@@ -29,20 +29,18 @@ print(f"spectrum of H A_eps ({len(eigs)} eigenvalues): "
       f"[{rep.lam_min:.6f}, {rep.lam_max:.6f}]")
 print(f"  exact -1 cluster: {rep.n_minus_one} (one per inclusion)")
 print(f"  exact +1 cluster: {rep.n_plus_one}")
-lo_neg, _ = sector_pair(b0, rep.eps_max)
-hi_neg, _ = sector_pair(a0, rep.eps_min)
+# the measured envelope: the -1 cluster, the negative sector and [1, top]
+_, (lo_neg, hi_neg), (_, hi_pos) = rep.envelope
 neg = eigs[(eigs > -1 + 1e-8) & (eigs < 0)]
 print(f"  negative sector [{neg.min():.6f}, {neg.max():.6f}] inside "
       f"[{lo_neg:.6f}, {hi_neg:.6f}]")
 pos = eigs[eigs > 1 + 1e-8]
-_, hi_pos = sector_pair(b0, rep.eps_min)
 print(f"  positive sector [{pos.min():.6f}, {pos.max():.6f}] inside "
       f"[1, {hi_pos:.6f}]")
 print(f"  measured-envelope verdict: "
       f"{'PASS' if rep.envelope_ok else 'FAIL'}")
 
-mc1, _ = mu_check_pair(rep.r_max)
-print(f"\nliteral two-interval set [{mc1:.6f}, {rep.mu_hat1:.6f}] u "
+print(f"\nliteral two-interval set [{rep.mu_check1:.6f}, {rep.mu_hat1:.6f}] u "
       f"[1, {rep.mu_hat2:.6f}]: "
       f"{len(rep.violations('stated'))} eigenvalues outside "
       f"(the -1 cluster and most of the negative sector; "

@@ -40,7 +40,7 @@ from .solvers import (
 )
 from .spectral import (
     MU_HAT_1, MU_HAT_2, DENSE_LIMIT,
-    mu_check_pair, sector_pair, dense_spectrum, schur_complement_dense,
+    sector_pair, dense_spectrum, schur_complement_dense,
     complement_basis, measure_a0_b0, SpectrumReport, verify_intervals,
 )
 

@@ -337,7 +337,8 @@ def assemble_load(mesh: StructuredMesh, f,
     """Load vector with one-point barycentric quadrature per triangle.
 
     f may be a number or a callable f(x, y) accepting arrays; the callable
-    gets the barycentres in triangulate's triangle order.  Each interior
+    gets the barycentres in triangulate's triangle order and must return
+    numbers of shape (2 M^2,) or broadcastable to it, else ParameterError.  Each interior
     node sums its six triangle shares in that order, as a scatter over the
     triangles would: the cells at (X-1, Y-1) lower and upper, (X-1, Y)
     lower, (X, Y-1) upper, then (X, Y) lower and upper.
@@ -356,10 +357,16 @@ def assemble_load(mesh: StructuredMesh, f,
         by = np.empty((M, M, 2))
         by[:, :, 0] = ((lo + lo) + hi) / 3.0
         by[:, :, 1] = ((lo + hi) + hi) / 3.0
-        vals = np.asarray(f(bx.ravel(), by.ravel()), dtype=float)
+        vals = np.asarray(f(bx.ravel(), by.ravel()))
         del bx, by
-        if vals.shape != (n_tri,):
-            vals = np.broadcast_to(vals, (n_tri,)).astype(float)
+        # bool, int, uint or float, of shape (), (1,) or (n_tri,)
+        if vals.dtype.kind not in "biuf" or vals.ndim > 1 or \
+                vals.size not in (1, n_tri):
+            raise ParameterError(
+                f"load callable returned shape {vals.shape} of {vals.dtype}; "
+                f"the load needs numbers of shape (2 M^2,) = ({n_tri},) or "
+                "broadcastable to it")
+        vals = np.broadcast_to(vals.astype(float, copy=False), (n_tri,))
     elif real_number(f):
         vals = np.full(n_tri, float(f))
     else:

@@ -86,12 +86,13 @@ class ConfigError(ValueError):
 def parse_config(path: str) -> tuple[dict, str]:
     """Flat key = value file; '#' starts a comment, lists use commas.
     Returns the key map and the SHA-256 of the bytes it was parsed from:
-    the file is read once, its lines split as text-mode reading does."""
+    the file is read once, a leading UTF-8 byte-order mark dropped and its
+    lines split as text-mode reading does."""
     raw = {}
     try:
         with open(path, "rb") as fh:
             data = fh.read()
-        lines = io.StringIO(data.decode("utf-8"), newline=None).readlines()
+        lines = io.StringIO(data.decode("utf-8-sig"), newline=None).readlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
     for lineno, line in enumerate(lines, 1):

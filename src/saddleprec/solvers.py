@@ -112,9 +112,15 @@ class SolverReport:
         the dense spectrum is needed only to check them.  Steps taken after
         the residual reached rounding level (a delta near 1e-15) add noise
         coefficients, which can put values outside the spectrum; a direction
-        ratio that is not positive raises ParameterError naming its step.
+        ratio that is not positive raises ParameterError naming its step.  A
+        run that leaves T_k without a row raises it with the number of steps
+        taken: PL's T_k gets its first row at step 2.
         """
         diag, off = self.tridiagonal
+        if diag.size == 0 and self.iterations:
+            raise ParameterError(
+                f"{self.method} took {self.iterations} Lanczos step; it needs "
+                "two, as its T_k gets its first row at step 2")
         if diag.size == 0:
             raise ParameterError(
                 f"{self.method} took no Lanczos step; its report has no "

@@ -3,15 +3,18 @@
 Computes dense generalized spectra of the saddle operator against the block
 preconditioner, measures the extreme eigenvalues (a0, b0) of the projected
 Schur pencil that govern the theory, and classifies every eigenvalue against
-two interval sets: the literal two-interval prediction
+two unions of closed intervals, both from the one root formula sector_pair:
+the literal two-interval prediction
 
     [mu_check1(r_max), (1 - sqrt 5)/2]  union  [1, (1 + sqrt 5)/2],
 
-and a measured-constant envelope derived from the same quadratic sector
-parametrization with (a0, b0) in place of the unknown extension constant.
-Dense solves cap at total dimension 2000; beyond that the extreme
-eigenvalues come from the solvers themselves: SolverReport.ritz_extremes
-reads them off the Lanczos tridiagonal of a PU, PL or PCG-K run.
+with mu_check1 the negative root of sector_pair(1, r_max), and a
+measured-constant envelope, SpectrumReport.envelope, with (a0, b0) in place
+of the unknown extension constant.  Every dense generalized eigenproblem goes
+through dense_spectrum.  Dense solves cap at total dimension 2000; beyond
+that the extreme eigenvalues come from the solvers themselves:
+SolverReport.ritz_extremes reads them off the Lanczos tridiagonal of a PU,
+PL or PCG-K run.
 """
 
 from __future__ import annotations
@@ -25,9 +28,6 @@ import scipy.sparse as sp
 from .mesh import InclusionLayout, ParameterError, real_number
 from .assembly import InclusionBlocks, build_problem
 from .precond import ContractViolationError, ExactAInverse
-
-MU_HAT_1 = (1.0 - np.sqrt(5.0)) / 2.0
-MU_HAT_2 = (1.0 + np.sqrt(5.0)) / 2.0
 
 # Largest total dimension (N + n) accepted by the dense eigensolvers.
 DENSE_LIMIT = 2000
@@ -45,30 +45,32 @@ def check_dense_size(layout: InclusionLayout) -> None:
             "smaller M (or the ritz_extremes of a solver report)")
 
 
-def mu_check_pair(r):
-    """Roots of mu^2 + (r - 1) mu - (1 + r) = 0.
-
-    For r = eps_s / t this parametrizes the generic eigenvalue pair of the
-    ideal pencil (exact Schur complement as the Gram block).  r = 0 recovers
-    (MU_HAT_1, MU_HAT_2).  As r grows the positive root falls from MU_HAT_2
-    toward 1 and the negative root falls without bound: lo * hi = -(1 + r).
-    """
-    r = np.asarray(r, dtype=float)
-    disc = np.sqrt((1.0 - r) ** 2 + 4.0 * (1.0 + r))
-    return ((1.0 - r) - disc) / 2.0, ((1.0 - r) + disc) / 2.0
-
-
 def sector_pair(t, eps):
     """Roots of lam^2 + (eps - 1) lam - (eps + t) = 0.
 
     Generic eigenvalue pair of the implemented pencil (B_D + Q as the Gram
     block) for a projected Schur mode with Rayleigh value t and uniform eps.
     Both roots are decreasing in eps; the negative root is decreasing and the
-    positive root increasing in t.
+    positive root increasing in t.  sector_pair(1, r) is the paper's pair
+    (mu_check1, mu_check2) at r = eps_s / t, the generic pair of the ideal
+    pencil (exact Schur complement as the Gram block); r = 0 gives
+    (MU_HAT_1, MU_HAT_2) = ((1 - sqrt 5)/2, (1 + sqrt 5)/2).
     """
     t = np.asarray(t, dtype=float)
-    disc = np.sqrt((1.0 + eps) ** 2 + 4.0 * t)
+    disc = np.sqrt((1.0 - eps) ** 2 + 4.0 * (eps + t))
     return ((1.0 - eps) - disc) / 2.0, ((1.0 - eps) + disc) / 2.0
+
+
+MU_HAT_1, MU_HAT_2 = map(float, sector_pair(1.0, 0.0))
+
+
+def in_intervals(eigs, intervals, tol):
+    """Per-eigenvalue membership in the union of the closed intervals
+    (lo, hi), each widened by tol on both sides."""
+    inside = np.zeros(np.shape(eigs), dtype=bool)
+    for lo, hi in intervals:
+        inside |= (eigs >= lo - tol) & (eigs <= hi + tol)
+    return inside
 
 
 def dense_spectrum(op_mat, gram_mat=None):
@@ -168,7 +170,7 @@ def _schur_pencil(A: sp.csr_matrix, blocks: InclusionBlocks):
         raise ContractViolationError(
             f"kernel eigenpair violated by {gap:.2e}; Schur assembly is wrong")
     Z = complement_basis(blocks)
-    tvals = np.sort(sla.eigh(Z.T @ S0 @ Z, Z.T @ BDQ @ Z, eigvals_only=True))
+    tvals = dense_spectrum(Z.T @ S0 @ Z, Z.T @ BDQ @ Z)
     return S0, BDQ, float(tvals[0]), float(tvals[-1])
 
 
@@ -188,6 +190,9 @@ class SpectrumReport:
     mu_check2: float
     mu_hat1: float
     mu_hat2: float
+    # the measured envelope as (lo, hi) intervals: the -1 cluster, the
+    # sector swept by the negative generic root and [1, positive sweep top]
+    envelope: tuple
     in_stated: np.ndarray       # per-eigenvalue membership, literal interval set
     in_envelope: np.ndarray     # per-eigenvalue membership, measured envelope
     stated_ok: bool
@@ -198,36 +203,6 @@ class SpectrumReport:
     def violations(self, which: str = "stated") -> np.ndarray:
         mask = self.in_stated if which == "stated" else self.in_envelope
         return self.eigenvalues[~mask]
-
-
-def stated_set_membership(eigs, r_max, tol):
-    """Membership in [mu_check1(r_max), MU_HAT_1] union [1, MU_HAT_2]."""
-    mc1, _ = mu_check_pair(r_max)
-    lo = float(mc1)
-    return ((eigs >= lo - tol) & (eigs <= MU_HAT_1 + tol)) | \
-           ((eigs >= 1.0 - tol) & (eigs <= MU_HAT_2 + tol))
-
-
-def envelope_membership(eigs, pencil, eps_min, eps_max, a0, b0, tol):
-    """Membership in the measured-constant envelope for the given pencil.
-
-    The envelope is the union of the -1 cluster, the sector swept by the
-    negative generic root, and [1, positive sweep top].  Sector endpoints use
-    the monotonicity of both roots in (t, eps), with eps at the instance
-    extremes; exact for uniform eps, an extrapolated classification otherwise.
-    """
-    if pencil == "ideal":
-        neg_lo, _ = mu_check_pair(eps_max / a0)
-        neg_hi = MU_HAT_1
-        pos_hi = MU_HAT_2
-    else:
-        neg_lo, _ = sector_pair(b0, eps_max)
-        neg_hi, _ = sector_pair(a0, eps_min)
-        _, pos_hi = sector_pair(b0, eps_min)
-    on_minus_one = np.abs(eigs + 1.0) <= tol
-    in_neg = (eigs >= neg_lo - tol) & (eigs <= neg_hi + tol)
-    in_pos = (eigs >= 1.0 - tol) & (eigs <= pos_hi + tol)
-    return on_minus_one | in_neg | in_pos
 
 
 def verify_intervals(layout: InclusionLayout, pencil: str = "preconditioner",
@@ -264,10 +239,19 @@ def verify_intervals(layout: InclusionLayout, pencil: str = "preconditioner",
     eps_min = float(layout.eps.min())
     eps_max = float(layout.eps.max())
     r_max = eps_max / a0
-    mc1, mc2 = mu_check_pair(r_max)
+    mc1, mc2 = map(float, sector_pair(1.0, r_max))
+    # sector ends from the monotonicity of both roots in (t, eps), with eps
+    # at the instance extremes: exact for uniform eps, an extrapolated
+    # classification otherwise
+    if pencil == "ideal":
+        neg, pos_hi = (mc1, MU_HAT_1), MU_HAT_2
+    else:
+        neg = (sector_pair(b0, eps_max)[0], sector_pair(a0, eps_min)[0])
+        pos_hi = sector_pair(b0, eps_min)[1]
+    envelope = ((-1.0, -1.0), tuple(map(float, neg)), (1.0, float(pos_hi)))
 
-    in_stated = stated_set_membership(eigs, r_max, tol)
-    in_env = envelope_membership(eigs, pencil, eps_min, eps_max, a0, b0, tol)
+    in_stated = in_intervals(eigs, ((mc1, MU_HAT_1), (1.0, MU_HAT_2)), tol)
+    in_env = in_intervals(eigs, envelope, tol)
     return SpectrumReport(
         eigenvalues=eigs,
         lam_min=float(eigs[0]),
@@ -277,14 +261,15 @@ def verify_intervals(layout: InclusionLayout, pencil: str = "preconditioner",
         a0=a0,
         b0=b0,
         r_max=r_max,
-        mu_check1=float(mc1),
-        mu_check2=float(mc2),
+        mu_check1=mc1,
+        mu_check2=mc2,
         mu_hat1=MU_HAT_1,
         mu_hat2=MU_HAT_2,
+        envelope=envelope,
         in_stated=in_stated,
         in_envelope=in_env,
         stated_ok=bool(in_stated.all()),
         envelope_ok=bool(in_env.all()),
-        n_minus_one=int(np.sum(np.abs(eigs + 1.0) <= tol)),
-        n_plus_one=int(np.sum(np.abs(eigs - 1.0) <= tol)),
+        n_minus_one=int(in_intervals(eigs, ((-1.0, -1.0),), tol).sum()),
+        n_plus_one=int(in_intervals(eigs, ((1.0, 1.0),), tol).sum()),
     )

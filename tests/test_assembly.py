@@ -319,8 +319,24 @@ def test_load_accepts_callables():
     const = assemble_load(mesh, 2.5)
     via_callable = assemble_load(mesh, lambda x, y: 2.5 + 0.0 * x)
     np.testing.assert_allclose(const, via_callable)
+    # a scalar or length-1 result broadcasts over the 2 M^2 barycentres
+    for f in (lambda x, y: 2.5, lambda x, y: np.full(1, 2.5)):
+        np.testing.assert_array_equal(assemble_load(mesh, f), const)
     with pytest.raises(ParameterError):
         assemble_load(mesh, "heavy")
+
+
+@pytest.mark.parametrize("f,shape", [
+    (lambda x, y: np.ones(3), "(3,)"),
+    (lambda x, y: "a", "()"),
+])
+def test_load_refuses_a_callable_of_the_wrong_shape_or_type(f, shape):
+    # M = 4 has 2 M^2 = 32 triangles, one barycentre each
+    with pytest.raises(ParameterError) as info:
+        assemble_load(build_mesh(4), f)
+    msg = str(info.value)
+    assert msg.startswith(f"load callable returned shape {shape} of ")
+    assert "the load needs numbers of shape (2 M^2,) = (32,)" in msg
 
 
 @pytest.mark.parametrize("f", [True, np.True_, False, np.False_])

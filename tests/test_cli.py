@@ -71,6 +71,27 @@ def test_parse_config_errors(tmp_path):
         parse_config(str(tmp_path / "e.cfg"))
 
 
+def test_spectrum_reads_a_config_with_a_byte_order_mark(tmp_path, capsys):
+    # the mark is dropped before the keys are read; the manifest still
+    # hashes the bytes of the file, mark included
+    text = b"M = 8\npencil = preconditioner, ideal\n"
+    outputs = {}
+    for name, data in (("plain", text), ("bom", b"\xef\xbb\xbf" + text)):
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_bytes(data)
+        out = tmp_path / name
+        assert main(["spectrum", "--config", str(cfg), "--out", str(out),
+                     "--threads", "1"]) == EXIT_OK
+        outputs[name] = [(out / csv).read_bytes()
+                         for csv in ("spectrum.csv", "spectrum_eigs.csv")]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config_sha256"] == hashlib.sha256(data).hexdigest()
+    assert outputs["bom"] == outputs["plain"]
+    assert parse_config(str(tmp_path / "bom.cfg"))[0] == {
+        "M": "8", "pencil": "preconditioner, ideal"}
+    capsys.readouterr()
+
+
 def test_solve_reads_its_config_once(tmp_path, capsys, monkeypatch):
     # so the manifest's config_sha256 hashes the bytes that were parsed
     cfg = tmp_path / "once.cfg"

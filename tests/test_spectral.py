@@ -6,7 +6,7 @@ import scipy.sparse as sp
 
 from saddleprec import (
     MU_HAT_1, MU_HAT_2, DENSE_LIMIT,
-    mu_check_pair, sector_pair, dense_spectrum, schur_complement_dense,
+    sector_pair, dense_spectrum, schur_complement_dense,
     complement_basis, measure_a0_b0, verify_intervals,
     build_mesh, place_periodic, assign_epsilon, assemble_sigma_matrix,
     build_problem, cg_solve, pu_solve, pl_solve, pcg_k_solve, random_guess,
@@ -20,11 +20,12 @@ GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
 
 
 # ---------------------------------------------------------------------------
-# scalar eigenvalue formulas
+# scalar eigenvalue formulas; the paper's mu_check pair at r is
+# sector_pair(1, r)
 
 
 def test_mu_check_pair_recovers_golden_ratio_at_zero():
-    lo, hi = mu_check_pair(0.0)
+    lo, hi = sector_pair(1.0, 0.0)
     np.testing.assert_allclose(lo, 1.0 - GOLDEN, rtol=1e-15)
     np.testing.assert_allclose(hi, GOLDEN, rtol=1e-15)
     np.testing.assert_allclose((MU_HAT_1, MU_HAT_2), (lo, hi), rtol=1e-15)
@@ -32,7 +33,7 @@ def test_mu_check_pair_recovers_golden_ratio_at_zero():
 
 def test_mu_check_pair_monotone_in_r():
     r = np.linspace(0.0, 2.0, 40)
-    lo, hi = mu_check_pair(r)
+    lo, hi = sector_pair(1.0, r)
     assert np.all(np.diff(lo) < 0)        # negative root falls with r
     assert np.all(lo <= MU_HAT_1 + 1e-15)
     assert np.all(np.diff(hi) < 0)        # positive root falls toward 1
@@ -211,6 +212,30 @@ def test_verify_intervals_ideal_pencil(prob8):
     assert eigs[-1] <= rep.mu_hat2 + 1e-8
 
 
+@pytest.mark.parametrize("pencil", spectral.PENCILS)
+def test_envelope_ends_come_from_sector_pair(pencil):
+    # mixed contrast, so eps_min and eps_max pick different ends
+    prob = make_problem(8, 2, eps_mode="random", eps_min=1e-6, eps_max=1e-2,
+                        eps_seed=7)
+    rep = verify_intervals(prob.layout, pencil=pencil)
+    a0, b0 = rep.a0, rep.b0
+    if pencil == "preconditioner":
+        ends = (sector_pair(b0, rep.eps_max)[0],
+                sector_pair(a0, rep.eps_min)[0],
+                sector_pair(b0, rep.eps_min)[1])
+    else:
+        ends = (sector_pair(1.0, rep.eps_max / a0)[0], MU_HAT_1, MU_HAT_2)
+        assert ends[0] == rep.mu_check1
+    assert rep.envelope == ((-1.0, -1.0), (ends[0], ends[1]), (1.0, ends[2]))
+    # in_envelope is membership in those intervals, widened by tol = 1e-8
+    eigs = rep.eigenvalues
+    inside = np.zeros(eigs.shape, dtype=bool)
+    for lo, hi in rep.envelope:
+        inside |= (eigs >= lo - 1e-8) & (eigs <= hi + 1e-8)
+    np.testing.assert_array_equal(rep.in_envelope, inside)
+    assert rep.envelope_ok and inside.all()
+
+
 def _count_calls(monkeypatch, calls, owner, name):
     """Count the calls of owner.name in calls[name] for one test."""
     fn = getattr(owner, name)
@@ -228,6 +253,19 @@ def test_verify_intervals_builds_and_factorizes_once(prob8, monkeypatch):
     _count_calls(monkeypatch, calls, precond.spla, "splu")
     verify_intervals(prob8.layout, pencil="ideal")
     assert calls == {"build_problem": 1, "splu": 1}
+
+
+def test_every_dense_eigenproblem_goes_through_dense_spectrum(prob8,
+                                                             monkeypatch):
+    # one eigh per dense_spectrum call: the Schur pencil's and the saddle
+    # pencil's, each with its symmetry and SPD checks
+    calls = {}
+    _count_calls(monkeypatch, calls, spectral, "dense_spectrum")
+    _count_calls(monkeypatch, calls, spectral.sla, "eigh")
+    measure_a0_b0(prob8.layout)
+    assert calls == {"dense_spectrum": 1, "eigh": 1}
+    verify_intervals(prob8.layout)
+    assert calls == {"dense_spectrum": 3, "eigh": 3}
 
 
 def test_measure_a0_b0_refuses_an_oversize_instance_before_building(
@@ -291,6 +329,21 @@ def test_lanczos_identity_operator():
     np.testing.assert_allclose(rep.ritz_extremes(), (1.0, 1.0), rtol=1e-15)
     with pytest.raises(ParameterError, match="no Lanczos step"):
         cg_solve(eye, None).ritz_extremes()       # zero start: no step
+
+
+def test_pl_ritz_extremes_after_one_step_name_the_steps_taken():
+    # PL's T_k gets its first row at step 2, so a run that stops after one
+    # step has none, although it took a step
+    prob = make_problem(8, 2, eps=1e-2)
+    pre = make_exact_precond(prob)
+    rep = pl_solve(prob.op, pre, z0=random_guess(prob.op.size, 0), delta=0.9)
+    assert rep.iterations == 1
+    with pytest.raises(ParameterError, match=r"^pl took 1 Lanczos step; it "
+                                             r"needs two, as its T_k gets "
+                                             r"its first row at step 2$"):
+        rep.ritz_extremes()
+    with pytest.raises(ParameterError, match="^pl took no Lanczos step"):
+        pl_solve(prob.op, pre).ritz_extremes()     # zero start: no step
 
 
 def test_lanczos_euclidean_matches_dense(prob16):
