@@ -20,7 +20,7 @@ M, k, eps_max = 32, 2, 1e-1
 mesh = build_mesh(M)
 base = place_periodic(mesh, k)
 
-print(f"M={M}, k={k}, per-inclusion eps log-uniform in [eps_min, {eps_max:g}]\n")
+print(f"M={M}, k={k}, per-inclusion eps uniform on [eps_min, {eps_max:g}]\n")
 print(f"{'eps_min':>8s} {'cond(A_sigma)':>14s} {'CG iters':>9s} "
       f"{'PL iters':>9s}")
 

@@ -36,7 +36,7 @@ from .precond import (
 from .solvers import (
     OperatorContractError, MaxIterationsError,
     SolverReport, random_guess,
-    pu_solve, pl_solve, pcg_k_solve, cg_solve, evaluate_norm,
+    pu_solve, pl_solve, pcg_k_solve, cg_solve,
 )
 from .spectral import (
     MU_HAT_1, MU_HAT_2, DENSE_LIMIT,

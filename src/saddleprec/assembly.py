@@ -359,8 +359,8 @@ def assemble_load(mesh: StructuredMesh, f,
         by[:, :, 1] = ((lo + hi) + hi) / 3.0
         vals = np.asarray(f(bx.ravel(), by.ravel()))
         del bx, by
-        # bool, int, uint or float, of shape (), (1,) or (n_tri,)
-        if vals.dtype.kind not in "biuf" or vals.ndim > 1 or \
+        # int, uint or float, of shape (), (1,) or (n_tri,)
+        if vals.dtype.kind not in "iuf" or vals.ndim > 1 or \
                 vals.size not in (1, n_tri):
             raise ParameterError(
                 f"load callable returned shape {vals.shape} of {vals.dtype}; "

@@ -203,6 +203,10 @@ def build_config(command: str, raw: dict, config_sha: str,
         values = ([_convert(key, conv, tok.strip())
                    for tok in raw[key].split(",") if tok.strip()]
                   if listed else [_convert(key, conv, raw[key])])
+        # an empty method axis is the validation-only run; any other empty
+        # axis would run nothing and report success
+        if not values and key != "method":
+            raise ConfigError(f"config key {key!r} lists no value")
         for i, value in enumerate(values):
             if value in values[:i]:
                 raise ConfigError(f"config key {key!r} repeats {value!r}")

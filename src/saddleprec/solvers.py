@@ -63,13 +63,6 @@ def random_guess(size: int, seed: int) -> np.ndarray:
     return gen.uniform(-1.0, 1.0, size)
 
 
-def _guarded_sqrt(value: float, scale: float, what: str) -> float:
-    if value < -NORM_GUARD * max(scale, 1.0):
-        raise OperatorContractError(
-            f"{what} evaluated to {value:.3e}; the operator lost definiteness")
-    return float(np.sqrt(max(value, 0.0)))
-
-
 @dataclasses.dataclass(eq=False)
 class SolverReport:
     method: str
@@ -78,14 +71,14 @@ class SolverReport:
     norms: np.ndarray          # stopping-norm history, norms[0] at k=0
     a_applies: int
     ha_applies: int
-    u: np.ndarray | None = None
-    p: np.ndarray | None = None
-    stop_rule: str = ""
+    u: np.ndarray
+    p: np.ndarray | None       # None for cg_solve
+    stop_rule: str
     # (diagonal, off-diagonal) of the Lanczos tridiagonal T_k of the
     # preconditioned operator: H_S S_eps for PU, H A_eps for PL,
     # (H A_eps)^2 for PCG-K and M A for cg_solve with preconditioner M;
     # NaN off the diagonal where a direction ratio was not positive
-    tridiagonal: tuple = (np.empty(0), np.empty(0))
+    tridiagonal: tuple
 
     @property
     def total_applies(self) -> int:
@@ -165,7 +158,11 @@ class _Run:
         """Append the stopping norm sqrt(form) of a quadratic form that
         rounding may leave slightly negative, relative to the first."""
         scale = self.norms[0] * self.norms[0] if self.norms else 1.0
-        self.norms.append(_guarded_sqrt(form, scale, self.stop_rule))
+        if form < -NORM_GUARD * max(scale, 1.0):
+            raise OperatorContractError(
+                f"{self.stop_rule} evaluated to {form:.3e}; the operator "
+                "lost definiteness")
+        self.norms.append(float(np.sqrt(max(form, 0.0))))
 
     def __iter__(self):
         while not self.norms[-1] <= self.delta * self.norms[0]:
@@ -457,31 +454,3 @@ def cg_solve(A, b, precond=None, x0=None, delta: float = 1e-6,
         lambda x, r: r.copy() if precond is None else precond(r),
         images, form, "CG direction lost A-positivity at iteration {k}")
     return run.report(x, None, tridiagonal)
-
-
-def evaluate_norm(kind: str, vec: np.ndarray, A=None,
-                  op: SaddleOperator | None = None,
-                  precond: BlockPreconditioner | None = None) -> float:
-    """Elliptic norms used by the stopping criteria.
-
-    kind 'A': sqrt(v . A v) for v on the interior nodes.
-    kind 'S': sqrt(p . S_eps p) for p on the inclusion nodes (uses the H_A
-              of `precond`, exact in verification runs).
-    kind 'K': sqrt((A_eps v) . H (A_eps v)) for a full saddle vector.
-    """
-    v = np.asarray(vec, dtype=float)
-    if kind == "A":
-        if A is None:
-            raise ParameterError("kind 'A' needs the stiffness matrix")
-        return _guarded_sqrt(v @ (A @ v), v @ v, "A-norm")
-    if kind in ("S", "K") and (op is None or precond is None):
-        raise ParameterError(f"kind {kind!r} needs the saddle operator and "
-                             "preconditioner")
-    if kind == "S":
-        s = op.blocks.from_tags(_schur_pre(op, precond.a_inv, v, None), v)
-        return _guarded_sqrt(v @ s, v @ v, "S-norm")
-    if kind == "K":
-        img = op.apply(v)
-        hv = precond.apply_to_image(img, *op.source_tags(v))
-        return _guarded_sqrt(img @ hv, v @ v, "K-norm")
-    raise ParameterError(f"unknown norm kind {kind!r}")

@@ -73,13 +73,13 @@ def in_intervals(eigs, intervals, tol):
     return inside
 
 
-def dense_spectrum(op_mat, gram_mat=None):
+def dense_spectrum(op_mat, gram_mat):
     """Sorted generalized eigenvalues of Op x = mu Gram x, dense and symmetric.
 
-    gram_mat None means the identity.  The Gram factor must be SPD; a failed
-    Cholesky raises ContractViolationError.  Above DENSE_LIMIT rows it always
-    refuses from the shape, before a sparse input is made dense; there the
-    ritz_extremes of a solver report estimate the extreme eigenvalues.
+    The Gram factor must be SPD; a failed Cholesky raises
+    ContractViolationError.  Above DENSE_LIMIT rows it always refuses from
+    the shape, before a sparse input is made dense; there the ritz_extremes
+    of a solver report estimate the extreme eigenvalues.
     """
     shape = np.shape(op_mat)
     if len(shape) != 2 or shape[0] != shape[1]:
@@ -88,11 +88,11 @@ def dense_spectrum(op_mat, gram_mat=None):
         raise ParameterError(
             f"dense spectrum refused at dimension {shape[0]} > {DENSE_LIMIT}; "
             "use the ritz_extremes of a solver report for large instances")
-    if gram_mat is not None and np.shape(gram_mat) != shape:
+    if np.shape(gram_mat) != shape:
         raise ParameterError(
             f"operator and Gram shapes differ: {shape} vs {np.shape(gram_mat)}")
     op = _symmetric_dense(op_mat, "operator block")
-    gram = None if gram_mat is None else _symmetric_dense(gram_mat, "Gram block")
+    gram = _symmetric_dense(gram_mat, "Gram block")
     try:
         return sla.eigh(op, gram, eigvals_only=True)
     except sla.LinAlgError as exc:

@@ -329,6 +329,9 @@ def test_load_accepts_callables():
 @pytest.mark.parametrize("f,shape", [
     (lambda x, y: np.ones(3), "(3,)"),
     (lambda x, y: "a", "()"),
+    # booleans are not numbers, as a value or from a callable
+    pytest.param(lambda x, y: x < 0.5, "(32,)", id="bool-array"),
+    pytest.param(lambda x, y: True, "()", id="bool-scalar"),
 ])
 def test_load_refuses_a_callable_of_the_wrong_shape_or_type(f, shape):
     # M = 4 has 2 M^2 = 32 triangles, one barycentre each

@@ -272,6 +272,21 @@ def test_out_of_range_keys_refused_before_any_run(tmp_path, capsys, command,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command,key", [
+    ("solve", "M"), ("solve", "delta"), ("cost", "eps_min"),
+    ("cost", "seed"), ("spectrum", "pencil"), ("spectrum", "layout"),
+])
+def test_empty_axis_refused_before_any_run(tmp_path, capsys, command, key):
+    # only the method axis may be empty: any other empty axis runs nothing
+    cfg = _write(tmp_path / "empty.cfg",
+                 ("" if key == "M" else "M = 8\n") + f"{key} =\n")
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_ERROR
+    assert capsys.readouterr().err == (
+        f"error: config key {key!r} lists no value\n")
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # solve subcommand
 

@@ -90,7 +90,7 @@ def test_dense_spectrum_refuses_a_large_sparse_input_before_densifying():
     tracemalloc.start()
     try:
         with pytest.raises(ParameterError, match="dense spectrum refused"):
-            dense_spectrum(big)
+            dense_spectrum(big, big)
         with pytest.raises(ParameterError, match="shapes differ"):
             dense_spectrum(sp.identity(4), big)
         peak = tracemalloc.get_traced_memory()[1]
@@ -102,11 +102,11 @@ def test_dense_spectrum_refuses_a_large_sparse_input_before_densifying():
 def test_dense_spectrum_input_contracts(prob8):
     A = prob8.A.toarray()
     with pytest.raises(ParameterError):
-        dense_spectrum(A[:, :-1])
+        dense_spectrum(A[:, :-1], np.eye(A.shape[0]))
     lopsided = A.copy()
     lopsided[0, 1] += 1.0
     with pytest.raises(ContractViolationError):
-        dense_spectrum(lopsided)
+        dense_spectrum(lopsided, np.eye(A.shape[0]))
     with pytest.raises(ContractViolationError,
                        match="^Gram block is not symmetric$"):
         dense_spectrum(A, lopsided)
@@ -122,7 +122,7 @@ def test_dense_spectrum_refuses_shapes_before_symmetry(prob8):
         dense_spectrum(lopsided, np.eye(A.shape[0] - 1))
     for flat in (np.ones(3), 1.0):
         with pytest.raises(ParameterError, match="^operator must be square"):
-            dense_spectrum(flat)
+            dense_spectrum(flat, np.eye(3))
     with pytest.raises(ContractViolationError,
                        match="^operator block is not symmetric$"):
         dense_spectrum(sp.csr_matrix(lopsided), lopsided)
