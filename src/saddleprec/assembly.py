@@ -334,58 +334,23 @@ def build_problem(mesh: StructuredMesh, layout: InclusionLayout):
 
 def assemble_load(mesh: StructuredMesh, f,
                   ordering: OrderingMap | None = None) -> np.ndarray:
-    """Load vector with one-point barycentric quadrature per triangle.
+    """Load vector of the constant source f, a finite real number, with
+    one-point quadrature per triangle.
 
-    f may be a number or a callable f(x, y) accepting arrays; the callable
-    gets the barycentres in triangulate's triangle order and must return
-    numbers of shape (2 M^2,) or broadcastable to it, else ParameterError.  Each interior
-    node sums its six triangle shares in that order, as a scatter over the
-    triangles would: the cells at (X-1, Y-1) lower and upper, (X-1, Y)
-    lower, (X, Y-1) upper, then (X, Y) lower and upper.
+    Each interior node touches six triangles of area h^2 / 2 and adds
+    their equal shares f * area / 3 to +0.0 one by one, rounding as a
+    scatter over the triangles would (6 * share may not), so a load of -0.0
+    reads +0.0.  The vector is constant and reads the same in every
+    ordering; ordering is only checked against the mesh.
     """
     _check_ordering(mesh, ordering)
-    M = mesh.M
-    n_tri = 2 * M * M
-    if callable(f):
-        # barycentres ((a + b) + c) / 3 over the nodes (ll, lr, ur) of the
-        # lower and (ll, ur, ul) of the upper triangle, as [cx, cy, triangle]
-        t = np.arange(M + 1) * mesh.h
-        lo, hi = t[:-1], t[1:]
-        bx = np.empty((M, M, 2))
-        bx[:, :, 0] = (((lo + hi) + hi) / 3.0)[:, None]
-        bx[:, :, 1] = (((lo + hi) + lo) / 3.0)[:, None]
-        by = np.empty((M, M, 2))
-        by[:, :, 0] = ((lo + lo) + hi) / 3.0
-        by[:, :, 1] = ((lo + hi) + hi) / 3.0
-        vals = np.asarray(f(bx.ravel(), by.ravel()))
-        del bx, by
-        # int, uint or float, of shape (), (1,) or (n_tri,)
-        if vals.dtype.kind not in "iuf" or vals.ndim > 1 or \
-                vals.size not in (1, n_tri):
-            raise ParameterError(
-                f"load callable returned shape {vals.shape} of {vals.dtype}; "
-                f"the load needs numbers of shape (2 M^2,) = ({n_tri},) or "
-                "broadcastable to it")
-        vals = np.broadcast_to(vals.astype(float, copy=False), (n_tri,))
-    elif real_number(f):
-        vals = np.full(n_tri, float(f))
-    else:
-        raise ParameterError(f"load must be a number or callable, got {type(f)!r}")
-
-    area = 0.5 * mesh.h * mesh.h
-    share = (vals * area / 3.0).reshape(M, M, 2)        # [cx, cy, triangle]
-    del vals
-    lower, upper = share[:, :, 0], share[:, :, 1]
-    # [X - 1, Y - 1]; the sums start from +0.0, as np.bincount's do, so a
-    # node whose six shares are all -0.0 also reads +0.0
-    out = np.zeros((M - 1, M - 1))
-    for term in (lower[:-1, :-1], upper[:-1, :-1], lower[:-1, 1:],
-                 upper[1:, :-1], lower[1:, 1:], upper[1:, 1:]):
-        out += term
-    out = out.T.ravel()                                 # row-major nodes
-    if ordering is not None:
-        out = ordering.to_system(out)
-    return out
+    if not (real_number(f) and np.isfinite(float(f))):
+        raise ParameterError(f"load must be a finite number, got {f!r}")
+    share = float(f) * (0.5 * mesh.h * mesh.h) / 3.0
+    total = 0.0
+    for _ in range(6):
+        total += share
+    return np.full(mesh.n_interior, total)
 
 
 def recover_p_from_u(u: np.ndarray, op: SaddleOperator) -> np.ndarray:

@@ -199,7 +199,8 @@ def _block_ids(cx, cy, width, stride):
 def layout_from_cells(mesh: StructuredMesh, k: int, corners,
                       removal_count: int = 0) -> InclusionLayout:
     """Build a validated layout from anchor cells (lower-left cell of each
-    inclusion).
+    inclusion), given as an (m, 2) array of whole numbers; [] is the empty
+    layout.
 
     Raises LayoutError for the first corner, in input order, whose inclusion
     leaves the domain, touches the outer boundary or shares a closure node
@@ -216,7 +217,12 @@ def layout_from_cells(mesh: StructuredMesh, k: int, corners,
                           "expected a whole-number cell index")
     k = int(k)
     M = mesh.M
-    corners = np.array(corners, dtype=np.int64).reshape(-1, 2)
+    corners = np.array(corners, dtype=np.int64)
+    if corners.shape == (0,):
+        corners = corners.reshape(0, 2)
+    if corners.ndim != 2 or corners.shape[1] != 2:
+        raise LayoutError(f"corners have shape {corners.shape}, expected "
+                          "(m, 2) cell indices")
     cx, cy = corners.T
     gids = _block_ids(cx, cy, k + 1, M + 1)
     leaves = (cx < 0) | (cy < 0) | (cx + k > M) | (cy + k > M)
@@ -333,11 +339,6 @@ class OrderingMap:
 
     perm: np.ndarray      # interior index -> system index
     inv: np.ndarray       # system index -> interior index
-
-    def to_system(self, v: np.ndarray) -> np.ndarray:
-        out = np.empty_like(v)
-        out[self.perm] = v
-        return out
 
 
 def build_ordering(layout: InclusionLayout) -> OrderingMap:

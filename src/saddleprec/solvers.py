@@ -225,13 +225,19 @@ def _conjugate_cg(run, start, precondition, images, form, breakdown):
 
 def _input_vector(name, v, size):
     """A float copy of the solver input v, or zeros when v is None; raises
-    ParameterError naming it unless its shape is (size,)."""
+    ParameterError naming it unless its shape is (size,) and every entry
+    is finite, where a NaN or inf would run the whole iteration budget."""
     if v is None:
         return np.zeros(size)
     v = np.array(v, dtype=float)
     if v.shape != (size,):
         raise ParameterError(
             f"{name} has shape {v.shape}; the system needs ({size},)")
+    finite = np.isfinite(v)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise ParameterError(f"{name}[{i}] is {v[i]}; solver input must be "
+                             "finite")
     return v
 
 

@@ -157,6 +157,20 @@ def test_layout_refuses_corners_that_are_not_whole_numbers(corners, shown):
         layout_from_cells(build_mesh(8), 2, corners)
 
 
+@pytest.mark.parametrize("corners,shape", [
+    ([1, 1, 6, 1], "(4,)"),       # a flat list is not read as two pairs
+    ([1, 2, 3], "(3,)"),
+    (np.array([1, 1]), "(2,)"),
+    ([[1, 1, 1]], "(1, 3)"),
+    ([[[1, 1]]], "(1, 1, 2)"),
+    ([[]], "(1, 0)"),
+], ids=["flat-pairs", "flat-odd", "flat-pair", "triple", "nested", "empty-row"])
+def test_layout_refuses_corners_that_are_not_m_by_2(corners, shape):
+    with pytest.raises(LayoutError, match=re.escape(
+            f"corners have shape {shape}, expected (m, 2) cell indices")):
+        layout_from_cells(build_mesh(8), 2, corners)
+
+
 @pytest.mark.parametrize("count", [True, -1, 2.5, "1"])
 def test_layout_refuses_a_removal_count_that_is_not_a_whole_number(count):
     with pytest.raises(LayoutError, match=re.escape(
@@ -295,9 +309,9 @@ def test_ordering_groups_inclusion_nodes_first():
 def test_ordering_round_trip():
     layout = place_periodic(build_mesh(8), 2)
     ordering = build_ordering(layout)
-    v = np.random.default_rng(0).standard_normal(layout.mesh.n_interior)
-    np.testing.assert_array_equal(ordering.to_system(v)[ordering.perm], v)
-    np.testing.assert_array_equal(ordering.to_system(v[ordering.perm]), v)
+    N = layout.mesh.n_interior
+    np.testing.assert_array_equal(ordering.perm[ordering.inv], np.arange(N))
+    np.testing.assert_array_equal(ordering.inv[ordering.perm], np.arange(N))
 
 
 def test_ordering_refuses_an_inclusion_node_on_the_boundary():

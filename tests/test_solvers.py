@@ -369,6 +369,50 @@ def test_rhs_length_validation(prob8):
             call()
 
 
+def _non_finite(size, value):
+    """Ones with value at entry 7 and a NaN at entry 9."""
+    v = np.ones(size)
+    v[7], v[9] = value, np.nan
+    return v
+
+
+_NON_FINITE_INPUTS = {
+    "pu-F": lambda prob, pre, bad, c: pu_solve(
+        prob.op, pre, F=bad(prob.op.size), counter=c),
+    "pu-p0": lambda prob, pre, bad, c: pu_solve(
+        prob.op, pre, p0=bad(prob.op.n), counter=c),
+    "pl-F": lambda prob, pre, bad, c: pl_solve(
+        prob.op, pre, F=bad(prob.op.size), counter=c),
+    "pl-z0": lambda prob, pre, bad, c: pl_solve(
+        prob.op, pre, z0=bad(prob.op.size), counter=c),
+    "pcg_k-F": lambda prob, pre, bad, c: pcg_k_solve(
+        prob.op, pre, F=bad(prob.op.size), counter=c),
+    "pcg_k-z0": lambda prob, pre, bad, c: pcg_k_solve(
+        prob.op, pre, z0=bad(prob.op.size), counter=c),
+    "cg-b": lambda prob, pre, bad, c: cg_solve(
+        prob.A, bad(prob.op.N), counter=c),
+    "cg-x0": lambda prob, pre, bad, c: cg_solve(
+        prob.A, None, x0=bad(prob.op.N), counter=c),
+}
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf],
+                         ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("case", sorted(_NON_FINITE_INPUTS))
+def test_solvers_refuse_a_non_finite_input_before_any_apply(prob8, case,
+                                                            value):
+    # a NaN or inf start or right-hand side would otherwise run the whole
+    # budget and end in MaxIterationsError with ratio nan
+    counter = OpCounter()
+    name = case.split("-")[1]
+    with pytest.raises(ParameterError, match=rf"^{name}\[7\] is {value}; "
+                                             "solver input must be finite$"):
+        _NON_FINITE_INPUTS[case](prob8, make_exact_precond(prob8),
+                                 lambda size: _non_finite(size, value),
+                                 counter)
+    assert (counter.a, counter.ha) == (0, 0)
+
+
 # ---------------------------------------------------------------------------
 # inhomogeneous constraint data (nonzero lower block of F)
 
