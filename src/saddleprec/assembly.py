@@ -24,7 +24,7 @@ import scipy.sparse as sp
 
 from .mesh import (InclusionLayout, OrderingMap, ParameterError,
                    StructuredMesh, build_ordering, first_non_number,
-                   real_number, triangulate)
+                   finite_number, triangulate)
 
 # element stiffness for the two triangle shapes (ll, lr, ur) and (ll, ur, ul);
 # constant P1 gradients make them independent of h
@@ -344,7 +344,7 @@ def assemble_load(mesh: StructuredMesh, f,
     ordering; ordering is only checked against the mesh.
     """
     _check_ordering(mesh, ordering)
-    if not (real_number(f) and np.isfinite(float(f))):
+    if not finite_number(f):
         raise ParameterError(f"load must be a finite number, got {f!r}")
     share = float(f) * (0.5 * mesh.h * mesh.h) / 3.0
     total = 0.0

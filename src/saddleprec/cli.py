@@ -49,8 +49,8 @@ import scipy
 
 from . import __version__
 from .mesh import (EPS_MODES, MeshError, LayoutError, ParameterError,
-                   build_mesh, build_ordering, place_periodic, place_random,
-                   assign_epsilon, _periodic_corners)
+                   build_mesh, build_ordering, finite_number, place_periodic,
+                   place_random, assign_epsilon, _periodic_corners)
 from .assembly import (build_problem, assemble_load, assemble_sigma_matrix,
                        assemble_stiffness, write_matrix_market)
 from .precond import (A_KINDS, ContractViolationError, SolverBreakdownError,
@@ -146,7 +146,9 @@ _KEYS = {
     "rhs": _Key(str, "zero", ("zero", "one"), ("solve",)),
     "max_iter": _Key(int, 2000, _POSITIVE_INT, _SWEEPS),
     "pencil": _Key(str, ["preconditioner"], PENCILS, ("spectrum",)),
-    "tol": _Key(float, 1e-8, _NONNEG, ("spectrum",)),
+    # an infinite tol would pass every eigenvalue
+    "tol": _Key(float, 1e-8, _Range(lambda t: finite_number(t) and t >= 0,
+                                    "finite and >= 0"), ("spectrum",)),
     "corrupt_q": _Key(_bool, False, None, ("spectrum",)),
     "matrix": _Key(str, "saddle", ("saddle", "stiffness", "sigma"),
                    ("export-matrix",)),

@@ -13,6 +13,7 @@ data and from one another.
 from __future__ import annotations
 
 import dataclasses
+import sys
 import typing
 
 import numpy as np
@@ -37,6 +38,12 @@ def real_number(value) -> bool:
     """Whether value is a Python or numpy int or float; booleans are not."""
     return (isinstance(value, (int, float, np.integer, np.floating))
             and not isinstance(value, bool))
+
+
+def finite_number(value) -> bool:
+    """Whether value is a real number within the float range; NaN and +-inf
+    are not, and a Python int is compared exactly, never converted."""
+    return real_number(value) and abs(value) <= sys.float_info.max
 
 
 def whole_number(value) -> bool:
@@ -210,6 +217,15 @@ def layout_from_cells(mesh: StructuredMesh, k: int, corners,
         raise LayoutError(f"inclusion size k must be a positive integer, got {k!r}")
     if not whole_number(removal_count) or removal_count < 0:
         raise LayoutError(f"removal_count must be a non-negative integer, got {removal_count!r}")
+    # the shape first, so that a ragged list is not blamed on a valid row
+    try:
+        shape = np.shape(corners)
+    except ValueError:      # numpy refuses rows of unequal length
+        raise LayoutError("corners have rows of unequal length, expected "
+                          "(m, 2) cell indices") from None
+    if shape != (0,) and (len(shape) != 2 or shape[1] != 2):
+        raise LayoutError(f"corners have shape {shape}, expected "
+                          "(m, 2) cell indices")
     bad = first_non_number(corners, whole=True)
     if bad is not None:
         index, value = bad
@@ -217,12 +233,7 @@ def layout_from_cells(mesh: StructuredMesh, k: int, corners,
                           "expected a whole-number cell index")
     k = int(k)
     M = mesh.M
-    corners = np.array(corners, dtype=np.int64)
-    if corners.shape == (0,):
-        corners = corners.reshape(0, 2)
-    if corners.ndim != 2 or corners.shape[1] != 2:
-        raise LayoutError(f"corners have shape {corners.shape}, expected "
-                          "(m, 2) cell indices")
+    corners = np.array(corners, dtype=np.int64).reshape(-1, 2)
     cx, cy = corners.T
     gids = _block_ids(cx, cy, k + 1, M + 1)
     leaves = (cx < 0) | (cy < 0) | (cx + k > M) | (cy + k > M)

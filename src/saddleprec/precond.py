@@ -8,8 +8,8 @@ identities
 where P is the blockwise projector onto constants along the mass weights.
 Every vector the solvers feed to H_S arrives as B_D a + Q b with known tags
 (a, b), so H_S (B_D a + Q b) = a + P (b - a) and no system with B_D + Q is
-ever solved in the iteration.  A Cholesky-based reference solver backs the
-identity tests and handles untagged right-hand sides during setup.
+ever solved by a solver.  A Cholesky-based reference solver is the oracle
+that the identity tests check the tagged path against.
 
 H_A is pluggable: exact sparse LU, a fixed number of inner CG steps
 preconditioned by a symmetrized incomplete LU, or plain diagonal scaling.
@@ -59,8 +59,8 @@ class SchurPreconditioner:
 
     Every vector the solvers feed it arrives as B_D a + Q b with known
     (a, b), so it has no untagged apply: a general solve would hide a
-    missing tag behind an O(n^2) fallback.  ReferenceSchurSolver solves
-    untagged right-hand sides.
+    missing tag behind an O(n^2) fallback.  ReferenceSchurSolver is the
+    oracle it is tested against.
     """
 
     def __init__(self, blocks: InclusionBlocks):
@@ -77,8 +77,8 @@ class SchurPreconditioner:
 class ReferenceSchurSolver:
     """Dense per-block Cholesky solve of (B_D + Q) x = r.
 
-    Exists to cross-check the tagged fast path and to absorb the rare
-    untagged right-hand side (inhomogeneous constraint data at setup).
+    The oracle of the tagged fast path: tests and the acceptance criteria
+    check SchurPreconditioner against it; no solve uses it.
     """
 
     def __init__(self, blocks: InclusionBlocks):
@@ -103,8 +103,9 @@ def _symmetric_csc(A: sp.spmatrix, kind: str) -> sp.csc_matrix:
     A, which shares its arrays, or a conversion of any other format.
 
     The view stands for A only if A is symmetric, so a seeded two-matvec
-    probe checks that first: if x.Ay and y.Ax differ by more than
-    _SYMMETRY_RTOL |x| |Ay|, ContractViolationError names the H_A kind.
+    probe checks that first: unless x.Ay and y.Ax differ by at most
+    _SYMMETRY_RTOL |x| |Ay|, which a NaN in A also fails,
+    ContractViolationError names the H_A kind.
     """
     x, y = np.random.default_rng(0).standard_normal((2, A.shape[0]))
     Ay = A @ y
@@ -112,7 +113,7 @@ def _symmetric_csc(A: sp.spmatrix, kind: str) -> sp.csc_matrix:
     gap = x @ Ay
     del Ay      # at most three vectors of length N live at once
     gap -= y @ (A @ x)
-    if abs(gap) > _SYMMETRY_RTOL * scale:
+    if not abs(gap) <= _SYMMETRY_RTOL * scale:
         raise ContractViolationError(
             f"H_A kind {kind!r} needs a symmetric A; the probe found "
             f"x.Ay - y.Ax = {gap:.3e} against |x| |Ay| = {scale:.3e}")
@@ -140,7 +141,7 @@ class DiagonalAInverse:
 
     def __init__(self, A: sp.csr_matrix):
         d = A.diagonal()
-        if np.any(d <= 0):
+        if not np.all(d > 0):      # a NaN fails too
             raise ContractViolationError("stiffness diagonal must be positive")
         self._inv = 1.0 / d
 
@@ -256,9 +257,10 @@ def make_a_preconditioner(A: sp.csr_matrix, kind: str = "exact", **opts):
 class BlockPreconditioner:
     """H = diag(H_A, H_S) applied to images of the saddle operator.
 
-    apply_to_image computes H X for X = A_eps(source) - extra from the lower
-    tags of X (SaddleOperator.source_tags less those of extra), keeping the
-    Schur part at O(n).  H reads no eps: it serves every eps copy.
+    apply_to_image computes H X for an X whose lower block is that of
+    A_eps(source), such as A_eps(source) - (f, 0), from the tags
+    SaddleOperator.source_tags(source), keeping the Schur part at O(n).
+    H reads no eps: it serves every eps copy.
     """
 
     a_inv: object

@@ -34,8 +34,7 @@ import scipy.linalg as sla
 
 from .assembly import SaddleOperator
 from .mesh import ParameterError, real_number, whole_number
-from .precond import (BlockPreconditioner, OpCounter, ReferenceSchurSolver,
-                      SolverBreakdownError)
+from .precond import BlockPreconditioner, OpCounter, SolverBreakdownError
 
 # relative slack granted to rounding before a "nonnegative" quadratic form
 # or a monotone norm sequence is declared broken
@@ -241,22 +240,17 @@ def _input_vector(name, v, size):
     return v
 
 
-def _split_rhs(op, F):
-    """Normalize right-hand side input to (fbar, gbar)."""
+def _load_block(op, F):
+    """The upper block f of the right-hand side F = (f, 0), zeros when F is
+    None.  The constraint row carries no data: a nonzero entry in the lower
+    block raises ParameterError naming its index."""
     F = _input_vector("F", F, op.size)
-    return F[:op.N], F[op.N:]
-
-
-def _gbar_tags(blocks, gbar):
-    """Tags (a, b) with B_D a + Q b = gbar, or None when gbar vanishes.
-
-    With (B_D + Q) x = gbar, the pair (x, x) tags gbar exactly, so
-    constraint data costs one reference solve at setup.
-    """
-    if not np.any(gbar):
-        return None
-    x = ReferenceSchurSolver(blocks).solve(gbar)
-    return x, x
+    lower = np.flatnonzero(F[op.N:])
+    if lower.size:
+        i = op.N + int(lower[0])
+        raise ParameterError(
+            f"F[{i}] is {F[i]}; the lower block of F must be zero")
+    return F[:op.N]
 
 
 def _schur_pre(op, a_inv, x, counter, fbar=None):
@@ -278,28 +272,25 @@ def _schur_pre(op, a_inv, x, counter, fbar=None):
 def pu_solve(op: SaddleOperator, precond: BlockPreconditioner, F=None,
              p0=None, delta: float = 1e-6, max_iter: int = 1000,
              counter: OpCounter | None = None) -> SolverReport:
-    """Preconditioned Uzawa: CG on S_eps p = B H_A fbar - gbar.
+    """Preconditioned Uzawa: CG on S_eps p = B H_A f for F = (f, 0).
 
     S_eps = Sig B_D + Q + B A^{-1} B^T is applied through one H_A call per
     iteration; H_S applications ride on the residual tags.  The homogeneous
     benchmark (F = 0) stops on the S_eps-norm of the iterate, which equals
     the error norm; otherwise the H_S-weighted residual norm is used.
     """
-    fbar, gbar = _split_rhs(op, F)
-    homogeneous = not (np.any(fbar) or np.any(gbar))
+    fbar = _load_block(op, F)
+    homogeneous = not np.any(fbar)
     run = _Run("pu", "iterate-S-norm" if homogeneous
                else "preconditioned-residual", delta, max_iter, counter)
     counter = run.counter
     blocks = op.blocks
     p = _input_vector("p0", p0, op.n)
 
-    # r0 = S_eps p0 - (B H_A fbar - gbar) with tags r = B_D u_pre + Q q_pre
-    # carried along the whole iteration
+    # r0 = S_eps p0 - B H_A fbar with tags r = B_D u_pre + Q q_pre carried
+    # along the whole iteration
     u_pre = _schur_pre(op, precond.a_inv, p, counter, fbar)
     q_pre = p.copy()
-    g = _gbar_tags(blocks, gbar)
-    if g is not None:
-        u_pre, q_pre = u_pre + g[0], q_pre + g[1]
     r = blocks.from_tags(u_pre, q_pre)
     z = None        # H_S r of the last stopping norm, when it took one
 
@@ -327,19 +318,14 @@ def pu_solve(op: SaddleOperator, precond: BlockPreconditioner, F=None,
 
 
 def _saddle_start(op, precond, F, z0, run):
-    """Shared PL/PCG-K start: z0, rho = A_eps z0 - F and v = H rho, and the
-    initial K-norm.  The lower block of rho is tagged by the source tags of
-    z0 minus the tags of the constraint data gbar."""
+    """Shared PL/PCG-K start: z0, rho = A_eps z0 - (f, 0) and v = H rho, and
+    the initial K-norm.  The lower block of rho is that of A_eps z0, so the
+    source tags of z0 tag it."""
     z = _input_vector("z0", z0, op.size)
-    fbar, gbar = _split_rhs(op, F)
+    fbar = _load_block(op, F)
     rho = op.apply(z, run.counter)
     rho[:op.N] -= fbar
-    rho[op.N:] -= gbar
-    bd0, q0 = op.source_tags(z)
-    g = _gbar_tags(op.blocks, gbar)
-    if g is not None:
-        bd0, q0 = bd0 - g[0], q0 - g[1]
-    v = precond.apply_to_image(rho, bd0, q0, run.counter)
+    v = precond.apply_to_image(rho, *op.source_tags(z), run.counter)
     run.record(rho @ v)
     return z, rho, v
 

@@ -25,7 +25,7 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from .mesh import InclusionLayout, ParameterError, real_number
+from .mesh import InclusionLayout, ParameterError, finite_number
 from .assembly import InclusionBlocks, build_problem
 from .precond import ContractViolationError, ExactAInverse
 
@@ -213,15 +213,17 @@ def verify_intervals(layout: InclusionLayout, pencil: str = "preconditioner",
     The contrast is the eps stored on the layout; an assign_epsilon copy
     of it gives another one.  H_A is the exact A^{-1}, so the A block itself
     is the Gram factor on the A rows (alpha = 1).  An unknown pencil, a
-    tol that is not a real number >= 0 and an oversize instance are refused
+    tol that is not a finite real number >= 0 (an infinite one would pass
+    every eigenvalue) and an oversize instance are refused
     before anything is built.
     corrupt_q zeroes the rank-one coupling inside the saddle operator, a
     deliberate defect that must land eigenvalues outside both interval sets.
     """
     if pencil not in PENCILS:
         raise ParameterError(f"unknown pencil {pencil!r}")
-    if not real_number(tol) or not tol >= 0:
-        raise ParameterError(f"tol must be a real number >= 0, got {tol!r}")
+    if not finite_number(tol) or not tol >= 0:
+        raise ParameterError(
+            f"tol must be a finite real number >= 0, got {tol!r}")
     check_dense_size(layout)
     _, A, blocks, op = build_problem(layout.mesh, layout)
     N = op.N

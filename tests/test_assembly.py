@@ -321,6 +321,9 @@ def test_load_vector_hand_value_on_smallest_mesh():
     pytest.param(float("nan"), id="nan"),
     pytest.param(np.inf, id="inf"),
     pytest.param(-np.inf, id="-inf"),
+    # Python ints beyond the float range, which float() cannot convert
+    pytest.param(10**400, id="int-above-float-range"),
+    pytest.param(-10**400, id="int-below-float-range"),
 ])
 def test_load_refuses_booleans(f):
     with pytest.raises(ParameterError, match="load must be a finite number"):

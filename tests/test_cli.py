@@ -257,12 +257,14 @@ def test_negative_seed_refused_before_any_run(tmp_path, capsys, text, args,
     ("solve", "delta = -1\n", "'delta' must be in (0, 1), got -1.0"),
     ("cost", "delta = 1e-6, 1\n", "'delta' must be in (0, 1), got 1.0"),
     ("solve", "max_iter = 0\n", "'max_iter' must be >= 1, got 0"),
-    ("spectrum", "tol = -1e-8\n", "'tol' must be >= 0, got -1e-08"),
+    ("spectrum", "tol = -1e-8\n",
+     "'tol' must be finite and >= 0, got -1e-08"),
+    ("spectrum", "tol = inf\n", "'tol' must be finite and >= 0, got inf"),
     ("solve", "eps_max = nan\n", "'eps_max' must be in (0, 1], got nan"),
     ("cost", "eps_max = -3\n", "'eps_max' must be in (0, 1], got -3.0"),
     ("spectrum", "eps_max = 2\n", "'eps_max' must be in (0, 1], got 2.0"),
 ], ids=["delta-negative", "delta-one", "max-iter-zero", "tol-negative",
-        "eps-max-nan", "eps-max-negative", "eps-max-above-one"])
+        "tol-inf", "eps-max-nan", "eps-max-negative", "eps-max-above-one"])
 def test_out_of_range_keys_refused_before_any_run(tmp_path, capsys, command,
                                                   text, err):
     cfg = _write(tmp_path / "range.cfg", "M = 8\n" + text)
@@ -1084,13 +1086,16 @@ _SHIPPED_BYTES = {
 }
 
 
-# sha256 of solve.csv for an rhs = one sweep per inexact H_A, recorded with
-# one BLAS thread: PU's preconditioned-residual stop (from a zero start
-# residual under diagonal H_A), the F paths of PL and PCG-K, and inner CG
+# sha256 of solve.csv for an rhs = one sweep per H_A kind, recorded with one
+# BLAS thread: PU's preconditioned-residual stop (from a zero start residual
+# under diagonal H_A), the F = (f, 0) paths of PL and PCG-K on the LU that
+# the benchmark's ladder runs, and inner CG
 _RHS_ONE_BYTES = {
     "cg": "0974d9b4893a5f3fe1104754cc1d3f7796b5e68411b51c90dc55d53f13a984e5",
     "diagonal":
         "731d46b140801e50eed68631bd2c71445d02c03f0e12a0f4d4846aa958ab91e0",
+    "exact":
+        "5f3e86bcef04e84eaddaa0683049bfc86dc8ffe41e90902149c54d226fc7eedd",
 }
 
 

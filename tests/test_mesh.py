@@ -146,11 +146,13 @@ def test_layout_checks_one_corner_in_fixed_precedence(corner, message):
 
 @pytest.mark.parametrize("corners,shown", [
     ([[2.7, 2]], "corners[0, 0] is 2.7"),
+    ([[2.7, 2.2]], "corners[0, 0] is 2.7"),
     ([[True, 2]], "corners[0, 0] is True"),
     ([["2", "2"]], "corners[0, 0] is '2'"),
     ([(1, 1), (5, 9.0)], "corners[1, 1] is 9.0"),
     (np.array([[1.0, 1.0]]), "corners[0, 0] is 1.0"),
-], ids=["fraction", "bool", "string", "float-second", "float-array"])
+], ids=["fraction", "fractions", "bool", "string", "float-second",
+        "float-array"])
 def test_layout_refuses_corners_that_are_not_whole_numbers(corners, shown):
     with pytest.raises(LayoutError, match=re.escape(
             f"{shown}, expected a whole-number cell index")):
@@ -158,16 +160,20 @@ def test_layout_refuses_corners_that_are_not_whole_numbers(corners, shown):
 
 
 @pytest.mark.parametrize("corners,shape", [
-    ([1, 1, 6, 1], "(4,)"),       # a flat list is not read as two pairs
-    ([1, 2, 3], "(3,)"),
-    (np.array([1, 1]), "(2,)"),
-    ([[1, 1, 1]], "(1, 3)"),
-    ([[[1, 1]]], "(1, 1, 2)"),
-    ([[]], "(1, 0)"),
-], ids=["flat-pairs", "flat-odd", "flat-pair", "triple", "nested", "empty-row"])
+    ([1, 1, 6, 1], "shape (4,)"),       # a flat list is not read as two pairs
+    ([1, 2, 3], "shape (3,)"),
+    (np.array([1, 1]), "shape (2,)"),
+    ([[1, 1, 1]], "shape (1, 3)"),
+    ([[[1, 1]]], "shape (1, 1, 2)"),
+    ([[]], "shape (1, 0)"),
+    # the shape is checked first, so a ragged list is not blamed on [1, 2]
+    ([[1, 2], [3]], "rows of unequal length"),
+    ([[1, 2], [3, 4, 5]], "rows of unequal length"),
+], ids=["flat-pairs", "flat-odd", "flat-pair", "triple", "nested", "empty-row",
+        "ragged-short", "ragged-long"])
 def test_layout_refuses_corners_that_are_not_m_by_2(corners, shape):
     with pytest.raises(LayoutError, match=re.escape(
-            f"corners have shape {shape}, expected (m, 2) cell indices")):
+            f"corners have {shape}, expected (m, 2) cell indices")):
         layout_from_cells(build_mesh(8), 2, corners)
 
 

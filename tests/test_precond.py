@@ -198,6 +198,21 @@ def test_diagonal_kind_refuses_a_non_positive_diagonal(prob8):
         make_a_preconditioner(-prob8.A, "diagonal")
 
 
+# the error each kind raises for a NaN on the diagonal of A: a NaN fails
+# every comparison, so each contract test is written to fail on it
+_NAN_REFUSALS = {"exact": "^H_A kind 'exact' needs a symmetric A",
+                 "cg": "^H_A kind 'cg' needs a symmetric A",
+                 "diagonal": "^stiffness diagonal must be positive$"}
+
+
+@pytest.mark.parametrize("kind", sorted(A_KINDS))
+def test_every_kind_refuses_a_nan_in_a(prob8, kind):
+    A = prob8.A.copy()
+    A[3, 3] = np.nan
+    with pytest.raises(ContractViolationError, match=_NAN_REFUSALS[kind]):
+        make_a_preconditioner(A, kind)
+
+
 _ILU_OPTIONS = dict(drop_tol=5e-4, fill_factor=12.0, diag_pivot_thresh=0.0,
                     permc_spec="MMD_AT_PLUS_A",
                     options=dict(SymmetricMode=True))

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -414,21 +415,35 @@ def test_solvers_refuse_a_non_finite_input_before_any_apply(prob8, case,
 
 
 # ---------------------------------------------------------------------------
-# inhomogeneous constraint data (nonzero lower block of F)
+# the right-hand side F = (f, 0): the constraint row carries no data
 
 
-# the constraint data arrives untagged: each solver tags it at start-up
 @pytest.mark.parametrize("solver", [pu_solve, pl_solve, pcg_k_solve],
                          ids=["pu-untagged", "pl-untagged", "pcgk-untagged"])
 def test_full_rhs_with_constraint_data_matches_sparse_solve(prob16, solver):
     op = prob16.op
     pre = make_exact_precond(prob16)
     F = np.random.default_rng(29).standard_normal(op.size)
+    F[op.N:] = 0.0
     rep = solver(op, pre, F=F, delta=1e-12)
     assert rep.converged
     z = np.concatenate([rep.u, rep.p])
     z_star = spla.spsolve(op.to_sparse().tocsc(), F)
     assert np.linalg.norm(z - z_star) <= 1e-11 * np.linalg.norm(z_star)
+
+
+@pytest.mark.parametrize("solver", [pu_solve, pl_solve, pcg_k_solve],
+                         ids=["pu", "pl", "pcg_k"])
+def test_solvers_refuse_constraint_data_before_any_apply(prob8, solver):
+    op = prob8.op
+    F = random_guess(op.size, 11)
+    F[op.N:] = 0.0
+    F[op.N + 3] = 0.3
+    counter = OpCounter()
+    with pytest.raises(ParameterError, match=re.escape(
+            f"F[{op.N + 3}] is 0.3; the lower block of F must be zero")):
+        solver(op, make_exact_precond(prob8), F=F, counter=counter)
+    assert (counter.a, counter.ha) == (0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -447,9 +462,17 @@ def _solve(method, prob, exact, **kwargs):
     if method == "pu":      # p = 0 solves the homogeneous system
         return pu_solve(op, pre, p0=None if exact else random_guess(op.n, 7),
                         **kwargs)
-    z = random_guess(op.size, 5 if exact else 7)
     solver = {"pl": pl_solve, "pcg_k": pcg_k_solve}[method]
-    return solver(op, pre, F=op.apply(z) if exact else None, z0=z, **kwargs)
+    if not exact:
+        return solver(op, pre, z0=random_guess(op.size, 7), **kwargs)
+    # p = 0 and u constant on each inclusion: B_D annihilates per-inclusion
+    # constants, exactly for small dyadic ones, so A_eps z = (f, 0)
+    z = np.zeros(op.size)
+    z[:op.N] = random_guess(op.N, 5)
+    z[:op.n] = np.repeat(np.arange(op.blocks.m) - 0.5, op.blocks.ns)
+    F = op.apply(z)
+    assert np.all(F[op.N:] == 0.0)
+    return solver(op, pre, F=F, z0=z, **kwargs)
 
 
 # (A, H_A) applications of an exact start: the start residual, plus PU's
@@ -492,6 +515,7 @@ def test_solvers_leave_their_inputs_as_they_are(prob16):
     op = prob16.op
     pre = make_exact_precond(prob16)
     F = random_guess(op.size, 11)
+    F[op.N:] = 0.0
     given = {"F": F, "z0": random_guess(op.size, 5),
              "p0": random_guess(op.n, 5), "b": F[:op.N],
              "x0": random_guess(op.N, 6)}
@@ -506,8 +530,9 @@ def test_solvers_leave_their_inputs_as_they_are(prob16):
 
 
 # every solver on both H_A kinds that the benchmark runs, from a random start
-# on F = 0 and from a zero start on a random F, at M = 32 in a process with
-# one BLAS thread; prints the sha256 over each (layout, kind)'s reports
+# on F = 0 and from a zero start on a random F = (f, 0), at M = 32 in a
+# process with one BLAS thread; prints the sha256 over each (layout, kind)'s
+# reports
 _SOLVE_DIGESTS = """
 import hashlib
 import json
@@ -528,11 +553,12 @@ for layout, prob in problems.items():
     for kind in ("exact", "diagonal"):
         pre = build_block_preconditioner(prob.A, prob.blocks, kind)
         sha = hashlib.sha256()
+        F = random_guess(op.size, 11)
+        F[op.N:] = 0.0
         for solve, start in ((pu_solve, "p0"), (pl_solve, "z0"),
                              (pcg_k_solve, "z0")):
             size = op.n if solve is pu_solve else op.size
-            for args in ({start: random_guess(size, 5)},
-                         {"F": random_guess(op.size, 11)}):
+            for args in ({start: random_guess(size, 5)}, {"F": F}):
                 rep = solve(op, pre, **args)
                 for part in (rep.norms, rep.u, rep.p, *rep.tridiagonal):
                     sha.update(part.tobytes())
@@ -541,16 +567,17 @@ print(json.dumps(digests))
 """
 
 # recorded with one BLAS thread; the CLI pins show final_ratio to 7 digits and
-# no Ritz data, so these are what hold every bit of a solve
+# no Ritz data, so these are what hold every bit of a solve.  The solvers that
+# still took constraint data printed the same digests for this fixture
 _SOLVE_BYTES = {
     "periodic exact":
-        "326e17ac3509ae82d243e14b7ab32de21073f80ccdff1b156827ec0aa7655de0",
+        "28c2770cb561f5642280abd45449a371609495b95f6341ee0f178b2124538a33",
     "periodic diagonal":
-        "4f3b562915ad2cae4cb1554b7c909ffbe4807a1167507377f4e029922cddfb4f",
+        "75abd1aa04c6d8f4a99de6e7e20f6f6c87d2fb90e849b7450cf8ee7b771e4b5d",
     "random exact":
-        "e35fa44de528f6341e4afaceda90fc64ad899a1b3aeab354b18ed6049e65378e",
+        "ecd632c1065d618a718b0ca10cabfcf6cbbf654eab127e5a6f29c83f41d59500",
     "random diagonal":
-        "c64878749a8afac6dd298ec01142cf67bc4f0685c6131dcf03473661d297cda7",
+        "5ab6b7681e19baca63563cc64e775a7929eb21f42b98ea72a898dbbea1120e29",
 }
 
 

@@ -305,8 +305,9 @@ def test_verify_intervals_parameter_contracts(prob8, monkeypatch):
                          epsilon=1e-4)
     with pytest.raises(ParameterError):
         verify_intervals(big)
-    for tol in (-1.0, True, float("nan"), "1e-8"):
-        with pytest.raises(ParameterError, match="tol must be a real number"):
+    for tol in (-1.0, True, float("nan"), float("inf"), "1e-8"):
+        with pytest.raises(ParameterError,
+                           match="tol must be a finite real number >= 0"):
             verify_intervals(prob8.layout, tol=tol)
     assert calls == {"build_problem": 0}    # each refused before any build
 
