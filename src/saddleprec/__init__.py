@@ -39,7 +39,7 @@ from .solvers import (
     pu_solve, pl_solve, pcg_k_solve, cg_solve,
 )
 from .spectral import (
-    MU_HAT_1, MU_HAT_2, DENSE_LIMIT,
+    MU_HAT_1, MU_HAT_2, DENSE_LIMIT, INTERVAL_TOL,
     sector_pair, dense_spectrum, schur_complement_dense,
     complement_basis, measure_a0_b0, SpectrumReport, verify_intervals,
 )

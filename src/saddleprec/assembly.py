@@ -366,6 +366,9 @@ def recover_p_from_u(u: np.ndarray, op: SaddleOperator) -> np.ndarray:
 
 
 def write_matrix_market(path, matrix, comment: str = "") -> None:
-    """Export a symmetric sparse matrix in Matrix Market coordinate form."""
-    scipy.io.mmwrite(path, sp.coo_matrix(matrix), comment=comment,
-                     field="real", symmetry="symmetric")
+    """Export a symmetric sparse matrix in Matrix Market coordinate form.
+    The file is opened here, so a path that cannot be written raises
+    OSError: scipy's mmwrite given a path returns without one."""
+    with open(path, "wb") as fh:
+        scipy.io.mmwrite(fh, sp.coo_matrix(matrix), comment=comment,
+                         field="real", symmetry="symmetric")

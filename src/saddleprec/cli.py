@@ -5,8 +5,8 @@ Subcommands
                  seed); one CSV row per run
   spectrum       dense interval verification per instance; CSV plus a verdict
                  block; process exits 2 if any verdict fails
-  cost           the solve runs with a per-method H_A, their iterations and
-                 {A, H_A}-application totals pivoted into a Markdown table:
+  cost           the solve runs with a fixed H_A per method, their iterations
+                 and {A, H_A}-application totals pivoted into a Markdown table:
                  one row per axes tuple, labelled by eps_min and by every
                  other axis that takes more than one value
   export-matrix  assembled operators in Matrix Market ASCII: stiffness and
@@ -49,8 +49,8 @@ import scipy
 
 from . import __version__
 from .mesh import (EPS_MODES, MeshError, LayoutError, ParameterError,
-                   build_mesh, build_ordering, finite_number, place_periodic,
-                   place_random, assign_epsilon, _periodic_corners)
+                   build_mesh, build_ordering, place_periodic, place_random,
+                   assign_epsilon, _periodic_corners)
 from .assembly import (build_problem, assemble_load, assemble_sigma_matrix,
                        assemble_stiffness, write_matrix_market)
 from .precond import (A_KINDS, ContractViolationError, SolverBreakdownError,
@@ -112,15 +112,6 @@ def parse_config(path: str) -> tuple[dict, str]:
     return raw, hashlib.sha256(data).hexdigest()
 
 
-def _bool(tok: str) -> bool:
-    low = tok.strip().lower()
-    if low in ("true", "yes", "1", "on"):
-        return True
-    if low in ("false", "no", "0", "off"):
-        return False
-    raise ValueError(f"expected a boolean, got {tok!r}")
-
-
 # one row per config key: its converter, its default (a list default makes
 # the key a comma list), its admissible values (a tuple of choices, a _Range
 # test with what it tests, or None for any) and the subcommands accepting it
@@ -146,19 +137,13 @@ _KEYS = {
     "rhs": _Key(str, "zero", ("zero", "one"), ("solve",)),
     "max_iter": _Key(int, 2000, _POSITIVE_INT, _SWEEPS),
     "pencil": _Key(str, ["preconditioner"], PENCILS, ("spectrum",)),
-    # an infinite tol would pass every eigenvalue
-    "tol": _Key(float, 1e-8, _Range(lambda t: finite_number(t) and t >= 0,
-                                    "finite and >= 0"), ("spectrum",)),
-    "corrupt_q": _Key(_bool, False, None, ("spectrum",)),
     "matrix": _Key(str, "saddle", ("saddle", "stiffness", "sigma"),
                    ("export-matrix",)),
-    "name": _Key(str, None, None, ("export-matrix",)),
-    # the H_A kind of solve's runs, and of cost's runs per method
     "ha": _Key(str, "exact", tuple(A_KINDS), ("solve",)),
-    "pu_ha": _Key(str, "cg", tuple(A_KINDS), ("cost",)),
-    "pl_ha": _Key(str, "exact", tuple(A_KINDS), ("cost",)),
-    "pcgk_ha": _Key(str, "exact", tuple(A_KINDS), ("cost",)),
 }
+# the H_A kind of cost's runs per method: Uzawa on the inexact inner solve,
+# the Krylov methods on the exact one; solve's ha runs any other pairing
+_COST_HA = {"pu": "cg", "pl": "exact", "pcgk": "exact"}
 
 
 def _allowed_keys(command):
@@ -259,7 +244,7 @@ def _layout_key(ax):
 
 def _export_stem(cfg, ax):
     M, k, layout, _, eps_min, _ = ax
-    return cfg.name or f"{cfg.matrix}_M{M}_k{k}_{layout}_{eps_min:g}"
+    return f"{cfg.matrix}_M{M}_k{k}_{layout}_{eps_min:g}"
 
 
 def validate_instances(cfg: types.SimpleNamespace) -> dict:
@@ -274,12 +259,10 @@ def validate_instances(cfg: types.SimpleNamespace) -> dict:
             label = "M={} k={} {} eps_mode={} eps_min={:g} seed={}".format(*ax)
             stem = _export_stem(cfg, ax)
             if stem in owners:
-                hint = ("drop 'name'" if cfg.name else
-                        "file names omit eps_mode and seed")
                 raise ConfigError(
                     f"export-matrix instances [{owners[stem]}] and [{label}] "
                     f"would both write {stem}.mtx; narrow the sweep "
-                    f"({hint})")
+                    "(file names omit eps_mode and seed)")
             owners[stem] = label
     meshes, placed, layouts = {}, {}, {}
     for ax in _axes(cfg):
@@ -327,8 +310,8 @@ def _sweep(cfg, layouts, instances, threads):
 
 
 def _ha(cfg, method):
-    """The H_A kind of method's runs: cost's <method>_ha, else solve's ha."""
-    return getattr(cfg, f"{method}_ha" if cfg.command == "cost" else "ha")
+    """The H_A kind of method's runs: cost's _COST_HA, else solve's ha."""
+    return _COST_HA[method] if cfg.command == "cost" else cfg.ha
 
 
 def _run_solve(cfg, lay, shared, instance):
@@ -374,8 +357,7 @@ def _run_solve(cfg, lay, shared, instance):
 
 def _run_spectrum(cfg, lay, axes):
     M, k, layout, eps_mode, eps_min, pencil, seed = axes
-    rep = verify_intervals(lay, pencil=pencil, tol=cfg.tol,
-                           corrupt_q=cfg.corrupt_q)
+    rep = verify_intervals(lay, pencil=pencil)
     row = {
         "M": M, "k": k, "layout": layout, "eps_mode": eps_mode,
         "eps_min": eps_min, "eps_max": rep.eps_max, "pencil": pencil,

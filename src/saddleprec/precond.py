@@ -104,7 +104,7 @@ def _symmetric_csc(A: sp.spmatrix, kind: str) -> sp.csc_matrix:
 
     The view stands for A only if A is symmetric, so a seeded two-matvec
     probe checks that first: unless x.Ay and y.Ax differ by at most
-    _SYMMETRY_RTOL |x| |Ay|, which a NaN in A also fails,
+    _SYMMETRY_RTOL |x| |Ay|, which a NaN or an infinity in A also fails,
     ContractViolationError names the H_A kind.
     """
     x, y = np.random.default_rng(0).standard_normal((2, A.shape[0]))
@@ -112,7 +112,8 @@ def _symmetric_csc(A: sp.spmatrix, kind: str) -> sp.csc_matrix:
     scale = np.linalg.norm(x) * np.linalg.norm(Ay)
     gap = x @ Ay
     del Ay      # at most three vectors of length N live at once
-    gap -= y @ (A @ x)
+    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf is NaN
+        gap -= y @ (A @ x)
     if not abs(gap) <= _SYMMETRY_RTOL * scale:
         raise ContractViolationError(
             f"H_A kind {kind!r} needs a symmetric A; the probe found "
@@ -141,8 +142,9 @@ class DiagonalAInverse:
 
     def __init__(self, A: sp.csr_matrix):
         d = A.diagonal()
-        if not np.all(d > 0):      # a NaN fails too
-            raise ContractViolationError("stiffness diagonal must be positive")
+        if not np.all((d > 0) & (d < np.inf)):      # a NaN fails too
+            raise ContractViolationError(
+                "stiffness diagonal must be finite and positive")
         self._inv = 1.0 / d
 
     def apply(self, r: np.ndarray, counter: OpCounter | None = None) -> np.ndarray:

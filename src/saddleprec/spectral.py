@@ -25,12 +25,14 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from .mesh import InclusionLayout, ParameterError, finite_number
+from .mesh import InclusionLayout, ParameterError
 from .assembly import InclusionBlocks, build_problem
 from .precond import ContractViolationError, ExactAInverse
 
 # Largest total dimension (N + n) accepted by the dense eigensolvers.
 DENSE_LIMIT = 2000
+# Half-width by which verify_intervals widens every interval it tests.
+INTERVAL_TOL = 1e-8
 # Gram blocks of verify_intervals on the p rows: B_D + Q, or S_0
 PENCILS = ("preconditioner", "ideal")
 
@@ -64,12 +66,12 @@ def sector_pair(t, eps):
 MU_HAT_1, MU_HAT_2 = map(float, sector_pair(1.0, 0.0))
 
 
-def in_intervals(eigs, intervals, tol):
+def in_intervals(eigs, intervals):
     """Per-eigenvalue membership in the union of the closed intervals
-    (lo, hi), each widened by tol on both sides."""
+    (lo, hi), each widened by INTERVAL_TOL on both sides."""
     inside = np.zeros(np.shape(eigs), dtype=bool)
     for lo, hi in intervals:
-        inside |= (eigs >= lo - tol) & (eigs <= hi + tol)
+        inside |= (eigs >= lo - INTERVAL_TOL) & (eigs <= hi + INTERVAL_TOL)
     return inside
 
 
@@ -206,24 +208,19 @@ class SpectrumReport:
 
 
 def verify_intervals(layout: InclusionLayout, pencil: str = "preconditioner",
-                     tol: float = 1e-8,
                      corrupt_q: bool = False) -> SpectrumReport:
     """Dense spectrum of H A_eps with interval classification.
 
     The contrast is the eps stored on the layout; an assign_epsilon copy
     of it gives another one.  H_A is the exact A^{-1}, so the A block itself
-    is the Gram factor on the A rows (alpha = 1).  An unknown pencil, a
-    tol that is not a finite real number >= 0 (an infinite one would pass
-    every eigenvalue) and an oversize instance are refused
+    is the Gram factor on the A rows (alpha = 1).  Every interval is widened
+    by INTERVAL_TOL.  An unknown pencil and an oversize instance are refused
     before anything is built.
     corrupt_q zeroes the rank-one coupling inside the saddle operator, a
     deliberate defect that must land eigenvalues outside both interval sets.
     """
     if pencil not in PENCILS:
         raise ParameterError(f"unknown pencil {pencil!r}")
-    if not finite_number(tol) or not tol >= 0:
-        raise ParameterError(
-            f"tol must be a finite real number >= 0, got {tol!r}")
     check_dense_size(layout)
     _, A, blocks, op = build_problem(layout.mesh, layout)
     N = op.N
@@ -252,8 +249,8 @@ def verify_intervals(layout: InclusionLayout, pencil: str = "preconditioner",
         pos_hi = sector_pair(b0, eps_min)[1]
     envelope = ((-1.0, -1.0), tuple(map(float, neg)), (1.0, float(pos_hi)))
 
-    in_stated = in_intervals(eigs, ((mc1, MU_HAT_1), (1.0, MU_HAT_2)), tol)
-    in_env = in_intervals(eigs, envelope, tol)
+    in_stated = in_intervals(eigs, ((mc1, MU_HAT_1), (1.0, MU_HAT_2)))
+    in_env = in_intervals(eigs, envelope)
     return SpectrumReport(
         eigenvalues=eigs,
         lam_min=float(eigs[0]),
@@ -272,6 +269,6 @@ def verify_intervals(layout: InclusionLayout, pencil: str = "preconditioner",
         in_envelope=in_env,
         stated_ok=bool(in_stated.all()),
         envelope_ok=bool(in_env.all()),
-        n_minus_one=int(in_intervals(eigs, ((-1.0, -1.0),), tol).sum()),
-        n_plus_one=int(in_intervals(eigs, ((1.0, 1.0),), tol).sum()),
+        n_minus_one=int(in_intervals(eigs, ((-1.0, -1.0),)).sum()),
+        n_plus_one=int(in_intervals(eigs, ((1.0, 1.0),)).sum()),
     )

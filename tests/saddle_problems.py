@@ -74,12 +74,13 @@ def run_with_one_blas_thread(*args):
     and return its standard output.  The last digits of results that pass
     through BLAS (final_ratio, Ritz values, solution vectors) follow the BLAS
     thread count, which only a fresh process can set.  The process imports
-    saddleprec from this checkout and these helpers from tests/."""
+    saddleprec from this checkout and these helpers from tests/, and turns
+    warnings into errors as the suite does."""
     path = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests")] + [
         p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
     env.update({var: "1" for var in ("OMP_NUM_THREADS",
                                      "OPENBLAS_NUM_THREADS",
                                      "MKL_NUM_THREADS")})
-    return subprocess.run([sys.executable, *args], env=env, check=True,
-                          capture_output=True, text=True).stdout
+    return subprocess.run([sys.executable, "-W", "error", *args], env=env,
+                          check=True, capture_output=True, text=True).stdout

@@ -50,7 +50,7 @@ def test_criterion_1_two_interval_spectrum():
     for M in (8, 16):
         for eps in EPS_SWEEP:
             prob = make_problem(M, 2, eps=eps)
-            rep = verify_intervals(prob.layout, tol=1e-8)
+            rep = verify_intervals(prob.layout)
             if not rep.stated_ok:
                 viol = rep.violations("stated")
                 at_minus_one = np.abs(viol + 1.0) <= 1e-8

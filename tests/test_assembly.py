@@ -418,6 +418,13 @@ def test_matrix_market_round_trip(tmp_path, prob8):
                                prob8.op.to_sparse().toarray(), atol=0)
 
 
+def test_matrix_market_refuses_a_path_it_cannot_write(tmp_path, prob8):
+    path = tmp_path / "missing" / "saddle.mtx"
+    with pytest.raises(FileNotFoundError):
+        write_matrix_market(path, prob8.A)
+    assert not path.parent.exists()
+
+
 # ---------------------------------------------------------------------------
 # eps copies of one placement share its ordering, A and block matrices
 

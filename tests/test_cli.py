@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import importlib
 import json
@@ -136,26 +137,19 @@ def test_build_config_validates_values(tmp_path):
         cfg = _write(tmp_path / "bad.cfg", text)
         with pytest.raises(ConfigError, match=re.escape(match)):
             build_config("solve", *parse_config(cfg))
-    for word in ("off", "no"):
-        cfg = _write(tmp_path / "off.cfg", f"corrupt_q = {word}\n")
-        assert build_config("spectrum",
-                            *parse_config(cfg)).corrupt_q is False
-    cfg = _write(tmp_path / "bad.cfg", "corrupt_q = maybe\n")
-    with pytest.raises(ConfigError, match=re.escape(
-            "config key 'corrupt_q': expected a boolean, got 'maybe'")):
-        build_config("spectrum", *parse_config(cfg))
 
 
 def test_key_table_is_the_only_source_of_keys():
     accepted = set().union(*map(cli._allowed_keys, cli._ALL))
     # every table key is accepted somewhere, and no other key is
     assert accepted == set(cli._KEYS)
-    # only the sweeps build an H_A: solve names one kind, cost one per method
+    # only solve names an H_A kind; cost fixes one per method
     ha = {key for key in cli._KEYS if key.endswith("ha")}
     assert {command: cli._allowed_keys(command) & ha
             for command in cli._ALL} == {
-        "solve": {"ha"}, "spectrum": set(),
-        "cost": {f"{m}_ha" for m in cli._METHODS}, "export-matrix": set()}
+        "solve": {"ha"}, "spectrum": set(), "cost": set(),
+        "export-matrix": set()}
+    assert set(cli._COST_HA) == set(cli._METHODS)
 
 
 def _backticked_keys(text):
@@ -257,14 +251,11 @@ def test_negative_seed_refused_before_any_run(tmp_path, capsys, text, args,
     ("solve", "delta = -1\n", "'delta' must be in (0, 1), got -1.0"),
     ("cost", "delta = 1e-6, 1\n", "'delta' must be in (0, 1), got 1.0"),
     ("solve", "max_iter = 0\n", "'max_iter' must be >= 1, got 0"),
-    ("spectrum", "tol = -1e-8\n",
-     "'tol' must be finite and >= 0, got -1e-08"),
-    ("spectrum", "tol = inf\n", "'tol' must be finite and >= 0, got inf"),
     ("solve", "eps_max = nan\n", "'eps_max' must be in (0, 1], got nan"),
     ("cost", "eps_max = -3\n", "'eps_max' must be in (0, 1], got -3.0"),
     ("spectrum", "eps_max = 2\n", "'eps_max' must be in (0, 1], got 2.0"),
-], ids=["delta-negative", "delta-one", "max-iter-zero", "tol-negative",
-        "tol-inf", "eps-max-nan", "eps-max-negative", "eps-max-above-one"])
+], ids=["delta-negative", "delta-one", "max-iter-zero", "eps-max-nan",
+        "eps-max-negative", "eps-max-above-one"])
 def test_out_of_range_keys_refused_before_any_run(tmp_path, capsys, command,
                                                   text, err):
     cfg = _write(tmp_path / "range.cfg", "M = 8\n" + text)
@@ -440,11 +431,11 @@ pencil = preconditioner, ideal
     assert len(eig_rows) == sum(int(r["dim"]) for r in rows)
 
 
-def test_spectrum_corrupted_coupling_fails(tmp_path, capsys):
-    cfg = _write(tmp_path / "corrupt.cfg", """
-M = 8
-corrupt_q = true
-""")
+def test_spectrum_corrupted_coupling_fails(tmp_path, capsys, monkeypatch):
+    # the verifier's negative control is a library argument only
+    monkeypatch.setattr(cli, "verify_intervals", functools.partial(
+        spectral.verify_intervals, corrupt_q=True))
+    cfg = _write(tmp_path / "corrupt.cfg", "M = 8\n")
     out = tmp_path / "out"
     assert main(["spectrum", "--config", cfg, "--out", str(out)]) == EXIT_VERIFY
     stdout = capsys.readouterr().out
@@ -478,7 +469,6 @@ method = pu, pl
 M = 16
 eps_min = 1e-2, 1e-4
 delta = 1e-6
-pl_ha = exact
 """)
     out = tmp_path / "out"
     assert main(["cost", "--config", cfg, "--out", str(out)]) == EXIT_OK
@@ -542,18 +532,23 @@ seed = 0, 1
 
 
 def test_cost_counts_equal_solve_counts(tmp_path, capsys):
+    # cost runs PU on cg and the Krylov methods on exact; solve's ha gives
+    # each method's counts on its kind
     axes = "M = 16\nlayout = periodic, random\neps_min = 1e-2, 1e-4\n"
-    cost = _write(tmp_path / "cost.cfg", axes + "pu_ha = exact\n")
-    solve = _write(tmp_path / "solve.cfg", axes + "ha = exact\n")
+    cost = _write(tmp_path / "cost.cfg", axes)
     assert main(["cost", "--config", cost,
                  "--out", str(tmp_path / "c")]) == EXIT_OK
-    assert main(["solve", "--config", solve,
-                 "--out", str(tmp_path / "s")]) == EXIT_OK
+    by_instance = {}
+    for methods, ha in (("pu", "cg"), ("pl, pcgk", "exact")):
+        solve = _write(tmp_path / f"{ha}.cfg",
+                       axes + f"method = {methods}\nha = {ha}\n")
+        assert main(["solve", "--config", solve,
+                     "--out", str(tmp_path / ha)]) == EXIT_OK
+        _, solved = _read_rows(tmp_path / ha / "solve.csv")
+        by_instance.update({(r["method"], r["layout"], float(r["eps_min"])):
+                            r for r in solved})
     header, rows = _table(tmp_path / "c" / "cost.md")
     assert header[:2] == ["eps_min", "layout"]
-    _, solved = _read_rows(tmp_path / "s" / "solve.csv")
-    by_instance = {(r["method"], r["layout"], float(r["eps_min"])): r
-                   for r in solved}
     assert len(rows) * 3 == len(by_instance) == 12
     for row in rows:
         for i, method in enumerate(("pu", "pl", "pcgk")):
@@ -562,20 +557,6 @@ def test_cost_counts_equal_solve_counts(tmp_path, capsys):
             assert row[3 + 2 * i] == (f"{r['total_applies']} "
                                       f"({r['a_applies']}+{r['ha_applies']})")
     capsys.readouterr()
-
-
-def test_cost_default_kind_written_out_keeps_its_operator(tmp_path, capsys):
-    """pu_ha = cg names PU's default H_A: the library's inner CG, the one
-    solve builds for ha = cg; no second, tuned cg hides behind the name."""
-    axes = "method = pu\nM = 16\n"
-    for name, text in (("bare", axes), ("named", axes + "pu_ha = cg\n")):
-        cfg = _write(tmp_path / f"{name}.cfg", text)
-        assert main(["cost", "--config", cfg,
-                     "--out", str(tmp_path / name)]) == EXIT_OK
-    capsys.readouterr()
-    bare, named = ((tmp_path / name / "cost.md").read_bytes()
-                   for name in ("bare", "named"))
-    assert bare == named and b"PU iters (H_A=cg)" in bare
 
 
 @pytest.mark.parametrize("command,text,kinds", [
@@ -984,15 +965,12 @@ eps_min = 1e-4
     capsys.readouterr()
 
 
-def test_export_matrix_stiffness_and_custom_name(tmp_path, capsys):
-    cfg = _write(tmp_path / "exp2.cfg", """
-M = 8
-matrix = stiffness
-name = plain_poisson
-""")
+def test_export_matrix_stiffness(tmp_path, capsys):
+    cfg = _write(tmp_path / "exp2.cfg", "M = 8\nmatrix = stiffness\n")
     out = tmp_path / "out"
     assert main(["export-matrix", "--config", cfg, "--out", str(out)]) == EXIT_OK
-    mat = scipy.io.mmread(str(out / "plain_poisson.mtx")).tocsr()
+    mat = scipy.io.mmread(
+        str(out / "stiffness_M8_k2_periodic_0.0001.mtx")).tocsr()
     assert mat.shape == (49, 49)
     assert mat.diagonal().max() == 4.0
     capsys.readouterr()
@@ -1012,8 +990,8 @@ def test_manifest_sha_stable_across_runs(tmp_path, capsys):
 
 @pytest.mark.parametrize("text", [
     "M = 16\nmatrix = sigma\neps_mode = random\nseed = 0, 1\n",
-    "M = 8, 16\nname = mine\n",
-], ids=["seed-axis", "fixed-name"])
+    "M = 8\neps_mode = uniform, random\n",
+], ids=["seed-axis", "eps-mode-axis"])
 def test_export_matrix_refuses_colliding_files(tmp_path, capsys, text):
     cfg = _write(tmp_path / "clash.cfg", text)
     out = tmp_path / "out"
@@ -1023,6 +1001,21 @@ def test_export_matrix_refuses_colliding_files(tmp_path, capsys, text):
     assert "error: export-matrix instances [M=" in err
     assert "would both write" in err
     assert not out.exists()             # refused before anything is written
+
+
+def test_export_matrix_that_cannot_be_written_is_an_error(tmp_path, capsys):
+    # the file of the second instance is a directory: the export exits 1
+    # naming it, and keeps the matrix written before it
+    out = tmp_path / "out"
+    (out / "saddle_M16_k2_periodic_0.0001.mtx").mkdir(parents=True)
+    cfg = _write(tmp_path / "exp.cfg", "M = 8, 16\n")
+    assert main(["export-matrix", "--config", cfg,
+                 "--out", str(out)]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: [Errno 21] Is a directory: ")
+    assert "saddle_M16" not in captured.out
+    assert sorted(os.listdir(out)) == ["saddle_M16_k2_periodic_0.0001.mtx",
+                                       "saddle_M8_k2_periodic_0.0001.mtx"]
 
 
 # the CLI names an H_A kind only, and only for a sweep: inner-CG options are
@@ -1044,6 +1037,23 @@ def test_ha_config_refused_before_any_run(tmp_path, capsys, command, text,
     assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_ERROR
     err = capsys.readouterr().err
     assert match in err and err.count("error:") == 1
+    assert not out.exists()
+
+
+# keys that set what the paper fixes: the verdict's tolerance, a defect, the
+# export's file name and cost's pairing of methods with H_A kinds
+@pytest.mark.parametrize("command,text", [
+    ("spectrum", "tol = 1e-8\n"), ("spectrum", "corrupt_q = true\n"),
+    ("export-matrix", "name = mine\n"), ("cost", "pu_ha = cg\n"),
+    ("cost", "pl_ha = exact\n"), ("cost", "pcgk_ha = exact\n"),
+], ids=["tol", "corrupt_q", "name", "pu_ha", "pl_ha", "pcgk_ha"])
+def test_fixed_settings_are_unknown_keys(tmp_path, capsys, command, text):
+    cfg = _write(tmp_path / "fixed.cfg", "M = 8\n" + text)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_ERROR
+    key = text.split(" = ")[0]
+    assert capsys.readouterr().err.startswith(
+        f"error: unknown config key(s) for {command}: {key};")
     assert not out.exists()
 
 

@@ -194,23 +194,28 @@ def test_inner_cg_breakdown_on_negative_definite_matrix(prob8):
 
 def test_diagonal_kind_refuses_a_non_positive_diagonal(prob8):
     with pytest.raises(ContractViolationError,
-                       match="^stiffness diagonal must be positive$"):
+                       match="^stiffness diagonal must be finite and "
+                             "positive$"):
         make_a_preconditioner(-prob8.A, "diagonal")
 
 
-# the error each kind raises for a NaN on the diagonal of A: a NaN fails
-# every comparison, so each contract test is written to fail on it
+# the error each kind raises for a NaN or an infinity on the diagonal of A:
+# a NaN fails every comparison, so each contract test is written to fail on
+# it, and the symmetry probe's inf - inf is a NaN
 _NAN_REFUSALS = {"exact": "^H_A kind 'exact' needs a symmetric A",
                  "cg": "^H_A kind 'cg' needs a symmetric A",
-                 "diagonal": "^stiffness diagonal must be positive$"}
+                 "diagonal": "^stiffness diagonal must be finite and "
+                             "positive$"}
 
 
 @pytest.mark.parametrize("kind", sorted(A_KINDS))
 def test_every_kind_refuses_a_nan_in_a(prob8, kind):
-    A = prob8.A.copy()
-    A[3, 3] = np.nan
-    with pytest.raises(ContractViolationError, match=_NAN_REFUSALS[kind]):
-        make_a_preconditioner(A, kind)
+    for value in (np.nan, np.inf, -np.inf):
+        A = prob8.A.copy()
+        A[3, 3] = value
+        with pytest.raises(ContractViolationError,
+                           match=_NAN_REFUSALS[kind]):
+            make_a_preconditioner(A, kind)
 
 
 _ILU_OPTIONS = dict(drop_tol=5e-4, fill_factor=12.0, diag_pivot_thresh=0.0,
