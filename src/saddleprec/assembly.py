@@ -16,7 +16,6 @@ given by an OrderingMap (inclusion nodes first, grouped per inclusion).
 from __future__ import annotations
 
 import dataclasses
-import functools
 
 import numpy as np
 import scipy.io
@@ -122,6 +121,7 @@ def assemble_stiffness(mesh: StructuredMesh,
                           csc.indptr[:N + 1]), shape=(N, N))
 
 
+@np.errstate(over="ignore", invalid="ignore")   # inf and NaN refused below
 def assemble_sigma_matrix(layout: InclusionLayout,
                           ordering: OrderingMap | None = None) -> sp.csr_matrix:
     """Stiffness matrix of the original problem on the layout's mesh, with
@@ -137,7 +137,11 @@ def assemble_sigma_matrix(layout: InclusionLayout,
     idx = mesh.interior_index[tri]                      # (nt, 3), -1 on boundary
     if ordering is not None:
         idx = np.where(idx >= 0, ordering.perm[np.clip(idx, 0, None)], -1)
-    return _scatter(idx, K, mesh.n_interior)
+    sigma = _scatter(idx, K, mesh.n_interior)
+    if not np.isfinite(sigma.data).all():
+        raise ParameterError(f"sigma = 1 + 1/eps leaves the float range: the "
+                             f"smallest eps is {float(layout.eps.min())!r}")
+    return sigma
 
 
 def _assemble_local(k: int, h: float):
@@ -169,29 +173,21 @@ def _block_diagonal(m: int, local: np.ndarray) -> sp.csr_matrix:
 class InclusionBlocks:
     """Shared per-inclusion matrices in system ordering.
 
-    Every inclusion of a layout has the same local geometry, so one Neumann
-    stiffness block B_loc, one mass block M_loc and one weight vector serve
-    all of them.  Nothing here reads eps: the blocks depend only on the
-    placement, and every eps copy of it shares one set.  No solve reads
-    the block diagonal mass M_D, so it is built on first access.
+    Every inclusion of a layout has the same local geometry, so one weight
+    vector and one Neumann stiffness block, tiled into B_D, serve all of
+    them.  Nothing here reads eps: the blocks depend only on the placement,
+    and every eps copy of it shares one set.
     """
 
     ns: int
     m: int
     d: float
-    B_loc: np.ndarray      # (ns, ns) Neumann stiffness, kernel = constants
-    M_loc: np.ndarray      # (ns, ns) consistent mass
-    weights: np.ndarray    # (ns,) = M_loc @ 1
-    B_D: sp.csr_matrix     # (n, n) block diagonal of B_loc
+    weights: np.ndarray    # (ns,) row sums of the local consistent mass
+    B_D: sp.csr_matrix     # (n, n) block diagonal Neumann stiffness
 
     @property
     def n(self) -> int:
         return self.m * self.ns
-
-    @functools.cached_property
-    def M_D(self) -> sp.csr_matrix:
-        """(n, n) block diagonal of M_loc."""
-        return _block_diagonal(self.m, self.M_loc)
 
     def block_means(self, w: np.ndarray) -> np.ndarray:
         """Mass-weighted mean of w over each inclusion, shape (m,)."""
@@ -225,12 +221,10 @@ def assemble_inclusion_blocks(layout: InclusionLayout) -> InclusionBlocks:
         raise AssemblyError("layout has no inclusions")
     B_loc, M_loc = _assemble_local(layout.k, layout.mesh.h)
     weights = M_loc @ np.ones(M_loc.shape[0])
-    d = layout.d
-    if not np.isclose(weights.sum(), d * d, rtol=1e-12):
+    if not np.isclose(weights.sum(), layout.d * layout.d, rtol=1e-12):
         raise AssemblyError("mass weights do not sum to the inclusion area")
-    return InclusionBlocks(ns=layout.nodes_per_inclusion, m=layout.m, d=d,
-                           B_loc=B_loc, M_loc=M_loc, weights=weights,
-                           B_D=_block_diagonal(layout.m, B_loc))
+    return InclusionBlocks(layout.nodes_per_inclusion, layout.m, layout.d,
+                           weights, _block_diagonal(layout.m, B_loc))
 
 
 @dataclasses.dataclass(frozen=True, eq=False)

@@ -83,8 +83,8 @@ class ReferenceSchurSolver:
 
     def __init__(self, blocks: InclusionBlocks):
         self.blocks = blocks
-        local = blocks.B_loc + np.outer(blocks.weights, blocks.weights) / (
-            blocks.d * blocks.d)
+        local = blocks.B_D[:blocks.ns, :blocks.ns].toarray() + np.outer(
+            blocks.weights, blocks.weights) / (blocks.d * blocks.d)
         self._chol = scipy.linalg.cho_factor(local, lower=True)
 
     def solve(self, r: np.ndarray) -> np.ndarray:

@@ -33,7 +33,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .assembly import SaddleOperator
-from .mesh import ParameterError, real_number, whole_number
+from .mesh import ParameterError, first_non_number, real_number, whole_number
 from .precond import BlockPreconditioner, OpCounter, SolverBreakdownError
 
 # relative slack granted to rounding before a "nonnegative" quadratic form
@@ -224,10 +224,15 @@ def _conjugate_cg(run, start, precondition, images, form, breakdown):
 
 def _input_vector(name, v, size):
     """A float copy of the solver input v, or zeros when v is None; raises
-    ParameterError naming it unless its shape is (size,) and every entry
-    is finite, where a NaN or inf would run the whole iteration budget."""
+    ParameterError naming it unless it holds real numbers (a float cast
+    misreads complex, boolean and string ones) of shape (size,), all finite:
+    a NaN or inf would run the whole iteration budget."""
     if v is None:
         return np.zeros(size)
+    bad = first_non_number(v)
+    if bad is not None:
+        raise ParameterError(f"{name}{[int(i) for i in bad[0]]} is "
+                             f"{bad[1]!r}; solver input must be real numbers")
     v = np.array(v, dtype=float)
     if v.shape != (size,):
         raise ParameterError(

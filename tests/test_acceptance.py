@@ -21,6 +21,7 @@ from saddleprec import (
     recover_p_from_u,
 )
 
+from saddleprec.assembly import _assemble_local, _block_diagonal
 from saddle_problems import ACCEPTANCE_VERDICTS, make_problem, make_exact_precond
 
 EPS_SWEEP = (1e-2, 1e-4, 1e-6)
@@ -238,7 +239,8 @@ def test_criterion_6_preconditioner_identity_suite(prob16):
     P = np.column_stack([blocks.apply_projector(col)
                          for col in np.eye(blocks.n)])
     idem = np.abs(P @ P - P).max()
-    MD = blocks.M_D.toarray()
+    M_loc = _assemble_local(prob16.layout.k, prob16.mesh.h)[1]
+    MD = _block_diagonal(blocks.m, M_loc).toarray()
     sym = np.abs(MD @ P - (MD @ P).T).max() / np.abs(MD).max()
 
     worst_id = 0.0

@@ -20,7 +20,8 @@ from saddleprec import (
     assemble_inclusion_blocks,
 )
 
-from saddleprec.assembly import _block_diagonal, _element_batches, _scatter
+from saddleprec.assembly import (_assemble_local, _block_diagonal,
+                                 _element_batches, _scatter)
 from saddleprec.mesh import OrderingMap, triangulate
 from saddle_problems import make_problem
 
@@ -115,9 +116,11 @@ def test_block_diagonal_equals_the_kronecker_product(k):
     layout = layout_from_cells(build_mesh(2 * k + 4), k, [
         (1, 1), (k + 2, 1), (1, k + 2), (k + 2, k + 2)])
     blocks = assemble_inclusion_blocks(layout)
+    B_loc, M_loc = _assemble_local(k, layout.mesh.h)
     q = np.outer(blocks.weights, blocks.weights) / (blocks.d * blocks.d)
-    for local, built in ((blocks.B_loc, blocks.B_D),
-                         (blocks.M_loc, blocks.M_D), (q, blocks.q_sparse())):
+    for local, built in ((B_loc, blocks.B_D),
+                         (M_loc, _block_diagonal(blocks.m, M_loc)),
+                         (q, blocks.q_sparse())):
         for m, got in ((blocks.m, built), (1, _block_diagonal(1, local))):
             _assert_same_csr(got, sp.kron(sp.identity(m, format="csr"),
                                           sp.csr_matrix(local), format="csr"))
@@ -137,7 +140,8 @@ def test_block_kernel_and_mass_identities(prob8):
     np.testing.assert_allclose(blocks.B_D @ e, 0.0, atol=1e-14)
     d2 = blocks.d ** 2
     ones = np.ones(blocks.ns)
-    np.testing.assert_allclose(ones @ blocks.M_loc @ ones, d2)
+    M_loc = _assemble_local(prob8.layout.k, prob8.mesh.h)[1]
+    np.testing.assert_allclose(ones @ M_loc @ ones, d2)
     np.testing.assert_allclose(blocks.weights.sum(), d2)
     # rank-one block maps the constant to the weight vector
     np.testing.assert_allclose(blocks.apply_q(e)[:blocks.ns], blocks.weights)
@@ -149,13 +153,13 @@ def test_local_blocks_hand_values_for_single_cell_inclusion(tiny_problem):
     # k = 1, h = 1/4: nodes (ll, lr, ul, ur) split into (ll, lr, ur) and
     # (ll, ur, ul); the diagonal ll-ur couples through both triangles in
     # the mass only, never in the stiffness
-    blocks = tiny_problem.blocks
-    np.testing.assert_array_equal(blocks.B_loc, [[1.0, -0.5, -0.5, 0.0],
-                                                 [-0.5, 1.0, 0.0, -0.5],
-                                                 [-0.5, 0.0, 1.0, -0.5],
-                                                 [0.0, -0.5, -0.5, 1.0]])
+    B_loc, M_loc = _assemble_local(1, tiny_problem.mesh.h)
+    np.testing.assert_array_equal(B_loc, [[1.0, -0.5, -0.5, 0.0],
+                                          [-0.5, 1.0, 0.0, -0.5],
+                                          [-0.5, 0.0, 1.0, -0.5],
+                                          [0.0, -0.5, -0.5, 1.0]])
     area = 0.5 / 16
-    np.testing.assert_allclose(blocks.M_loc, area / 12 * np.array(
+    np.testing.assert_allclose(M_loc, area / 12 * np.array(
         [[4.0, 1.0, 1.0, 2.0],
          [1.0, 2.0, 0.0, 1.0],
          [1.0, 0.0, 2.0, 1.0],
@@ -286,6 +290,20 @@ def test_sigma_matrix_at_unit_eps_is_double_weight_inside():
     weights[layout.inclusion_cells()] = 2.0
     direct = _element_scatter(mesh, None, weights)
     np.testing.assert_allclose(A_sig.toarray(), direct.toarray())
+
+
+@pytest.mark.parametrize("eps", [1e-308, 1e-320])
+def test_sigma_matrix_refuses_entries_beyond_the_float_range(eps):
+    # 1/1e-308 is finite but the scatter sum of six elements overflows;
+    # 1/1e-320 overflows at once and inf * 0 gives NaN
+    layout = place_periodic(build_mesh(8), 2)
+    eps_s = np.full(layout.m, 1e-4)
+    eps_s[2] = eps
+    layout = dataclasses.replace(layout, eps=eps_s)
+    with pytest.raises(ParameterError,
+                       match=rf"^sigma = 1 \+ 1/eps leaves the float range: "
+                             rf"the smallest eps is {eps!r}$"):
+        assemble_sigma_matrix(layout)
 
 
 def test_sigma_conditioning_degrades_with_contrast(tiny_problem):
@@ -463,16 +481,6 @@ def _assert_identical(a, b):
         assert a == b
 
 
-def test_block_mass_is_built_on_first_read():
-    mesh = build_mesh(16)
-    blocks = build_problem(mesh, place_periodic(mesh, 2))[2]
-    assert "M_D" not in vars(blocks)
-    M_D = blocks.M_D
-    assert vars(blocks)["M_D"] is M_D and blocks.M_D is M_D
-    np.testing.assert_array_equal(
-        M_D.toarray(), np.kron(np.eye(blocks.m), blocks.M_loc))
-
-
 def _solves(op, A, blocks, seed=3):
     H = build_block_preconditioner(A, blocks)
     return [pu_solve(op, H, p0=random_guess(op.n, seed)),
@@ -492,7 +500,7 @@ def test_eps_copies_share_the_placement_products(layout_mode, eps_mode):
     layout = _eps_copy(placement, eps_mode, 1)
     ordering, A, blocks, op = build_problem(mesh, layout)
     assert ordering is first[0] and A is first[1]
-    assert blocks.B_D is first[2].B_D and blocks.M_D is first[2].M_D
+    assert blocks.B_D is first[2].B_D
     np.testing.assert_array_equal(op.eps, layout.eps)
     fresh_layout = _fresh_copy(layout)
     fresh = build_problem(fresh_layout.mesh, fresh_layout)
@@ -675,6 +683,24 @@ def test_construction_peaks_stay_near_their_outputs():
     assert peak <= 1.5 * F.nbytes
     blocks, peak = _traced_peak(lambda: assemble_inclusion_blocks(layout))
     assert peak <= 2.0 * _csr_bytes(blocks.B_D)
+
+
+def test_blocks_hold_no_dense_local_block():
+    # a dense (k+1)^2 x (k+1)^2 block takes 9.5 MB at k = 32; the blocks
+    # keep only B_D (0.4 MB here) and the weights once they are built
+    layout = place_periodic(build_mesh(128), 32)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        blocks = assemble_inclusion_blocks(layout)
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert (blocks.m, blocks.ns) == (4, 1089)
+    assert held < 2 * 2**20
+    assert [f.name for f in dataclasses.fields(blocks)] == [
+        "ns", "m", "d", "weights", "B_D"]
+    assert not hasattr(blocks, "M_D")
 
 
 @pytest.mark.parametrize("name", ["natural", "periodic"])

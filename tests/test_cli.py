@@ -1018,6 +1018,21 @@ def test_export_matrix_that_cannot_be_written_is_an_error(tmp_path, capsys):
                                        "saddle_M8_k2_periodic_0.0001.mtx"]
 
 
+@pytest.mark.parametrize("eps_min", ["1e-308", "1e-320"])
+def test_export_matrix_refuses_a_sigma_beyond_the_float_range(
+        tmp_path, capsys, eps_min):
+    cfg = _write(tmp_path / "sig.cfg",
+                 f"M = 8\nk = 2\nmatrix = sigma\neps_min = {eps_min}\n")
+    out = tmp_path / "out"
+    assert main(["export-matrix", "--config", cfg,
+                 "--out", str(out)]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.err == ("error: sigma = 1 + 1/eps leaves the float "
+                            f"range: the smallest eps is {eps_min}\n")
+    assert captured.out == ""
+    assert os.listdir(out) == []
+
+
 # the CLI names an H_A kind only, and only for a sweep: inner-CG options are
 # library arguments, and the dense check's H_A is always the exact one
 @pytest.mark.parametrize("command,text,match", [

@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -9,9 +10,11 @@ from saddleprec import (
     SchurPreconditioner, ReferenceSchurSolver, ExactAInverse,
     DiagonalAInverse, InnerCgAInverse, make_a_preconditioner,
     build_block_preconditioner, OpCounter,
-    build_mesh, ContractViolationError, ParameterError,
+    build_mesh, place_periodic, assemble_inclusion_blocks,
+    ContractViolationError, ParameterError,
     SolverBreakdownError, pl_solve, random_guess,
 )
+from saddleprec.assembly import _assemble_local, _block_diagonal
 from saddleprec.precond import A_KINDS
 
 from saddle_problems import make_problem, make_exact_precond
@@ -48,7 +51,8 @@ def test_projector_idempotent_and_self_adjoint_in_mass_inner_product(prob8):
     blocks = prob8.blocks
     P = _projector_matrix(blocks)
     np.testing.assert_allclose(P @ P, P, atol=1e-14)
-    MD = blocks.M_D.toarray()
+    M_loc = _assemble_local(prob8.layout.k, prob8.mesh.h)[1]
+    MD = _block_diagonal(blocks.m, M_loc).toarray()
     np.testing.assert_allclose(MD @ P, (MD @ P).T, atol=1e-13)
 
 
@@ -69,6 +73,17 @@ def test_tagged_apply_matches_reference_on_random_images(prob8):
         direct = ref.solve(image)
         scale = max(1.0, np.abs(direct).max())
         assert np.abs(fast - direct).max() <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("k", [2, 4, 16])
+def test_reference_factor_is_the_factor_of_the_local_block(k):
+    # the oracle takes its local block back from B_D
+    layout = place_periodic(build_mesh(4 * k), k)
+    blocks = assemble_inclusion_blocks(layout)
+    local = _assemble_local(k, layout.mesh.h)[0] + np.outer(
+        blocks.weights, blocks.weights) / (blocks.d * blocks.d)
+    want = scipy.linalg.cho_factor(local, lower=True)[0]
+    assert ReferenceSchurSolver(blocks)._chol[0].tobytes() == want.tobytes()
 
 
 def test_tagged_apply_is_inverse_of_schur_sum(prob8):

@@ -414,6 +414,37 @@ def test_solvers_refuse_a_non_finite_input_before_any_apply(prob8, case,
     assert (counter.a, counter.ha) == (0, 0)
 
 
+def _true_at_7(size):
+    """A list of ones with the boolean True at entry 7."""
+    v = [1.0] * size
+    v[7] = True
+    return v
+
+
+# each input a float cast would misread: complex as its real part (with a
+# ComplexWarning), booleans as 1.0 and 0.0, strings as the numbers they spell
+_NON_NUMBERS = {
+    "complex": (lambda size: 1j * np.ones(size), "[0] is 1j"),
+    "bool": (lambda size: np.ones(size, dtype=bool), "[0] is True"),
+    "string": (lambda size: ["1"] * size, "[0] is '1'"),
+    "bool-entry": (_true_at_7, "[7] is True"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_NON_NUMBERS))
+@pytest.mark.parametrize("case", sorted(_NON_FINITE_INPUTS))
+def test_solvers_refuse_an_input_that_is_not_real_numbers(prob8, case, kind):
+    counter = OpCounter()
+    name = case.split("-")[1]
+    make, where = _NON_NUMBERS[kind]
+    with pytest.raises(ParameterError, match=f"^{re.escape(name + where)}; "
+                                             "solver input must be real "
+                                             "numbers$"):
+        _NON_FINITE_INPUTS[case](prob8, make_exact_precond(prob8),
+                                 make, counter)
+    assert (counter.a, counter.ha) == (0, 0)
+
+
 # ---------------------------------------------------------------------------
 # the right-hand side F = (f, 0): the constraint row carries no data
 
