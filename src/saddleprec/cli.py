@@ -18,7 +18,8 @@ converter, default, admissible values and subcommands.  Every axis
 combination is validated before any run starts by building its layout, even
 when the method axis is empty: one mesh per M, one placement per operator
 key, one eps copy per axes tuple.  Runs build only from these layouts, whose
-placements keep ordering, A and blocks for the invocation.  The CSV,
+placements keep ordering, A and blocks until the placement's last run is
+done: a sweep task or an export drops its eps copies then.  The CSV,
 Markdown and manifest outputs are opened before the first run and removed if
 a run fails.
 Results are emitted in sorted order regardless of worker scheduling, and CSV
@@ -285,28 +286,38 @@ def _sweep(cfg, layouts, instances, threads):
     """(_run_solve row per instance in the given order, H_A set-ups) of
     instances (method, M, k, layout, eps_mode, eps_min, delta, seed).
 
-    The instances of one operator key and H_A kind, wherever they sit, form
-    one worker task; tasks run in order of first appearance.  A task's first
-    instance builds its eps-free H, which the task frees when it returns:
-    one set-up per (placement, H_A kind) and one H_A per worker, whatever
-    the thread count.  A failing sweep raises the first failure in this
+    The instances of one operator key, wherever they sit, form one worker
+    task; tasks run in order of first appearance, and a task runs its
+    instances H_A kind by H_A kind, in the same order.  A kind's first
+    instance builds its eps-free H, which is freed before the next kind's is
+    built; a returning task pops its eps copies from layouts, and with them
+    the placement's ordering, A and blocks.  So there is one set-up per
+    (placement, H_A kind) and one placement and H_A per worker, whatever the
+    thread count.  A failing sweep raises the first failure in this
     execution order.
     """
-    tasks = {}      # (operator key, H_A kind) -> instance indices
+    tasks = {}      # operator key -> H_A kind -> instance indices
     for i, (method, *ax) in enumerate(instances):
-        tasks.setdefault((_operator_key(ax), _ha(cfg, method)), []).append(i)
-    groups = list(tasks.values())
+        tasks.setdefault(_operator_key(ax), {}).setdefault(
+            _ha(cfg, method), []).append(i)
+    work = list(tasks.values())
 
-    def task(indices):
-        shared = types.SimpleNamespace(H=None, F=None)
-        return [_run_solve(cfg, layouts[_layout_key(instances[i][1:])],
-                           shared, instances[i]) for i in indices]
+    def task(kinds):
+        rows = []       # (instance index, row)
+        for indices in kinds.values():
+            shared = types.SimpleNamespace(H=None, F=None)
+            for i in indices:
+                lay = layouts[_layout_key(instances[i][1:])]
+                rows.append((i, _run_solve(cfg, lay, shared, instances[i])))
+        for i, _ in rows:   # eps copies that no other task reads
+            layouts.pop(_layout_key(instances[i][1:]), None)
+        return rows
 
     rows = [None] * len(instances)
-    for indices, results in zip(groups, _pool_map(task, groups, threads)):
-        for i, row in zip(indices, results):
+    for results in _pool_map(task, work, threads):
+        for i, row in results:
             rows[i] = row
-    return rows, len(groups)
+    return rows, sum(map(len, work))
 
 
 def _ha(cfg, method):
@@ -539,10 +550,12 @@ def cmd_cost(cfg, layouts: dict, out_dir: str, threads: int) -> int:
 def cmd_export_matrix(cfg, layouts: dict, out_dir: str, threads: int) -> int:
     axes = _axes(cfg)
     stiffness = {}                      # A per operator key
+    # the index of each operator key's last tuple, after which its A goes
+    last = {_operator_key(ax): i for i, ax in enumerate(axes)}
     with _open_outputs(out_dir, "manifest.json") as (man,):
-        for ax in axes:
+        for i, ax in enumerate(axes):
             M, k, layout, eps_mode, eps_min, seed = ax
-            lay = layouts[ax]
+            lay = layouts.pop(ax)
             if cfg.matrix == "sigma":
                 mat = assemble_sigma_matrix(lay)
             elif cfg.matrix == "stiffness":
@@ -550,7 +563,8 @@ def cmd_export_matrix(cfg, layouts: dict, out_dir: str, threads: int) -> int:
                 if key not in stiffness:
                     stiffness[key] = assemble_stiffness(
                         lay.mesh, build_ordering(lay))
-                mat = stiffness[key]
+                mat = (stiffness.pop(key) if last[key] == i
+                       else stiffness[key])
             else:
                 mat = build_problem(lay.mesh, lay)[3].to_sparse()
             path = os.path.join(out_dir, _export_stem(cfg, ax) + ".mtx")
@@ -559,6 +573,7 @@ def cmd_export_matrix(cfg, layouts: dict, out_dir: str, threads: int) -> int:
                                         f"eps_min={eps_min:g} seed={seed}")
             print(f"export: {mat.shape[0]}x{mat.shape[1]}, "
                   f"{mat.nnz} stored entries -> {path}")
+            del mat     # before the next tuple builds its own
         write_manifest(man, cfg, len(axes))
     return EXIT_OK
 

@@ -53,10 +53,11 @@ def whole_number(value) -> bool:
 
 def first_non_number(values, whole: bool = False):
     """(index, value) of the first entry of values that is not a number (a
-    whole number if whole), or None.  An ndarray is judged by its dtype, so
-    a boolean, string or object one fails whole, at its first entry; a list
-    or tuple entry by entry, before numpy turns True into 1 or 2.7 into 2."""
-    if isinstance(values, np.ndarray):
+    whole number if whole), or None.  An ndarray of any dtype but object is
+    judged by its dtype, so a boolean or string one fails whole, at its
+    first entry; an object ndarray, list or tuple entry by entry, before
+    numpy turns True into 1 or 2.7 into 2."""
+    if isinstance(values, np.ndarray) and values.dtype != object:
         if values.size == 0 or values.dtype.kind in ("iu" if whole else "iuf"):
             return None
         return np.unravel_index(0, values.shape), values.item(0)

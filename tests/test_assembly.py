@@ -197,23 +197,23 @@ def test_saddle_operator_refuses_eps_outside_the_unit_interval(prob8):
         with pytest.raises(ParameterError,
                            match=rf"eps of inclusion 1 is {shown}, "):
             build_saddle_operator(A, blocks, eps)
-    # a list is read entry by entry, before numpy turns True into 1.0
-    for bad, shown in ((True, "True"), ("1", "'1'")):
-        eps = [0.5] * m
-        eps[1] = bad
-        with pytest.raises(ParameterError,
-                           match=rf"eps of inclusion 1 is {shown}, "):
-            build_saddle_operator(A, blocks, eps)
-    # all-boolean and all-string lists fail at their first entry, and an
-    # object ndarray is refused whole, at inclusion 0
-    for bad, shown in (([True] * m, "True"), (["0.5"] * m, "'0.5'"),
-                       (np.full(m, 0.5, dtype=object), "0.5")):
+    # a list or an object ndarray is read entry by entry, before numpy turns
+    # True into 1.0
+    for bad, shown in ((True, "True"), ("1", "'1'"), ("x", "'x'")):
+        for eps in ([0.5] * m, np.full(m, 0.5, dtype=object)):
+            eps[1] = bad
+            with pytest.raises(ParameterError,
+                               match=rf"eps of inclusion 1 is {shown}, "):
+                build_saddle_operator(A, blocks, eps)
+    # all-boolean and all-string lists fail at their first entry
+    for bad, shown in (([True] * m, "True"), (["0.5"] * m, "'0.5'")):
         with pytest.raises(ParameterError,
                            match=rf"eps of inclusion 0 is {shown}, "):
             build_saddle_operator(A, blocks, bad)
     with pytest.raises(AssemblyError, match="eps has shape"):
         build_saddle_operator(A, blocks, [True] * (m + 1))  # shape first
-    for good in ([1] * m, np.full(m, 1e-300), np.full(m, 0.25, np.float32)):
+    for good in ([1] * m, np.full(m, 1e-300), np.full(m, 0.25, np.float32),
+                 np.full(m, 0.5, dtype=object)):
         op = build_saddle_operator(A, blocks, good)
         assert op.eps.dtype == float
         np.testing.assert_array_equal(op.eps, np.asarray(good, dtype=float))

@@ -797,8 +797,7 @@ def test_sweep_holds_at_most_one_ha_and_frees_it(tmp_path, capsys,
                                                        "solve")
     # a task's H_A is freed before the next task builds its own
     assert len(ha_refs) == 2 and alive_at_build == [0] * 2
-    # the layouts keep one A per placement until main returns, and nothing
-    # outlives main
+    # one A per placement, freed when its task returns: nothing outlives main
     assert len(a_refs) == 2
     assert all(ref() is None for ref in ha_refs + a_refs)
     capsys.readouterr()
@@ -807,10 +806,66 @@ def test_sweep_holds_at_most_one_ha_and_frees_it(tmp_path, capsys,
 def test_cost_never_holds_two_ha_at_once(tmp_path, capsys, monkeypatch):
     ha_refs, _, alive_at_build = _run_tracking_ha(tmp_path, monkeypatch,
                                                   "cost")
-    # PU's inner-CG H_A and the Krylov methods' exact LU of a placement are
-    # two tasks, so the LU is built only after the inner CG is freed
+    # one task runs PU's inner-CG H_A and then the Krylov methods' exact LU
+    # of its placement, so the LU is built only after the inner CG is freed
     assert len(ha_refs) == 4 and alive_at_build == [0] * 4
     assert all(ref() is None for ref in ha_refs)
+    capsys.readouterr()
+
+
+def _live_a_at_each_build(monkeypatch):
+    """The number of other stiffness matrices alive at each assemble_stiffness
+    call, through the placement slot or an export's own build."""
+    refs, alive = [], []
+    original = assembly.assemble_stiffness
+
+    def tracked(*args, **kwargs):
+        alive.append(sum(ref() is not None for ref in refs))
+        A = original(*args, **kwargs)
+        refs.append(weakref.ref(A))
+        return A
+
+    monkeypatch.setattr(assembly, "assemble_stiffness", tracked)
+    monkeypatch.setattr(cli, "assemble_stiffness", tracked)
+    return alive
+
+
+@pytest.mark.parametrize("command,output,ha_setups", [
+    ("solve", "solve.csv", 4), ("cost", "cost.md", 8)])
+def test_sweep_holds_one_placement_per_worker(tmp_path, capsys, monkeypatch,
+                                              command, output, ha_setups):
+    # four placements: the periodic one and one random one per seed
+    cfg = _write(tmp_path / "keys.cfg", "method = pu, pl, pcgk\nM = 32\n"
+                 "layout = periodic, random\nseed = 0, 1, 2\n")
+    alive = _live_a_at_each_build(monkeypatch)
+    outputs = []
+    for threads, most in (("1", 0), ("3", 2)):
+        alive.clear()
+        out = tmp_path / threads
+        assert main([command, "--config", cfg, "--out", str(out),
+                     "--threads", threads]) == EXIT_OK
+        # a task frees its placement's A when it returns, so only the A of
+        # placements that other workers run at the same time is alive
+        assert len(alive) == 4 and max(alive) <= most, alive
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["ha_setups"] == ha_setups
+        outputs.append((out / output).read_bytes())
+    assert outputs[0] == outputs[1]
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("matrix", ["saddle", "stiffness"])
+def test_export_matrix_frees_each_placement_after_its_last_file(
+        tmp_path, capsys, monkeypatch, matrix):
+    alive = _live_a_at_each_build(monkeypatch)
+    cfg = _write(tmp_path / "exp.cfg", "M = 16, 32\nlayout = periodic, random\n"
+                 f"eps_min = 1e-2, 1e-4\nmatrix = {matrix}\n")
+    out = tmp_path / "out"
+    assert main(["export-matrix", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    # four placements with two eps copies each: a placement's A goes with
+    # the file of its last eps copy
+    assert alive == [0, 0, 0, 0]
+    assert len(os.listdir(out)) == 9      # eight files and the manifest
     capsys.readouterr()
 
 

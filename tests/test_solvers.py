@@ -428,7 +428,15 @@ _NON_NUMBERS = {
     "bool": (lambda size: np.ones(size, dtype=bool), "[0] is True"),
     "string": (lambda size: ["1"] * size, "[0] is '1'"),
     "bool-entry": (_true_at_7, "[7] is True"),
+    "object-entry": (lambda size: _object_at_7(size, "x"), "[7] is 'x'"),
 }
+
+
+def _object_at_7(size, value):
+    """An object ndarray of ones with value at entry 7."""
+    v = np.ones(size, dtype=object)
+    v[7] = value
+    return v
 
 
 @pytest.mark.parametrize("kind", sorted(_NON_NUMBERS))
@@ -443,6 +451,22 @@ def test_solvers_refuse_an_input_that_is_not_real_numbers(prob8, case, kind):
         _NON_FINITE_INPUTS[case](prob8, make_exact_precond(prob8),
                                  make, counter)
     assert (counter.a, counter.ha) == (0, 0)
+
+
+@pytest.mark.parametrize("solver,name", [(pu_solve, "p0"), (pl_solve, "z0"),
+                                         (pcg_k_solve, "z0")],
+                         ids=["pu", "pl", "pcg_k"])
+def test_solvers_read_an_object_array_of_numbers_entry_by_entry(prob8, solver,
+                                                                name):
+    # an object ndarray of numbers runs as its float64 copy, bit for bit
+    size = prob8.op.n if name == "p0" else prob8.op.size
+    start = random_guess(size, 5)
+    pre = make_exact_precond(prob8)
+    ref = solver(prob8.op, pre, **{name: start})
+    rep = solver(prob8.op, pre, **{name: start.astype(object)})
+    assert rep.iterations == ref.iterations
+    np.testing.assert_array_equal(rep.u, ref.u)
+    np.testing.assert_array_equal(rep.p, ref.p)
 
 
 # ---------------------------------------------------------------------------
