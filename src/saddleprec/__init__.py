@@ -29,7 +29,7 @@ from .assembly import (
 )
 from .precond import (
     ContractViolationError, SolverBreakdownError, OpCounter,
-    SchurPreconditioner, ReferenceSchurSolver,
+    SchurPreconditioner,
     ExactAInverse, DiagonalAInverse, InnerCgAInverse, make_a_preconditioner,
     BlockPreconditioner, build_block_preconditioner,
 )

@@ -145,18 +145,20 @@ def assemble_sigma_matrix(layout: InclusionLayout,
 
 
 def _assemble_local(k: int, h: float):
-    """Neumann stiffness and consistent mass on one k x k cell inclusion,
-    nodes in row-major order."""
+    """Neumann stiffness, its stored zeros eliminated, and consistent mass
+    on one k x k cell inclusion, nodes in row-major order: the CSR matrices
+    of the element scatter, at most 7 entries a row."""
     tri, _ = triangulate(k)
     ns = (k + 1) ** 2
     mass = np.broadcast_to(0.5 * h * h * _MASS, (tri.shape[0], 3, 3))
-    return (_scatter(tri, _element_batches(tri.shape[0]), ns).toarray(),
-            _scatter(tri, mass, ns).toarray())
+    B_loc = _scatter(tri, _element_batches(tri.shape[0]), ns)
+    B_loc.eliminate_zeros()
+    return B_loc, _scatter(tri, mass, ns)
 
 
-def _block_diagonal(m: int, local: np.ndarray) -> sp.csr_matrix:
-    """Block diagonal of m copies of the dense block local: the CSR arrays
-    of local tiled with block offsets, the bytes of
+def _block_diagonal(m: int, local) -> sp.csr_matrix:
+    """Block diagonal of m copies of the block local, sparse or dense: the
+    CSR arrays of local tiled with block offsets, the bytes of
     sp.kron(sp.identity(m), sp.csr_matrix(local)) in CSR."""
     block = sp.csr_matrix(local)
     ns = block.shape[0]
@@ -174,9 +176,9 @@ class InclusionBlocks:
     """Shared per-inclusion matrices in system ordering.
 
     Every inclusion of a layout has the same local geometry, so one weight
-    vector and one Neumann stiffness block, tiled into B_D, serve all of
-    them.  Nothing here reads eps: the blocks depend only on the placement,
-    and every eps copy of it shares one set.
+    vector and one sparse Neumann stiffness block, tiled into B_D, serve
+    all of them.  Nothing here reads eps: the blocks depend only on the
+    placement, and every eps copy of it shares one set.
     """
 
     ns: int
@@ -220,7 +222,11 @@ def assemble_inclusion_blocks(layout: InclusionLayout) -> InclusionBlocks:
     if layout.m == 0:
         raise AssemblyError("layout has no inclusions")
     B_loc, M_loc = _assemble_local(layout.k, layout.mesh.h)
-    weights = M_loc @ np.ones(M_loc.shape[0])
+    # dense row chunks keep the summation order of a dense M_loc @ 1; a
+    # sparse row sum rounds some weights differently
+    ones = np.ones(M_loc.shape[0])
+    weights = np.concatenate([M_loc[i:i + 256].toarray() @ ones
+                              for i in range(0, M_loc.shape[0], 256)])
     if not np.isclose(weights.sum(), layout.d * layout.d, rtol=1e-12):
         raise AssemblyError("mass weights do not sum to the inclusion area")
     return InclusionBlocks(layout.nodes_per_inclusion, layout.m, layout.d,

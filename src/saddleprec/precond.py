@@ -8,8 +8,7 @@ identities
 where P is the blockwise projector onto constants along the mass weights.
 Every vector the solvers feed to H_S arrives as B_D a + Q b with known tags
 (a, b), so H_S (B_D a + Q b) = a + P (b - a) and no system with B_D + Q is
-ever solved by a solver.  A Cholesky-based reference solver is the oracle
-that the identity tests check the tagged path against.
+ever solved.
 
 H_A is pluggable: exact sparse LU, a fixed number of inner CG steps
 preconditioned by a symmetrized incomplete LU, or plain diagonal scaling.
@@ -26,7 +25,6 @@ import dataclasses
 import inspect
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -59,8 +57,7 @@ class SchurPreconditioner:
 
     Every vector the solvers feed it arrives as B_D a + Q b with known
     (a, b), so it has no untagged apply: a general solve would hide a
-    missing tag behind an O(n^2) fallback.  ReferenceSchurSolver is the
-    oracle it is tested against.
+    missing tag behind an O(n^2) fallback.
     """
 
     def __init__(self, blocks: InclusionBlocks):
@@ -72,25 +69,6 @@ class SchurPreconditioner:
         out = self.blocks.apply_projector(q_pre - bd_pre)
         out += bd_pre
         return out
-
-
-class ReferenceSchurSolver:
-    """Dense per-block Cholesky solve of (B_D + Q) x = r.
-
-    The oracle of the tagged fast path: tests and the acceptance criteria
-    check SchurPreconditioner against it; no solve uses it.
-    """
-
-    def __init__(self, blocks: InclusionBlocks):
-        self.blocks = blocks
-        local = blocks.B_D[:blocks.ns, :blocks.ns].toarray() + np.outer(
-            blocks.weights, blocks.weights) / (blocks.d * blocks.d)
-        self._chol = scipy.linalg.cho_factor(local, lower=True)
-
-    def solve(self, r: np.ndarray) -> np.ndarray:
-        R = r.reshape(self.blocks.m, self.blocks.ns)
-        X = scipy.linalg.cho_solve(self._chol, R.T)
-        return X.T.ravel()
 
 
 # relative bound on |x.Ay - y.Ax| / (|x| |Ay|) in the symmetry probe; the

@@ -425,7 +425,8 @@ def cg_solve(A, b, precond=None, x0=None, delta: float = 1e-6,
              max_iter: int = 5000,
              counter: OpCounter | None = None) -> SolverReport:
     """Plain (optionally preconditioned) CG on the SPD stiffness block;
-    precond(r) must return a new array, not r itself.
+    precond(r) must return a new array, not r itself or a view of it:
+    ParameterError names precond otherwise.
 
     Homogeneous systems (b = 0) stop on the A-norm of the iterate, which is
     the error norm; otherwise on the 2-norm of the residual relative to b.
@@ -445,9 +446,17 @@ def cg_solve(A, b, precond=None, x0=None, delta: float = 1e-6,
     # x . Ax of a homogeneous run, |r|^2 otherwise
     form = (lambda: x @ r) if homogeneous else lambda: r @ r
     run.record(form())
+
     # the direction must be a fresh array: r moves along A xi in place
+    def precondition(x, r):
+        z = r.copy() if precond is None else precond(r)
+        if np.shares_memory(z, r):
+            raise ParameterError("precond returned an array that shares "
+                                 "memory with its input; it must return "
+                                 "a new array")
+        return z
+
     tridiagonal = _conjugate_cg(
-        run, lambda: (x, r),
-        lambda x, r: r.copy() if precond is None else precond(r),
-        images, form, "CG direction lost A-positivity at iteration {k}")
+        run, lambda: (x, r), precondition, images, form,
+        "CG direction lost A-positivity at iteration {k}")
     return run.report(x, None, tridiagonal)

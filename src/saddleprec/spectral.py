@@ -214,13 +214,15 @@ def verify_intervals(layout: InclusionLayout, pencil: str = "preconditioner",
     The contrast is the eps stored on the layout; an assign_epsilon copy
     of it gives another one.  H_A is the exact A^{-1}, so the A block itself
     is the Gram factor on the A rows (alpha = 1).  Every interval is widened
-    by INTERVAL_TOL.  An unknown pencil and an oversize instance are refused
-    before anything is built.
+    by INTERVAL_TOL.  An unknown pencil, a corrupt_q that is not a bool
+    and an oversize instance are refused before anything is built.
     corrupt_q zeroes the rank-one coupling inside the saddle operator, a
     deliberate defect that must land eigenvalues outside both interval sets.
     """
     if pencil not in PENCILS:
         raise ParameterError(f"unknown pencil {pencil!r}")
+    if not isinstance(corrupt_q, (bool, np.bool_)):
+        raise ParameterError(f"corrupt_q takes a bool, got {corrupt_q!r}")
     check_dense_size(layout)
     _, A, blocks, op = build_problem(layout.mesh, layout)
     N = op.N

@@ -20,7 +20,7 @@ from saddleprec import (
     assemble_inclusion_blocks,
 )
 
-from saddleprec.assembly import (_assemble_local, _block_diagonal,
+from saddleprec.assembly import (_MASS, _assemble_local, _block_diagonal,
                                  _element_batches, _scatter)
 from saddleprec.mesh import OrderingMap, triangulate
 from saddle_problems import make_problem
@@ -126,6 +126,26 @@ def test_block_diagonal_equals_the_kronecker_product(k):
                                           sp.csr_matrix(local), format="csr"))
 
 
+@pytest.mark.parametrize("k", [1, 2, 4, 16, 32])
+def test_blocks_equal_a_dense_construction(k):
+    # the sparse local blocks give the bytes of dense ones: B_D tiles the
+    # dense Neumann block's nonzeros, the weights are its dense row sums
+    layout = layout_from_cells(build_mesh(2 * k + 4), k,
+                               [(1, 1), (k + 2, k + 2)])
+    blocks = assemble_inclusion_blocks(layout)
+    tri, _ = triangulate(k)
+    ns = (k + 1) ** 2
+    mass = np.broadcast_to(0.5 * layout.mesh.h ** 2 * _MASS,
+                           (tri.shape[0], 3, 3))
+    B_dense = _scatter(tri, _element_batches(tri.shape[0]), ns).toarray()
+    M_dense = _scatter(tri, mass, ns).toarray()
+    weights = M_dense @ np.ones(ns)
+    assert blocks.weights.dtype == weights.dtype
+    assert blocks.weights.tobytes() == weights.tobytes()
+    _assert_same_csr(blocks.B_D, sp.kron(sp.identity(2, format="csr"),
+                                         sp.csr_matrix(B_dense), format="csr"))
+
+
 def test_stiffness_is_symmetric_positive_definite():
     prob = make_problem(16, 2)
     A = prob.A.toarray()
@@ -154,12 +174,12 @@ def test_local_blocks_hand_values_for_single_cell_inclusion(tiny_problem):
     # (ll, ur, ul); the diagonal ll-ur couples through both triangles in
     # the mass only, never in the stiffness
     B_loc, M_loc = _assemble_local(1, tiny_problem.mesh.h)
-    np.testing.assert_array_equal(B_loc, [[1.0, -0.5, -0.5, 0.0],
-                                          [-0.5, 1.0, 0.0, -0.5],
-                                          [-0.5, 0.0, 1.0, -0.5],
-                                          [0.0, -0.5, -0.5, 1.0]])
+    np.testing.assert_array_equal(B_loc.toarray(), [[1.0, -0.5, -0.5, 0.0],
+                                                    [-0.5, 1.0, 0.0, -0.5],
+                                                    [-0.5, 0.0, 1.0, -0.5],
+                                                    [0.0, -0.5, -0.5, 1.0]])
     area = 0.5 / 16
-    np.testing.assert_allclose(M_loc, area / 12 * np.array(
+    np.testing.assert_allclose(M_loc.toarray(), area / 12 * np.array(
         [[4.0, 1.0, 1.0, 2.0],
          [1.0, 2.0, 0.0, 1.0],
          [1.0, 0.0, 2.0, 1.0],
@@ -687,17 +707,20 @@ def test_construction_peaks_stay_near_their_outputs():
 
 def test_blocks_hold_no_dense_local_block():
     # a dense (k+1)^2 x (k+1)^2 block takes 9.5 MB at k = 32; the blocks
-    # keep only B_D (0.4 MB here) and the weights once they are built
+    # keep only B_D (0.4 MB here) and the weights once they are built, and
+    # the construction never makes even half of a dense block
     layout = place_periodic(build_mesh(128), 32)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
         blocks = assemble_inclusion_blocks(layout)
         held = tracemalloc.get_traced_memory()[0] - base
+        peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
     assert (blocks.m, blocks.ns) == (4, 1089)
     assert held < 2 * 2**20
+    assert peak < 1089 ** 2 * 8 / 2
     assert [f.name for f in dataclasses.fields(blocks)] == [
         "ns", "m", "d", "weights", "B_D"]
     assert not hasattr(blocks, "M_D")

@@ -2,15 +2,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from saddleprec import (
-    SchurPreconditioner, ReferenceSchurSolver, ExactAInverse,
+    SchurPreconditioner, ExactAInverse,
     DiagonalAInverse, InnerCgAInverse, make_a_preconditioner,
     build_block_preconditioner, OpCounter,
-    build_mesh, place_periodic, assemble_inclusion_blocks,
+    build_mesh,
     ContractViolationError, ParameterError,
     SolverBreakdownError, pl_solve, random_guess,
 )
@@ -57,33 +56,22 @@ def test_projector_idempotent_and_self_adjoint_in_mass_inner_product(prob8):
 
 
 # ---------------------------------------------------------------------------
-# tagged O(n) application against the factorized reference
+# tagged O(n) application against a dense solve with B_D + Q
 
 
 def test_tagged_apply_matches_reference_on_random_images(prob8):
     blocks = prob8.blocks
     schur = SchurPreconditioner(blocks)
-    ref = ReferenceSchurSolver(blocks)
+    S = (blocks.B_D + blocks.q_sparse()).toarray()
     rng = np.random.default_rng(11)
     for _ in range(100):
         a = rng.standard_normal(blocks.n)
         b = rng.standard_normal(blocks.n)
         image = blocks.B_D @ a + blocks.apply_q(b)
         fast = schur.apply_tagged(a, b)
-        direct = ref.solve(image)
+        direct = np.linalg.solve(S, image)
         scale = max(1.0, np.abs(direct).max())
         assert np.abs(fast - direct).max() <= 1e-12 * scale
-
-
-@pytest.mark.parametrize("k", [2, 4, 16])
-def test_reference_factor_is_the_factor_of_the_local_block(k):
-    # the oracle takes its local block back from B_D
-    layout = place_periodic(build_mesh(4 * k), k)
-    blocks = assemble_inclusion_blocks(layout)
-    local = _assemble_local(k, layout.mesh.h)[0] + np.outer(
-        blocks.weights, blocks.weights) / (blocks.d * blocks.d)
-    want = scipy.linalg.cho_factor(local, lower=True)[0]
-    assert ReferenceSchurSolver(blocks)._chol[0].tobytes() == want.tobytes()
 
 
 def test_tagged_apply_is_inverse_of_schur_sum(prob8):
@@ -127,22 +115,6 @@ def test_applies_leave_their_inputs_as_they_are(prob8, kind):
         assert not any(np.shares_memory(out, v) for out in outputs)
     # one array as both tags: H_S (B_D a + Q a) = a
     np.testing.assert_array_equal(outputs[-1], a)
-
-
-def test_reference_solver_basics(prob8):
-    blocks = prob8.blocks
-    ref = ReferenceSchurSolver(blocks)
-    e = np.zeros(blocks.n)
-    e[:blocks.ns] = 1.0
-    m_img = np.zeros(blocks.n)
-    m_img[:blocks.ns] = blocks.weights
-    np.testing.assert_allclose(ref.solve(m_img), e, atol=1e-12)
-    np.testing.assert_array_equal(ref.solve(np.zeros(blocks.n)),
-                                  np.zeros(blocks.n))
-    rng = np.random.default_rng(8)
-    x = rng.standard_normal(blocks.n)
-    image = blocks.B_D @ x + blocks.apply_q(x)
-    np.testing.assert_allclose(ref.solve(image), x, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

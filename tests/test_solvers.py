@@ -310,6 +310,22 @@ def test_cg_breakdown_on_negative_definite_matrix(prob8):
         cg_solve(-prob8.A, np.ones(prob8.A.shape[0]))
 
 
+@pytest.mark.parametrize("precond", [lambda r: r, lambda r: r[:]],
+                         ids=["itself", "view"])
+def test_cg_refuses_a_preconditioner_output_that_shares_its_input(
+        prob16, precond):
+    # r moves in place after the direction is taken from it, so an output
+    # sharing r's memory would run another recurrence without a word
+    b = np.ones(prob16.A.shape[0])
+    with pytest.raises(ParameterError, match="^precond returned an array "
+                                             "that shares memory with its "
+                                             "input"):
+        cg_solve(prob16.A, b, precond=precond)
+    # a fresh copy is the unpreconditioned run, bit for bit
+    copied = cg_solve(prob16.A, b, precond=lambda r: r.copy())
+    assert copied.u.tobytes() == cg_solve(prob16.A, b).u.tobytes()
+
+
 def test_negative_stopping_form_is_refused(prob8):
     # x . (-A) x < 0: the first recorded norm already fails the guard
     with pytest.raises(OperatorContractError,

@@ -296,6 +296,9 @@ def test_verify_intervals_flags_corrupted_coupling(prob8):
     assert not rep.envelope_ok and not rep.stated_ok
     # the defect produces a zero cluster inside the forbidden gap
     assert np.abs(rep.eigenvalues).min() <= 1e-10
+    # numpy bools are bools
+    assert not verify_intervals(prob8.layout, corrupt_q=np.True_).envelope_ok
+    assert verify_intervals(prob8.layout, corrupt_q=np.False_).envelope_ok
 
 
 def test_verify_intervals_parameter_contracts(prob8, monkeypatch):
@@ -303,6 +306,10 @@ def test_verify_intervals_parameter_contracts(prob8, monkeypatch):
     _count_calls(monkeypatch, calls, spectral, "build_problem")
     with pytest.raises(ParameterError, match="'exotic'"):
         verify_intervals(prob8.layout, pencil="exotic")
+    for flag in ("False", "true", 0, 1, None):  # "False" would corrupt
+        with pytest.raises(ParameterError,
+                           match=f"^corrupt_q takes a bool, got {flag!r}$"):
+            verify_intervals(prob8.layout, corrupt_q=flag)
     big = assign_epsilon(place_periodic(build_mesh(64), 2), "uniform",
                          epsilon=1e-4)
     with pytest.raises(ParameterError):
